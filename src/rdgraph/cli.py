@@ -21,7 +21,6 @@ from .validate import (
     findings_to_jsonl,
     graph_documents,
     render_findings,
-    validate_structure,
 )
 
 EXIT_OK = 0
@@ -107,8 +106,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    # load() already rejects a graph that breaks a structural invariant.
     graph = _load_graph(args.graph)
-    findings = validate_structure(graph)
+    findings = []
     rationale_texts = [
         " ".join(graph.rationales[rid].text for rid in rids)
         for rids in graph.rationale_edges.values()
@@ -116,7 +116,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     rationale_texts = [t for t in rationale_texts if t]
     if rationale_texts:
         provider = TfIdfProvider(build_model(rationale_texts, config.stopwords))
-        findings = findings + check_rationale_consistency(
+        findings = check_rationale_consistency(
             graph,
             provider,
             config.thresholds.consistency,
@@ -126,9 +126,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             config.stopwords,
         )
     _emit_findings(findings, args.json)
-    if any(f.severity == "error" for f in findings):
-        return EXIT_FINDINGS
-    if any(f.severity == "warning" for f in findings):
+    if any(f.severity != "info" for f in findings):
         return EXIT_FINDINGS
     return EXIT_OK
 

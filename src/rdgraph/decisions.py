@@ -4,9 +4,9 @@ The default scorer is additive and clamped to [0, 1]:
 
 * +0.6 when a summary sentence (after an optional ``subsys:`` prefix) opens
   with an action verb,
-* +0.4 when a cue phrase occurs anywhere,
+* +0.4 when a cue phrase occurs anywhere as whole words,
 * +0.3 when a non-summary sentence opens with an action verb in base form,
-* -0.5 when a negative cue occurs.
+* -0.5 when a negative cue occurs as whole words.
 
 Any ``(sentence, artifact) -> [0, 1]`` callable can replace it through the
 ``scorer`` argument of :func:`extract_decisions`.
@@ -81,6 +81,21 @@ def _opens_with_verb(text: str, verbs: frozenset[str]) -> bool:
     return bool(match) and match.group(0) in verbs and match.start() == 0
 
 
+def _has_cue(text: str, cues: frozenset[str]) -> bool:
+    """Whether a cue occurs as whole words: ``todo`` is not in ``mastodon``.
+
+    A word boundary is required only at a cue end that is a word character,
+    so ``?`` still matches ``remove it?``.
+    """
+    for cue in cues:
+        if cue in text:
+            head = r"\b" if re.match(r"\w", cue) else ""
+            tail = r"\b" if re.match(r"\w", cue[-1:]) else ""
+            if re.search(head + re.escape(cue) + tail, text):
+                return True
+    return False
+
+
 def score_decision(
     sentence: Sentence, lexicon: DecisionLexicon, is_summary: bool
 ) -> float:
@@ -89,11 +104,11 @@ def score_decision(
     score = 0.0
     if is_summary and _opens_with_verb(strip_subsystem_prefix(lower), lexicon.action_verbs):
         score += 0.6
-    if any(phrase in lower for phrase in lexicon.cue_phrases):
+    if _has_cue(lower, lexicon.cue_phrases):
         score += 0.4
     if not is_summary and _opens_with_verb(lower, lexicon.action_verbs):
         score += 0.3
-    if any(cue in lower for cue in lexicon.negative_cues):
+    if _has_cue(lower, lexicon.negative_cues):
         score -= 0.5
     return min(1.0, max(0.0, score))
 

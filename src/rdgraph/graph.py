@@ -9,8 +9,8 @@ graphs serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Mapping
 
 from .corpus import format_timestamp, parse_timestamp
 from .decisions import Decision
@@ -80,39 +80,97 @@ def _edge_sort_key(edge: RelationEdge) -> tuple[str, str, str]:
     return (edge.kind, edge.from_id, edge.to_id)
 
 
-def _check_history_acyclic(edges: Iterable[RelationEdge]) -> None:
-    adjacency: dict[str, list[str]] = {}
-    for edge in edges:
-        if edge.kind == HISTORY:
-            adjacency.setdefault(edge.from_id, []).append(edge.to_id)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    for start in sorted(adjacency):
-        if color.get(start, WHITE) != WHITE:
+def _by_id(items: Iterable, what: str) -> dict:
+    by_id: dict = {}
+    for item in sorted(items, key=lambda x: x.id):
+        if item.id in by_id:
+            raise GraphError(f"duplicate {what} id {item.id!r}")
+        by_id[item.id] = item
+    return by_id
+
+
+def graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...], str]]:
+    """Yield ``(subject ids, message)`` for every broken graph invariant.
+
+    History edges must run from a strictly later decision to an earlier one,
+    so any history cycle breaks that rule on at least one of its edges.
+    """
+    membership: dict[str, int] = {}
+    for topic in graph.topics.values():
+        if not topic.member_decision_ids:
+            yield (topic.id,), f"topic {topic.id!r} has no members"
+        for member in topic.member_decision_ids:
+            membership[member] = membership.get(member, 0) + 1
+            if member not in graph.decisions:
+                yield (topic.id, member), (
+                    f"topic {topic.id!r} references missing decision {member!r}"
+                )
+    for decision_id in sorted(graph.decisions):
+        count = membership.get(decision_id, 0)
+        if count == 0:
+            yield (decision_id,), f"decision {decision_id!r} is without a topic"
+        elif count > 1:
+            yield (decision_id,), (
+                f"decision {decision_id!r} belongs to {count} topics; "
+                "a decision may not belong to more than one topic"
+            )
+
+    for span_id in sorted(graph.rationales):
+        span = graph.rationales[span_id]
+        if span.decision_id not in graph.decisions:
+            yield (span_id,), (
+                f"rationale {span_id!r} references missing decision "
+                f"{span.decision_id!r}"
+            )
+
+    for decision_id in sorted(graph.decisions):
+        decision = graph.decisions[decision_id]
+        source = graph.sources.get(graph.source_edges.get(decision_id))
+        if source is None:
+            yield (decision_id,), (
+                f"decision {decision_id!r} has no source for artifact "
+                f"{decision.artifact_id!r}"
+            )
+        elif source.uri != decision.source_uri:
+            yield (decision_id, source.id), (
+                f"decision {decision_id!r} source uri {decision.source_uri!r} "
+                f"does not match source {source.uri!r}"
+            )
+
+    seen: set[tuple[str, str, str]] = set()
+    for edge in graph.relation_edges:
+        subjects = (edge.from_id, edge.to_id)
+        key = (edge.kind, edge.from_id, edge.to_id)
+        if edge.kind not in EDGE_KINDS:
+            yield subjects, f"unknown edge kind {edge.kind!r}"
             continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        trail = [start]
-        color[start] = GRAY
-        while stack:
-            node, child_index = stack[-1]
-            children = sorted(adjacency.get(node, []))
-            if child_index < len(children):
-                stack[-1] = (node, child_index + 1)
-                child = children[child_index]
-                state = color.get(child, WHITE)
-                if state == GRAY:
-                    cycle = trail[trail.index(child) :] + [child]
-                    raise GraphError(
-                        "history edges form a cycle: " + " -> ".join(cycle)
-                    )
-                if state == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, 0))
-                    trail.append(child)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                trail.pop()
+        if key in seen:
+            yield subjects, f"duplicate edge {key}"
+        seen.add(key)
+        if edge.from_id == edge.to_id:
+            yield subjects, f"self edge on {edge.from_id!r}"
+            continue
+        if edge.from_id not in graph.decisions or edge.to_id not in graph.decisions:
+            yield subjects, (
+                f"{edge.kind} edge {edge.from_id!r} -> {edge.to_id!r} "
+                "references a missing decision"
+            )
+            continue
+        if not 0.0 <= edge.score <= 1.0:
+            yield subjects, f"edge score {edge.score} outside [0, 1]"
+        if edge.kind == SIMILAR and edge.from_id > edge.to_id:
+            yield subjects, (
+                f"similar edge {edge.from_id!r} -> {edge.to_id!r} "
+                "is not in canonical order"
+            )
+        if edge.kind in (HISTORY, CONTRADICTS) and (
+            graph.decisions[edge.from_id].timestamp
+            <= graph.decisions[edge.to_id].timestamp
+        ):
+            yield subjects, (
+                f"{edge.kind} edge {edge.from_id!r} -> {edge.to_id!r} "
+                "must run from the later decision to the earlier one"
+            )
 
 
 def build_graph(
@@ -123,43 +181,18 @@ def build_graph(
     sources: Iterable[SourceRef] | None = None,
 ) -> RdGraph:
     """Assemble and fully check a graph; raises GraphError on any violation."""
-    decision_map: dict[str, Decision] = {}
-    for decision in sorted(decisions, key=lambda d: d.id):
-        if decision.id in decision_map:
-            raise GraphError(f"duplicate decision id {decision.id!r}")
-        decision_map[decision.id] = decision
+    decision_map: dict[str, Decision] = _by_id(decisions, "decision")
+    rationale_map: dict[str, RationaleSpan] = _by_id(rationales, "rationale")
+    topic_map: dict[str, Topic] = _by_id(topics, "topic")
 
-    rationale_map: dict[str, RationaleSpan] = {}
     rationale_edges: dict[str, list[str]] = {}
-    for span in sorted(rationales, key=lambda s: s.id):
-        if span.id in rationale_map:
-            raise GraphError(f"duplicate rationale id {span.id!r}")
-        if span.decision_id not in decision_map:
-            raise GraphError(
-                f"rationale {span.id!r} references missing decision {span.decision_id!r}"
-            )
-        rationale_map[span.id] = span
+    for span in rationale_map.values():
         rationale_edges.setdefault(span.decision_id, []).append(span.id)
-
-    topic_map: dict[str, Topic] = {}
-    topic_edges: dict[str, str] = {}
-    for topic in sorted(topics, key=lambda t: t.id):
-        if topic.id in topic_map:
-            raise GraphError(f"duplicate topic id {topic.id!r}")
-        if not topic.member_decision_ids:
-            raise GraphError(f"topic {topic.id!r} has no members")
-        topic_map[topic.id] = topic
-        for member in topic.member_decision_ids:
-            if member not in decision_map:
-                raise GraphError(
-                    f"topic {topic.id!r} references missing decision {member!r}"
-                )
-            if member in topic_edges:
-                raise GraphError(f"decision {member!r} belongs to more than one topic")
-            topic_edges[member] = topic.id
-    missing_topic = sorted(set(decision_map) - set(topic_edges))
-    if missing_topic:
-        raise GraphError(f"decisions without a topic: {missing_topic}")
+    topic_edges = {
+        member: topic.id
+        for topic in topic_map.values()
+        for member in topic.member_decision_ids
+    }
 
     if sources is None:
         derived: dict[str, SourceRef] = {}
@@ -172,78 +205,31 @@ def build_graph(
             derived[decision.artifact_id] = SourceRef(
                 id=decision.artifact_id, uri=decision.source_uri, artifact_kind="other"
             )
-        source_map = {k: derived[k] for k in sorted(derived)}
-    else:
-        source_map = {}
-        for source in sorted(sources, key=lambda s: s.id):
-            if source.id in source_map:
-                raise GraphError(f"duplicate source id {source.id!r}")
-            source_map[source.id] = source
+        sources = derived.values()
 
-    source_edges: dict[str, str] = {}
-    for decision in decision_map.values():
-        source = source_map.get(decision.artifact_id)
-        if source is None:
-            raise GraphError(
-                f"decision {decision.id!r} has no source for artifact {decision.artifact_id!r}"
-            )
-        if source.uri != decision.source_uri:
-            raise GraphError(
-                f"decision {decision.id!r} source uri {decision.source_uri!r} "
-                f"does not match source {source.uri!r}"
-            )
-        source_edges[decision.id] = source.id
+    canonical = sorted(
+        (
+            replace(edge, from_id=edge.to_id, to_id=edge.from_id)
+            if edge.kind == SIMILAR and edge.from_id > edge.to_id
+            else edge
+            for edge in relation_edges
+        ),
+        key=_edge_sort_key,
+    )
 
-    canonical: list[RelationEdge] = []
-    seen_edges: set[tuple[str, str, str]] = set()
-    for edge in relation_edges:
-        if edge.kind not in EDGE_KINDS:
-            raise GraphError(f"unknown edge kind {edge.kind!r}")
-        if edge.from_id not in decision_map or edge.to_id not in decision_map:
-            raise GraphError(
-                f"{edge.kind} edge references missing decision "
-                f"{edge.from_id!r} or {edge.to_id!r}"
-            )
-        if edge.from_id == edge.to_id:
-            raise GraphError(f"self edge on {edge.from_id!r}")
-        if not 0.0 <= edge.score <= 1.0:
-            raise GraphError(f"edge score {edge.score} outside [0, 1]")
-        if edge.kind == SIMILAR and edge.from_id > edge.to_id:
-            edge = RelationEdge(
-                kind=edge.kind,
-                from_id=edge.to_id,
-                to_id=edge.from_id,
-                score=edge.score,
-                evidence=edge.evidence,
-            )
-        if edge.kind in (HISTORY, CONTRADICTS):
-            from_ts = decision_map[edge.from_id].timestamp
-            to_ts = decision_map[edge.to_id].timestamp
-            if from_ts <= to_ts:
-                raise GraphError(
-                    f"{edge.kind} edge {edge.from_id!r} -> {edge.to_id!r} "
-                    "must run from the later decision to the earlier one"
-                )
-        key = (edge.kind, edge.from_id, edge.to_id)
-        if key in seen_edges:
-            raise GraphError(f"duplicate edge {key}")
-        seen_edges.add(key)
-        canonical.append(edge)
-    canonical.sort(key=_edge_sort_key)
-    _check_history_acyclic(canonical)
-
-    return RdGraph(
+    graph = RdGraph(
         decisions=decision_map,
         rationales=rationale_map,
         topics=topic_map,
-        sources=source_map,
+        sources=_by_id(sources, "source"),
         relation_edges=tuple(canonical),
-        rationale_edges={
-            k: tuple(sorted(v)) for k, v in sorted(rationale_edges.items())
-        },
+        rationale_edges={k: tuple(v) for k, v in sorted(rationale_edges.items())},
         topic_edges={k: topic_edges[k] for k in sorted(topic_edges)},
-        source_edges={k: source_edges[k] for k in sorted(source_edges)},
+        source_edges={k: d.artifact_id for k, d in decision_map.items()},
     )
+    for _, message in graph_violations(graph):
+        raise GraphError(message)
+    return graph
 
 
 def rationales_of(graph: RdGraph, decision_id: str) -> list[RationaleSpan]:

@@ -127,10 +127,11 @@ def build_pipeline(
                 if history is not None:
                     edges.append(history)
 
+    decided = {d.artifact_id for d in decisions}
     sources = [
         SourceRef(id=a.id, uri=a.uri, artifact_kind=a.kind)
         for a in artifact_list
-        if any(d.artifact_id == a.id for d in decisions)
+        if a.id in decided
     ]
     all_spans = [span for d in decisions for span in spans_by_decision[d.id]]
     return build_graph(decisions, all_spans, topics, edges, sources)

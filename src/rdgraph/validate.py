@@ -10,11 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import GraphError, RdGraph, _check_history_acyclic, rationales_of
+from .graph import RdGraph, graph_violations, rationales_of
 from .relations import (
     CONTRADICTS,
-    EDGE_KINDS,
-    HISTORY,
     SIMILAR,
     RelationEdge,
     contradiction_score,
@@ -240,120 +238,18 @@ def check_new_decision(
 
 def validate_structure(graph: RdGraph) -> list[ValidationFinding]:
     """Report every broken graph invariant as a structural violation."""
-
-    def violation(subjects: tuple[str, ...], message: str) -> ValidationFinding:
-        return ValidationFinding(
-            kind=STRUCTURAL_VIOLATION,
-            severity="error",
-            subject_ids=subjects,
-            path=(),
-            message=message,
-        )
-
-    findings: list[ValidationFinding] = []
-
-    membership: dict[str, int] = {}
-    for topic in graph.topics.values():
-        if not topic.member_decision_ids:
-            findings.append(violation((topic.id,), f"topic {topic.id} has no members"))
-        for member in topic.member_decision_ids:
-            membership[member] = membership.get(member, 0) + 1
-            if member not in graph.decisions:
-                findings.append(
-                    violation(
-                        (topic.id, member),
-                        f"topic {topic.id} references missing decision {member}",
-                    )
-                )
-    for decision_id in sorted(graph.decisions):
-        count = membership.get(decision_id, 0)
-        if count != 1:
-            findings.append(
-                violation(
-                    (decision_id,),
-                    f"decision {decision_id} belongs to {count} topics, expected 1",
-                )
+    return _sorted_findings(
+        [
+            ValidationFinding(
+                kind=STRUCTURAL_VIOLATION,
+                severity="error",
+                subject_ids=subjects,
+                path=(),
+                message=message,
             )
-
-    for span_id in sorted(graph.rationales):
-        span = graph.rationales[span_id]
-        if span.decision_id not in graph.decisions:
-            findings.append(
-                violation(
-                    (span_id,),
-                    f"rationale {span_id} references missing decision {span.decision_id}",
-                )
-            )
-
-    for decision_id in sorted(graph.decisions):
-        decision = graph.decisions[decision_id]
-        source = graph.sources.get(graph.source_edges.get(decision_id, ""))
-        if source is None:
-            source = graph.sources.get(decision.artifact_id)
-        if source is None:
-            findings.append(
-                violation((decision_id,), f"decision {decision_id} has no source")
-            )
-        elif source.uri != decision.source_uri:
-            findings.append(
-                violation(
-                    (decision_id, source.id),
-                    f"decision {decision_id} source uri {decision.source_uri!r} "
-                    f"does not match source {source.uri!r}",
-                )
-            )
-
-    seen: set[tuple[str, str, str]] = set()
-    for edge in graph.relation_edges:
-        key = (edge.kind, edge.from_id, edge.to_id)
-        subjects = (edge.from_id, edge.to_id)
-        if edge.kind not in EDGE_KINDS:
-            findings.append(violation(subjects, f"unknown edge kind {edge.kind!r}"))
-            continue
-        if key in seen:
-            findings.append(violation(subjects, f"duplicate edge {key}"))
-        seen.add(key)
-        if edge.from_id == edge.to_id:
-            findings.append(violation(subjects, f"self edge on {edge.from_id}"))
-            continue
-        dangling = [d for d in (edge.from_id, edge.to_id) if d not in graph.decisions]
-        if dangling:
-            findings.append(
-                violation(
-                    subjects,
-                    f"{edge.kind} edge references missing decisions {dangling}",
-                )
-            )
-            continue
-        if not 0.0 <= edge.score <= 1.0:
-            findings.append(
-                violation(subjects, f"edge score {edge.score} outside [0, 1]")
-            )
-        if edge.kind == SIMILAR and edge.from_id > edge.to_id:
-            findings.append(
-                violation(subjects, "similar edge is not in canonical order")
-            )
-        if edge.kind in (HISTORY, CONTRADICTS):
-            from_ts = graph.decisions[edge.from_id].timestamp
-            to_ts = graph.decisions[edge.to_id].timestamp
-            if from_ts <= to_ts:
-                findings.append(
-                    violation(
-                        subjects,
-                        f"{edge.kind} edge does not run later -> earlier",
-                    )
-                )
-
-    try:
-        _check_history_acyclic(
-            e
-            for e in graph.relation_edges
-            if e.from_id in graph.decisions and e.to_id in graph.decisions
-        )
-    except GraphError as exc:
-        findings.append(violation((), str(exc)))
-
-    return _sorted_findings(findings)
+            for subjects, message in graph_violations(graph)
+        ]
+    )
 
 
 def finding_to_dict(finding: ValidationFinding) -> dict:

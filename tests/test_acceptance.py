@@ -36,7 +36,7 @@ from rdgraph import (
 from rdgraph.cli import main
 from rdgraph.graph import RdGraph
 from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR
-from rdgraph.validate import CONFLICT_WARNING, CONSISTENT_PAIR
+from rdgraph.validate import CONFLICT_WARNING, CONSISTENT_PAIR, STRUCTURAL_VIOLATION
 
 ARTIFACTS = str(FIXTURE_DIR / "artifacts.jsonl")
 ARTIFACTS_D1_D4 = str(FIXTURE_DIR / "artifacts-d1-d4.jsonl")
@@ -222,7 +222,11 @@ def test_criterion_7_cyclic_history_is_rejected(fixture_graph):
         topic_edges=fixture_graph.topic_edges,
         source_edges=fixture_graph.source_edges,
     )
-    assert any("cycle" in f.message for f in validate_structure(broken))
+    # The closing edge D1 -> D3 runs from the earlier decision to the later one.
+    assert any(
+        f.kind == STRUCTURAL_VIOLATION and f.subject_ids == (D1, D3)
+        for f in validate_structure(broken)
+    )
     report(7, "round-trip identity, k-hop monotonicity, acyclicity all hold")
 
 

@@ -142,6 +142,22 @@ def test_validate_corrupted_graph_file(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+def test_validate_graph_breaking_an_invariant_is_an_input_error(
+    graph_file, tmp_path, capsys
+):
+    doc = json.loads(open(graph_file).read())
+    edge = next(e for e in doc["edges"] if e["kind"] == "history")
+    edge["from"], edge["to"] = edge["to"], edge["from"]  # now earlier -> later
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(flipped)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: history edge")
+    assert "later" in captured.err
+
+
 def test_export_dot(graph_file, capsys):
     assert main(["export", graph_file, "--dot"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -60,6 +61,44 @@ def test_negative_cue_subtracts(lexicon):
     assert score_decision(
         sentence("remove the reaper?"), lexicon, is_summary=True
     ) == pytest.approx(0.1)
+
+
+def test_negative_cues_match_whole_words_only(lexicon):
+    # "mastodon" contains "todo"; it must score like any other client name.
+    mastodon = score_decision(
+        sentence("net: add mastodon client cache"), lexicon, is_summary=True
+    )
+    matrix = score_decision(
+        sentence("net: add matrix client cache"), lexicon, is_summary=True
+    )
+    assert mastodon == matrix == pytest.approx(0.6)
+    assert score_decision(
+        sentence("net: add a client cache, todo"), lexicon, is_summary=True
+    ) == pytest.approx(0.1)
+
+
+def test_cue_phrases_match_whole_words_only(lexicon):
+    assert score_decision(
+        sentence("We stayed undecided to the end."), lexicon, is_summary=False
+    ) == 0.0
+    assert score_decision(
+        sentence("We decided to the end."), lexicon, is_summary=False
+    ) == pytest.approx(0.4)
+
+
+@given(
+    st.lists(
+        st.sampled_from(["todo", "TODO", "mas", "n", "_", " ", "-", "?"]), max_size=8
+    ).map("".join)
+)
+@settings(max_examples=200, deadline=None)
+def test_word_cue_matches_exactly_the_whole_words(lexicon, tail):
+    text = "add " + tail
+    negative = "todo" in re.findall(r"\w+", text.lower()) or "?" in text
+    expected = 0.1 if negative else 0.6
+    assert score_decision(sentence(text), lexicon, is_summary=True) == pytest.approx(
+        expected
+    )
 
 
 def test_score_is_clamped_to_unit_interval(lexicon):

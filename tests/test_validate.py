@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import graphlib
 import json
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
-from conftest import D1, D2, D3, D4
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import D1, D2, D3, D4, D5
+from helpers import valid_graph_parts
 from rdgraph import (
+    GraphError,
+    SourceRef,
     build_graph,
     build_model,
     check_new_decision,
@@ -16,7 +25,7 @@ from rdgraph import (
 from rdgraph.decisions import Decision
 from rdgraph.graph import RdGraph
 from rdgraph.rationale import PURPOSE, RationaleSpan
-from rdgraph.relations import HISTORY, SIMILAR, RelationEdge, Topic
+from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR, RelationEdge, Topic
 from rdgraph.textsim import TfIdfProvider
 from rdgraph.validate import (
     CONFLICT_WARNING,
@@ -278,16 +287,173 @@ def corrupt(graph: RdGraph, **overrides) -> RdGraph:
     return RdGraph(**fields)
 
 
+def rebuild(graph: RdGraph) -> RdGraph:
+    return build_graph(
+        graph.decisions.values(),
+        graph.rationales.values(),
+        graph.topics.values(),
+        graph.relation_edges,
+        graph.sources.values(),
+    )
+
+
 def test_validate_structure_reports_history_cycle(fixture_graph):
-    d1 = fixture_graph.decisions[D1]
-    d3 = fixture_graph.decisions[D3]
+    # D3 -> D1 is a history edge already; D1 -> D3 closes a cycle and is the
+    # edge that runs from the earlier decision to the later one.
     cycle_edge = RelationEdge(kind=HISTORY, from_id=D1, to_id=D3, score=1.0)
     broken = corrupt(
         fixture_graph, relation_edges=fixture_graph.relation_edges + (cycle_edge,)
     )
+    with pytest.raises(GraphError):
+        rebuild(broken)
     findings = validate_structure(broken)
-    assert any("cycle" in f.message for f in findings)
+    assert [(f.kind, f.subject_ids) for f in findings] == [
+        (STRUCTURAL_VIOLATION, (D1, D3))
+    ]
+
+
+def test_equal_timestamp_history_cycle_fails_both_entry_points():
+    # Only the strict later -> earlier rule stops a cycle between equal times.
+    d0 = make_decision(0, "mm: add the cache")
+    d1 = replace(make_decision(1, "mm: drop the cache"), timestamp=d0.timestamp)
+    edges = (
+        RelationEdge(kind=HISTORY, from_id=d0.id, to_id=d1.id, score=1.0),
+        RelationEdge(kind=HISTORY, from_id=d1.id, to_id=d0.id, score=1.0),
+    )
+    topic = Topic(id="t1", title="cache", member_decision_ids=(d0.id, d1.id))
+    with pytest.raises(GraphError, match="later"):
+        build_graph([d0, d1], [], [topic], edges)
+    graph = build_graph([d0, d1], [], [topic], [])
+    findings = validate_structure(corrupt(graph, relation_edges=edges))
+    assert [f.subject_ids for f in findings] == [(d0.id, d1.id), (d1.id, d0.id)]
+
+
+def has_history_cycle(edges) -> bool:
+    history = graphlib.TopologicalSorter()
+    for edge in edges:
+        if edge.kind == HISTORY:
+            history.add(edge.from_id, edge.to_id)
+    try:
+        history.prepare()
+    except graphlib.CycleError:
+        return True
+    return False
+
+
+@given(valid_graph_parts(), st.data())
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_history_cycles_fail_both_entry_points(parts, data):
+    decision_ids = st.sampled_from([d.id for d in parts[0]])
+    pairs = data.draw(st.lists(st.tuples(decision_ids, decision_ids), max_size=4))
+    extra = tuple(
+        RelationEdge(kind=HISTORY, from_id=a, to_id=b, score=1.0) for a, b in pairs
+    )
+    graph = build_graph(*parts)
+    broken = corrupt(graph, relation_edges=graph.relation_edges + extra)
+    try:
+        rebuild(broken)
+        raised = False
+    except GraphError:
+        raised = True
+    findings = validate_structure(broken)
+    assert raised == bool(findings)
+    if has_history_cycle(broken.relation_edges):
+        assert raised and findings
+
+
+A1 = D1.split("#")[0]
+
+
+def plus_edge(kind: str, from_id: str, to_id: str):
+    edge = RelationEdge(kind=kind, from_id=from_id, to_id=to_id, score=0.5)
+    return lambda g: dict(relation_edges=g.relation_edges + (edge,))
+
+
+def first_edge(**changes):
+    return lambda g: dict(
+        relation_edges=(replace(g.relation_edges[0], **changes),) + g.relation_edges[1:]
+    )
+
+
+def plus_topic(*members: str):
+    return lambda g: dict(topics={**g.topics, "t9": Topic("t9", "", members)})
+
+
+def without_d1_topic(graph: RdGraph) -> dict:
+    ((topic_id, topic),) = graph.topics.items()
+    members = tuple(m for m in topic.member_decision_ids if m != D1)
+    return dict(topics={topic_id: replace(topic, member_decision_ids=members)})
+
+
+# Each case breaks one invariant of the fixture graph; the build must refuse
+# it and the structural check must report the very same message.
+CORRUPTIONS = {
+    "self-edge": (plus_edge(SIMILAR, D1, D1), "self edge"),
+    "score-above-one": (first_edge(score=1.5), r"score 1\.5 outside \[0, 1\]"),
+    "score-below-zero": (first_edge(score=-0.1), r"outside \[0, 1\]"),
+    "unknown-kind": (first_edge(kind="blocks"), "unknown edge kind 'blocks'"),
+    "empty-topic": (plus_topic(), "topic 't9' has no members"),
+    "source-uri-mismatch": (
+        lambda g: dict(sources={**g.sources, A1: SourceRef(A1, "git:x", "commit")}),
+        "does not match source 'git:x'",
+    ),
+    "backwards-contradicts": (
+        plus_edge(CONTRADICTS, D1, D4),
+        "contradicts edge .* must run from the later decision",
+    ),
+    "duplicate-edge": (
+        lambda g: dict(relation_edges=g.relation_edges + g.relation_edges[:1]),
+        "duplicate edge",
+    ),
+    "dangling-edge": (
+        plus_edge(HISTORY, D5, "ghost#0"),
+        "references a missing decision",
+    ),
+    "missing-topic-member": (
+        plus_topic("ghost#0"),
+        "topic 't9' references missing decision 'ghost#0'",
+    ),
+    "two-topics": (plus_topic(D1), "belongs to 2 topics"),
+    "no-topic": (without_d1_topic, "without a topic"),
+    "dangling-rationale": (
+        lambda g: dict(
+            rationales={**g.rationales, "ghost#0/r0": make_span("ghost#0", "why")}
+        ),
+        "rationale 'ghost#0/r0' references missing decision",
+    ),
+    "missing-source": (
+        lambda g: dict(sources={k: v for k, v in g.sources.items() if k != A1}),
+        "has no source",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, match", CORRUPTIONS.values(), ids=list(CORRUPTIONS)
+)
+def test_build_and_validate_report_the_same_violation(fixture_graph, overrides, match):
+    broken = corrupt(fixture_graph, **overrides(fixture_graph))
+    with pytest.raises(GraphError, match=match) as raised:
+        rebuild(broken)
+    findings = validate_structure(broken)
+    assert str(raised.value) in [f.message for f in findings]
     assert all(f.kind == STRUCTURAL_VIOLATION for f in findings)
+
+
+@pytest.mark.parametrize("part, what", [
+    (0, "decision"), (1, "rationale"), (2, "topic"), (4, "source"),
+])
+def test_build_graph_rejects_duplicate_ids(fixture_graph, part, what):
+    parts = [
+        list(fixture_graph.decisions.values()),
+        list(fixture_graph.rationales.values()),
+        list(fixture_graph.topics.values()),
+        list(fixture_graph.relation_edges),
+        list(fixture_graph.sources.values()),
+    ]
+    parts[part].append(parts[part][0])
+    with pytest.raises(GraphError, match=f"duplicate {what} id"):
+        build_graph(*parts)
 
 
 def test_validate_structure_reports_double_topic_membership(fixture_graph):
