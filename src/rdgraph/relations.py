@@ -10,9 +10,10 @@ fired, with their weights.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import AbstractSet, Callable, Mapping, NamedTuple
 
 from .corpus import Artifact
 from .decisions import Decision, strip_subsystem_prefix
@@ -118,7 +119,7 @@ def decision_document(decision: Decision, spans: list[RationaleSpan]) -> str:
     return " ".join(parts)
 
 
-def jaccard(a: set[str], b: set[str]) -> float:
+def jaccard(a: AbstractSet[str], b: AbstractSet[str]) -> float:
     union = a | b
     if not union:
         return 0.0
@@ -204,6 +205,11 @@ def detect_similar(
     return edges
 
 
+@functools.lru_cache(maxsize=4096)
+def _hex_tokens(haystack: str) -> tuple[str, ...]:
+    return tuple(_HEX_TOKEN_RE.findall(haystack))
+
+
 def _mentions_reference(later: Artifact, earlier: Artifact) -> bool:
     haystacks = [later.body] + [v for vs in later.trailers.values() for v in vs]
     phrase = earlier.summary
@@ -213,7 +219,7 @@ def _mentions_reference(later: Artifact, earlier: Artifact) -> bool:
             return True
         if bare and bare != phrase and bare in haystack:
             return True
-        for token in _HEX_TOKEN_RE.findall(haystack):
+        for token in _hex_tokens(haystack):
             if len(token) >= 7 and earlier.id.startswith(token):
                 return True
     return False
@@ -292,27 +298,40 @@ def detect_history(
     )
 
 
-def _raw_tokens(text: str) -> list[str]:
-    return _RAW_WORD_RE.findall(text.lower())
+def _content_tokens(
+    tokens: tuple[str, ...], stopwords: frozenset[str]
+) -> frozenset[str]:
+    return frozenset(t for t in tokens if len(t) > 1 and t not in stopwords)
 
 
-def _content_tokens(tokens: list[str], stopwords: frozenset[str]) -> set[str]:
-    return {t for t in tokens if len(t) > 1 and t not in stopwords}
+class _SentenceFeatures(NamedTuple):
+    tokens: tuple[str, ...]
+    content: frozenset[str]
+    # Tokens seen after a negation cue (within two tokens), and seen without.
+    negated: frozenset[str]
+    plain: frozenset[str]
 
 
-def _negated_occurrences(
-    tokens: list[str], negation_cues: frozenset[str]
-) -> dict[str, set[bool]]:
-    """For each token, the set of negation states it occurs in."""
+@functools.lru_cache(maxsize=4096)
+def _sentence_features(
+    text: str, negation_cues: frozenset[str], stopwords: frozenset[str]
+) -> _SentenceFeatures:
+    """What the contradiction rules read from one sentence, computed once."""
 
     def is_cue(token: str) -> bool:
         return token in negation_cues or token.endswith("n't")
 
-    states: dict[str, set[bool]] = {}
+    tokens = tuple(_RAW_WORD_RE.findall(text.lower()))
+    negated: set[str] = set()
+    plain: set[str] = set()
     for i, token in enumerate(tokens):
-        negated = any(is_cue(tokens[j]) for j in (i - 1, i - 2) if j >= 0)
-        states.setdefault(token, set()).add(negated)
-    return states
+        if any(is_cue(tokens[j]) for j in (i - 1, i - 2) if j >= 0):
+            negated.add(token)
+        else:
+            plain.add(token)
+    return _SentenceFeatures(
+        tokens, _content_tokens(tokens, stopwords), frozenset(negated), frozenset(plain)
+    )
 
 
 def contradiction_score(
@@ -329,32 +348,24 @@ def contradiction_score(
     content token is negated in one sentence but not the other (0.9).
     Returns (0, ()) when neither rule fires.
     """
-    later_tokens = _raw_tokens(later_text)
-    earlier_tokens = _raw_tokens(earlier_text)
+    later = _sentence_features(later_text, negation_cues, stopwords)
+    earlier = _sentence_features(earlier_text, negation_cues, stopwords)
     best_score = 0.0
     best_evidence: tuple[Evidence, ...] = ()
 
     for keyword in sorted(keywords):
-        if keyword not in later_tokens:
+        if keyword not in later.tokens:
             continue
-        at = later_tokens.index(keyword)
-        obj = _content_tokens(later_tokens[at + 1 :], stopwords)
-        target = _content_tokens(earlier_tokens, stopwords)
-        if obj and jaccard(obj, target) >= 0.3:
+        at = later.tokens.index(keyword)
+        obj = _content_tokens(later.tokens[at + 1 :], stopwords)
+        if obj and jaccard(obj, earlier.content) >= 0.3:
             best_score = 0.7
             best_evidence = (Evidence(KEYWORD, keyword, 0.7),)
             break
 
-    later_states = _negated_occurrences(later_tokens, negation_cues)
-    earlier_states = _negated_occurrences(earlier_tokens, negation_cues)
-    shared = _content_tokens(later_tokens, stopwords) & _content_tokens(
-        earlier_tokens, stopwords
-    )
-    for token in sorted(shared):
-        a_states = later_states.get(token, set())
-        b_states = earlier_states.get(token, set())
-        if (True in a_states and False in b_states) or (
-            False in a_states and True in b_states
+    for token in sorted(later.content & earlier.content):
+        if (token in later.negated and token in earlier.plain) or (
+            token in later.plain and token in earlier.negated
         ):
             best_score = 0.9
             best_evidence = (Evidence(NEGATION_MISMATCH, token, 0.9),)

@@ -79,13 +79,19 @@ def vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
     return {i: c * model.idf[i] for i, c in counts.items()}
 
 
-def similarity(model: TfIdfModel, text_a: str, text_b: str) -> float:
-    """Cosine of the L2-normalized tf·idf vectors, in [0, 1].
+# A sparse tf·idf vector together with its L2 norm.
+_Weighted = tuple[dict[int, float], float]
 
-    Either vector empty gives 0; equal vectors give exactly 1.
-    """
-    va = vectorize(model, text_a)
-    vb = vectorize(model, text_b)
+
+def _weighted(model: TfIdfModel, text: str) -> _Weighted:
+    vector = vectorize(model, text)
+    return vector, math.sqrt(sum(w * w for _, w in sorted(vector.items())))
+
+
+def _cosine(a: _Weighted, b: _Weighted) -> float:
+    """Cosine of two weighted vectors; sums run in sorted index order."""
+    va, norm_a = a
+    vb, norm_b = b
     if not va or not vb:
         return 0.0
     if va == vb:
@@ -93,17 +99,34 @@ def similarity(model: TfIdfModel, text_a: str, text_b: str) -> float:
     dot = 0.0
     for index in sorted(va.keys() & vb.keys()):
         dot += va[index] * vb[index]
-    norm_a = math.sqrt(sum(w * w for _, w in sorted(va.items())))
-    norm_b = math.sqrt(sum(w * w for _, w in sorted(vb.items())))
     value = dot / (norm_a * norm_b)
     return min(1.0, max(0.0, value))
 
 
+def similarity(model: TfIdfModel, text_a: str, text_b: str) -> float:
+    """Cosine of the L2-normalized tf·idf vectors, in [0, 1].
+
+    Either vector empty gives 0; equal vectors give exactly 1.
+    """
+    return _cosine(_weighted(model, text_a), _weighted(model, text_b))
+
+
 class TfIdfProvider:
-    """SimilarityProvider backed by a fixed TfIdfModel."""
+    """SimilarityProvider backed by a fixed TfIdfModel.
+
+    Each distinct text is vectorized once per provider: its vector and norm
+    are kept for the provider's lifetime, which is one command.
+    """
 
     def __init__(self, model: TfIdfModel):
         self.model = model
+        self._memo: dict[str, _Weighted] = {}
+
+    def _lookup(self, text: str) -> _Weighted:
+        entry = self._memo.get(text)
+        if entry is None:
+            entry = self._memo[text] = _weighted(self.model, text)
+        return entry
 
     def score(self, text_a: str, text_b: str) -> float:
-        return similarity(self.model, text_a, text_b)
+        return _cosine(self._lookup(text_a), self._lookup(text_b))

@@ -171,6 +171,17 @@ def check_new_decision(
     """
     findings: list[ValidationFinding] = []
     documents = graph_documents(graph)
+    # Each decision's similar neighbours and contradicts edges, in edge order
+    # (a graph has no self edges, so each edge is listed once per end).
+    similar_by_id: dict[str, list[tuple[str, RelationEdge]]] = {}
+    contradicts_by_id: dict[str, list[RelationEdge]] = {}
+    for edge in graph.relation_edges:
+        if edge.kind == SIMILAR:
+            similar_by_id.setdefault(edge.from_id, []).append((edge.to_id, edge))
+            similar_by_id.setdefault(edge.to_id, []).append((edge.from_id, edge))
+        elif edge.kind == CONTRADICTS:
+            contradicts_by_id.setdefault(edge.from_id, []).append(edge)
+            contradicts_by_id.setdefault(edge.to_id, []).append(edge)
     for decision_id in sorted(graph.decisions):
         decision = graph.decisions[decision_id]
         score = provider.score(candidate_text, documents[decision_id])
@@ -191,19 +202,11 @@ def check_new_decision(
         if score < similar_threshold:
             continue
         targets: list[tuple[str, tuple[RelationEdge, ...]]] = [(decision_id, ())]
-        for edge in graph.relation_edges:
-            if edge.kind != SIMILAR:
-                continue
-            if edge.from_id == decision_id:
-                targets.append((edge.to_id, (edge,)))
-            elif edge.to_id == decision_id:
-                targets.append((edge.from_id, (edge,)))
+        targets.extend(
+            (other, (edge,)) for other, edge in similar_by_id.get(decision_id, ())
+        )
         for target_id, prefix in targets:
-            for edge in graph.relation_edges:
-                if edge.kind != CONTRADICTS:
-                    continue
-                if target_id not in (edge.from_id, edge.to_id):
-                    continue
+            for edge in contradicts_by_id.get(target_id, ()):
                 path = prefix + (edge,)
                 if 1 + len(path) > k:
                     continue

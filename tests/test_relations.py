@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import random
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
 from rdgraph import (
@@ -17,7 +21,8 @@ from rdgraph import (
     detect_similar,
     title_topic,
 )
-from rdgraph.corpus import Artifact
+from rdgraph import relations, textsim
+from rdgraph.corpus import Artifact, normalized_text
 from rdgraph.decisions import Decision
 from rdgraph.relations import (
     ACKED_BY,
@@ -32,8 +37,10 @@ from rdgraph.relations import (
     SIMILAR,
     Evidence,
     Topic,
+    jaccard,
 )
 from rdgraph.textsim import TfIdfProvider
+from rdgraph.validate import check_new_decision, graph_documents
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -371,3 +378,109 @@ def test_raising_thresholds_never_adds_edges(fixture_artifacts, config):
 def test_evidence_weight_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         Evidence(feature=KEYWORD, detail="x", weight=0.0)
+
+
+def _one_topic_corpus(n: int) -> list[Artifact]:
+    rng = random.Random(11)
+    words = ["alpha", "bravo", "delta", "gamma", "kilo", "lima", "oscar", "sierra"]
+    artifacts = []
+    for i in range(n):
+        a, b = rng.sample(words, 2)
+        verb = "remove" if i % 7 == 6 else "add"
+        body = f"This keeps the {a} memory cache handler fast because {b} is not shared."
+        artifacts.append(make_artifact(i, f"mm: {verb} {a} {b} memory cache handler", body))
+    return artifacts
+
+
+@pytest.fixture()
+def vectorize_calls(monkeypatch):
+    """Count vectorize calls by text, wherever the package calls it from."""
+    calls: collections.Counter[str] = collections.Counter()
+    original = textsim.vectorize
+
+    def counting(model, text):
+        calls[text] += 1
+        return original(model, text)
+
+    monkeypatch.setattr(textsim, "vectorize", counting)
+    monkeypatch.setattr(relations, "vectorize", counting)
+    return calls
+
+
+def test_pair_work_vectorizes_each_text_once(vectorize_calls, config):
+    artifacts = _one_topic_corpus(60)
+    graph = build_pipeline(artifacts, config)
+    (topic,) = graph.topics.values()
+    n = len(topic.member_decision_ids)
+    assert n == 60
+    contexts = {normalized_text(a) for a in artifacts}
+    docs = list(graph_documents(graph).values())
+    # One call per distinct context and document, plus one per sentence in
+    # title_topic; scoring every pair afresh would make about n * n calls.
+    assert sum(vectorize_calls.values()) <= len(contexts) + len(set(docs)) + n
+
+    vectorize_calls.clear()
+    candidate = "add the alpha memory cache handler"
+    check_new_decision(graph, candidate, TfIdfProvider(build_model(docs + [candidate])))
+    assert vectorize_calls[candidate] == 1
+    assert max(vectorize_calls.values()) == 1
+
+
+def _reference_contradiction_score(later_text, earlier_text, keywords, negation_cues, stopwords):
+    """The heuristic as written before sentence features were shared."""
+
+    def tokens_of(text):
+        return re.findall(r"[a-z0-9_']+", text.lower())
+
+    def content(tokens):
+        return {t for t in tokens if len(t) > 1 and t not in stopwords}
+
+    def states(tokens):
+        out = {}
+        for i, token in enumerate(tokens):
+            negated = any(
+                tokens[j] in negation_cues or tokens[j].endswith("n't")
+                for j in (i - 1, i - 2)
+                if j >= 0
+            )
+            out.setdefault(token, set()).add(negated)
+        return out
+
+    later, earlier = tokens_of(later_text), tokens_of(earlier_text)
+    best = (0.0, ())
+    for keyword in sorted(keywords):
+        if keyword in later:
+            obj = content(later[later.index(keyword) + 1 :])
+            if obj and jaccard(obj, content(earlier)) >= 0.3:
+                best = (0.7, (Evidence(KEYWORD, keyword, 0.7),))
+                break
+    a_states, b_states = states(later), states(earlier)
+    for token in sorted(content(later) & content(earlier)):
+        a, b = a_states[token], b_states[token]
+        if (True in a and False in b) or (False in a and True in b):
+            best = (0.9, (Evidence(NEGATION_MISMATCH, token, 0.9),))
+            break
+    return best
+
+
+_SENTENCE = st.lists(
+    st.sampled_from(
+        ["remove", "revert", "disable", "no", "not", "never", "don't", "isn't",
+         "the", "oom", "reaper", "memory", "task", "a", "priority", "boost"]
+    ),
+    max_size=12,
+).map(" ".join)
+
+
+@given(_SENTENCE, _SENTENCE)
+@settings(max_examples=200)
+def test_contradiction_score_is_independent_of_the_feature_cache(config, a, b):
+    args = (config.contradiction_keywords, config.negation_cues, config.stopwords)
+    relations._sentence_features.cache_clear()
+    forward = contradiction_score(a, b, *args)
+    backward = contradiction_score(b, a, *args)
+    relations._sentence_features.cache_clear()
+    assert contradiction_score(b, a, *args) == backward
+    assert contradiction_score(a, b, *args) == forward
+    assert forward == _reference_contradiction_score(a, b, *args)
+    assert backward == _reference_contradiction_score(b, a, *args)

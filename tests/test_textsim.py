@@ -153,3 +153,23 @@ def test_provider_wraps_model():
     model = build_model(["alpha beta", "gamma"])
     provider = TfIdfProvider(model)
     assert provider.score("alpha", "alpha") == 1.0
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_memoised_provider_scores_equal_uncached_similarity(data):
+    words = st.sampled_from(["oom", "task", "memory", "priority", "exit", "reap", "unseen"])
+    text = st.lists(words, max_size=10).map(" ".join)
+    docs = data.draw(st.lists(text, min_size=1, max_size=4))
+    model = build_model(docs)
+    texts = docs + data.draw(st.lists(text, max_size=2))
+    pairs = data.draw(
+        st.lists(st.tuples(st.sampled_from(texts), st.sampled_from(texts)), min_size=1, max_size=12)
+    )
+    provider = TfIdfProvider(model)
+    for a, b in pairs:
+        expected = similarity(model, a, b)
+        assert provider.score(a, b) == expected
+        assert provider.score(b, a) == similarity(model, b, a)
+        assert provider.score(a, b) == expected
+        assert TfIdfProvider(model).score(a, b) == expected
