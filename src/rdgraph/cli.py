@@ -35,6 +35,18 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _hop_count(value: str) -> int:
+    try:
+        hops = int(value)
+    except ValueError:
+        hops = -1
+    if hops < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value!r}")
+    return hops
 
 
 def _write(path: str | None, text: str) -> None:
@@ -211,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p_query.add_mutually_exclusive_group(required=True)
     group.add_argument("--topic", default=None)
     group.add_argument("--decision", default=None)
-    p_query.add_argument("--hops", type=int, default=1)
+    p_query.add_argument("--hops", type=_hop_count, default=1)
     p_query.set_defaults(func=cmd_query)
 
     return parser

@@ -26,7 +26,12 @@ FIELD_SEP = "\x1f"
 ARTIFACT_KINDS = ("commit", "mail", "other")
 
 _TRAILER_RE = re.compile(r"^[A-Z][A-Za-z-]*: .+$")
-_WORD_BEFORE_DOT_RE = re.compile(r"[A-Za-z][A-Za-z.]*$")
+_WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz.")
+# Where segmentation has to look: parentheses and sentence terminators.
+_SEGMENT_STOP_RE = re.compile(r"[().!?]")
+_TERMINATORS_RE = re.compile(r"[.!?]+")
+_SPACES_RE = re.compile(r"\s*")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 _JSONL_REQUIRED = ("id", "uri", "author", "timestamp", "summary", "body")
 _JSONL_OPTIONAL = ("trailers", "kind")
@@ -68,11 +73,12 @@ def parse_timestamp(value: str) -> datetime:
         text = text[:-1] + "+00:00"
     try:
         stamp = datetime.fromisoformat(text)
-    except ValueError as exc:
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=timezone.utc)
+        # A stamp near year 1 or 9999 can leave the datetime range in UTC.
+        return stamp.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise CorpusError(f"unparseable timestamp {value!r}") from exc
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc)
 
 
 def format_timestamp(stamp: datetime) -> str:
@@ -198,6 +204,41 @@ def _artifact_from_json(obj: dict, line_no: int) -> Artifact:
     )
 
 
+def _surrogate_path(value: object, path: str) -> str | None:
+    if isinstance(value, str):
+        return path if _SURROGATE_RE.search(value) else None
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if _SURROGATE_RE.search(key):
+                return f"{path} key {key!r}"
+            where = _surrogate_path(item, f"{path}.{key}")
+            if where is not None:
+                return where
+    if isinstance(value, list):
+        for n, item in enumerate(value):
+            where = _surrogate_path(item, f"{path}[{n}]")
+            if where is not None:
+                return where
+    return None
+
+
+def lone_surrogate(raw: str, value: object, path: str) -> str | None:
+    """Where ``value``, decoded from the JSON text ``raw``, holds a lone surrogate.
+
+    A ``\\ud800``-``\\udfff`` escape without its pair decodes to a string that
+    cannot be written as UTF-8.  Returns the path of the first such string,
+    or None.  Only a ``\\ud`` escape can make one, so ``value`` is walked
+    only when ``raw`` holds such an escape; in valid JSON every backslash
+    starts an escape, and the scan visits each escape once.
+    """
+    escape = raw.find("\\")
+    while escape >= 0:
+        if raw.startswith(("\\ud", "\\uD"), escape):
+            return _surrogate_path(value, path)
+        escape = raw.find("\\", escape + 2)
+    return None
+
+
 def parse_jsonl(raw: str) -> list[Artifact]:
     """Parse an artifact file (one JSON object per line, blank lines skipped)."""
     artifacts: list[Artifact] = []
@@ -207,10 +248,15 @@ def parse_jsonl(raw: str) -> list[Artifact]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CorpusError(f"line {line_no}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise CorpusError(f"line {line_no}: expected an object")
+        where = lone_surrogate(line, obj, "artifact")
+        if where is not None:
+            raise CorpusError(
+                f"line {line_no}: {where} holds an unpaired surrogate escape"
+            )
         artifact = _artifact_from_json(obj, line_no)
         if artifact.id in seen:
             raise CorpusError(f"line {line_no}: duplicate id {artifact.id!r}")
@@ -250,51 +296,60 @@ def normalized_text(artifact: Artifact) -> str:
     return artifact.summary + "\n\n" + artifact.body
 
 
-def _is_abbreviation(text: str, dot: int, abbreviations: frozenset[str]) -> bool:
-    match = _WORD_BEFORE_DOT_RE.search(text[:dot])
-    if not match:
-        return False
-    word = match.group(0).lower().rstrip(".")
-    return word in abbreviations or word.lstrip(".") in abbreviations
+def _is_abbreviation(
+    text: str, dot: int, abbreviations: frozenset[str], longest: int
+) -> bool:
+    """Whether the word before ``text[dot]`` is a known abbreviation.
+
+    The word is what ``[A-Za-z][A-Za-z.]*$`` finds in ``text[:dot]`` (so a
+    newline right before the dot is skipped, as ``$`` allows), lower-cased and
+    without trailing dots.  The backward scan gives up once the word is longer
+    than ``longest``, the length of the longest abbreviation, which keeps
+    segmentation linear in the text length.
+    """
+    end = dot - 1 if dot and text[dot - 1] == "\n" else dot
+    stem = end
+    while stem and text[stem - 1] == ".":
+        stem -= 1
+    start = -1
+    j = stem
+    while j and text[j - 1] in _WORD_CHARS:
+        j -= 1
+        if text[j] != ".":
+            if stem - j > longest:
+                return False
+            start = j
+    return start >= 0 and text[start:stem].lower() in abbreviations
 
 
 def _segment_block(
-    text: str, base: int, abbreviations: frozenset[str]
+    text: str, base: int, abbreviations: frozenset[str], longest: int
 ) -> list[tuple[int, int]]:
     """Sentence boundaries inside one paragraph; offsets relative to base."""
     spans: list[tuple[int, int]] = []
     start = 0
     depth = 0
     i = 0
-    while i < len(text):
+    while (stop := _SEGMENT_STOP_RE.search(text, i)) is not None:
+        i = stop.start()
         ch = text[i]
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth = max(0, depth - 1)
-        elif ch in ".!?" and depth == 0:
-            j = i
-            while j + 1 < len(text) and text[j + 1] in ".!?":
-                j += 1
-            after = j + 1
-            if after >= len(text):
-                i = after
-                continue
-            if text[after] == ")":
-                i = after
-                continue
-            if ch == "." and _is_abbreviation(text, i, abbreviations):
-                i = after
-                continue
-            k = after
-            while k < len(text) and text[k].isspace():
-                k += 1
-            if k > after and k < len(text) and text[k].isupper():
+        elif depth == 0:
+            after = _TERMINATORS_RE.match(text, i).end()
+            k = _SPACES_RE.match(text, after).end()
+            # A split needs whitespace, then an uppercase letter, so none
+            # happens at the end of the text or before a closing parenthesis.
+            if (
+                after < k < len(text)
+                and text[k].isupper()
+                and not (ch == "." and _is_abbreviation(text, i, abbreviations, longest))
+            ):
                 spans.append((start, after))
                 start = k
-                i = k
-                continue
-            i = after
+            i = k
             continue
         i += 1
     if start < len(text):
@@ -322,6 +377,7 @@ def segment_sentences(
     text = normalized_text(artifact)
     if not text:
         return []
+    longest = max(map(len, abbreviations), default=0)
     bounds: list[tuple[int, int]] = []
     if artifact.summary:
         bounds.append((0, len(artifact.summary)))
@@ -343,6 +399,7 @@ def segment_sentences(
                     artifact.body[block_start:block_end],
                     body_base + block_start,
                     abbreviations,
+                    longest,
                 )
             )
     sentences = []

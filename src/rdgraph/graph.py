@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping
 
-from .corpus import format_timestamp, parse_timestamp
+from .corpus import format_timestamp, lone_surrogate, parse_timestamp
 from .decisions import Decision
 from .rationale import RationaleSpan
 from .relations import (
@@ -417,10 +417,20 @@ def load(text: str) -> RdGraph:
     """Parse and validate a graph document; structural checks all apply."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GraphError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphError("graph file: top level must be an object")
+    where = lone_surrogate(text, doc, "graph")
+    if where is not None:
+        raise GraphError(f"{where} holds an unpaired surrogate escape")
+    try:
+        return _graph_from_doc(doc)
+    except OverflowError as exc:  # an integer score or weight beyond float range
+        raise GraphError(f"graph file: number out of range: {exc}") from exc
+
+
+def _graph_from_doc(doc: dict) -> RdGraph:
     version = _expect(doc, "rdg_version", int, "graph")
     if version != RDG_VERSION:
         raise GraphError(f"unsupported rdg_version {version}")

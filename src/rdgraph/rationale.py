@@ -10,6 +10,7 @@ pattern "by <gerund>".
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .corpus import Sentence
@@ -36,6 +37,7 @@ _SUBJECT_WORDS = frozenset(
 _COORDINATORS = frozenset({"and", "but", "or", "so", "yet", "nor"})
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_']+")
+_CLAUSE_STOP_RE = re.compile(r"[(),;]")
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,38 @@ def _marker_pattern(marker: str) -> re.Pattern[str]:
     return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)
 
 
-def _clause_end(text: str, start: int) -> int:
-    """Scan from start to the clause boundary; offsets are sentence-local."""
+def _word_index(text: str) -> tuple[list[int], list[str]]:
+    """The words of ``text.lower()``, each with the index in ``text`` it starts at.
+
+    ``str.lower`` can change lengths (``"\u0130"`` becomes ``"i\u0307"``), so a
+    non-ASCII text is lowered one character at a time to keep the offsets.
+    Only the final sigma is lowered by context, and neither of its forms is a
+    word character, so the words are those of lowering the text as a whole.
+    """
+    if text.isascii():
+        lowered, origin = text.lower(), None
+    else:
+        pieces = [ch.lower() for ch in text]
+        lowered = "".join(pieces)
+        origin = [index for index, piece in enumerate(pieces) for _ in piece]
+    starts: list[int] = []
+    words: list[str] = []
+    for match in _WORD_RE.finditer(lowered):
+        starts.append(match.start() if origin is None else origin[match.start()])
+        words.append(match.group())
+    return starts, words
+
+
+def _clause_end(text: str, start: int, starts: list[int], words: list[str]) -> int:
+    """Scan from start to the clause boundary; offsets are sentence-local.
+
+    ``starts``/``words`` are :func:`_word_index` of ``text``, so the two words
+    after a comma are a binary search away instead of a scan of the rest.
+    """
     i = start
     depth = 0
-    while i < len(text):
+    while (stop := _CLAUSE_STOP_RE.search(text, i)) is not None:
+        i = stop.start()
         ch = text[i]
         if ch == "(":
             depth += 1
@@ -82,10 +111,10 @@ def _clause_end(text: str, start: int) -> int:
         elif depth == 0 and ch == ";":
             return i
         elif depth == 0 and ch == ",":
-            following = _WORD_RE.findall(text[i + 1 :].lower())
-            if following:
-                first = following[0]
-                second = following[1] if len(following) > 1 else ""
+            k = bisect_right(starts, i)
+            if k < len(words):
+                first = words[k]
+                second = words[k + 1] if k + 1 < len(words) else ""
                 if first in _SUBJECT_WORDS:
                     return i
                 if first in _COORDINATORS and second in _SUBJECT_WORDS:
@@ -126,12 +155,15 @@ def extract_rationale(
             hits.append((match.start(), match.end(), MANNER, "by"))
     hits.sort(key=lambda h: (h[0], -(h[1] - h[0])))
     fragments: list[SpanFragment] = []
+    starts, words = _word_index(text) if hits else ([], [])
     last_end = -1
     for start, end, role, marker in hits:
         if start < last_end:
             continue
         last_end = end
-        span_text, span_start, span_end = _trim(text, end, _clause_end(text, end))
+        span_text, span_start, span_end = _trim(
+            text, end, _clause_end(text, end, starts, words)
+        )
         if not span_text:
             continue
         fragments.append(

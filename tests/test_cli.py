@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import D3, D4, FIXTURE_DIR
-from rdgraph import load
+from rdgraph import load, save
 from rdgraph.cli import main
 
 DUMP = str(FIXTURE_DIR / "oom-commits.dump")
@@ -182,3 +189,184 @@ def test_query_decision_shows_neighborhood(graph_file, capsys):
 def test_query_unknown_id_is_an_input_error(graph_file, capsys):
     assert main(["query", graph_file, "--topic", "t99"]) == 2
     assert main(["query", graph_file, "--decision", "nope#0"]) == 2
+
+
+NOT_UTF8 = b"\xff\xfe not utf-8 \xc3("
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "{bad}", "--format", "git"],
+        ["build", "{bad}"],
+        ["check", "{graph}", "--file", "{bad}"],
+        ["validate", "{bad}"],
+        ["build", ARTIFACTS, "--config", "{bad}"],
+    ],
+    ids=["ingest", "build", "check-file", "validate", "config"],
+)
+def test_non_utf8_input_is_an_input_error(graph_file, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(NOT_UTF8)
+    argv = [a.format(bad=bad, graph=graph_file) for a in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert str(bad) in err
+    assert "not valid UTF-8" in err
+
+
+def _artifact_line(body: str) -> str:
+    return json.dumps(
+        {"id": "m1", "uri": "u", "author": "a", "timestamp": "2021-05-01T10:00:00Z",
+         "summary": "s: add a cache", "body": body}
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ingest", "{path}", "--format", "jsonl", "-o", "{out}"], ["build", "{path}", "-o", "{out}"]],
+    ids=["ingest", "build"],
+)
+def test_artifact_with_lone_surrogate_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "artifacts.jsonl"
+    path.write_text(_artifact_line("fine") + "\n" + _artifact_line("half a pair \ud800"))
+    out = tmp_path / "out"
+    assert main([a.format(path=path, out=out) for a in argv]) == 2
+    assert "line 2: artifact.body holds an unpaired surrogate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["export", "{graph}", "--dot"], ["query", "{graph}", "--topic", "t1"]],
+    ids=["export", "query"],
+)
+def test_graph_with_lone_surrogate_is_an_input_error(graph_file, tmp_path, capsys, argv):
+    doc = json.loads(pathlib.Path(graph_file).read_text())
+    doc["topics"][0]["title"] += "\udfff"
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([a.format(graph=bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "graph.topics[0].title holds an unpaired surrogate" in captured.err
+
+
+@pytest.mark.parametrize("hops", ["-1", "x"])
+def test_query_rejects_a_bad_hop_count(graph_file, capsys, hops):
+    assert main(["query", graph_file, "--decision", D4, "--hops", hops]) == 2
+    err = capsys.readouterr().err
+    assert "--hops" in err
+    assert "internal error" not in err
+
+
+def test_query_zero_hops_shows_the_decision_alone(graph_file, capsys):
+    assert main(["query", graph_file, "--decision", D4, "--hops", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"decision {D4}:")
+    assert "reaches" not in out
+
+
+# Splice junk into a valid input; the junk favours what JSON and the git dump
+# format give meaning to, so examples reach past the first parse error.
+_JUNK = st.lists(
+    st.one_of(
+        st.binary(max_size=6),
+        st.sampled_from(
+            [b"\\ud800", b"\\uDC00", b"\xff", b"\x1e", b"\x1f", b"\n", b'"', b",",
+             b"[", b"]", b"{", b"}", b"null", b"1" * 400, b"-1", b"1e999",
+             b"9999-12-31T23:59:59-01:00", b"0001-01-01T00:00:00+05:00"]
+        ),
+    ),
+    max_size=4,
+).map(b"".join)
+
+
+def _inputs(valid: bytes):
+    spliced = st.tuples(
+        st.integers(0, len(valid)), st.integers(0, 40), _JUNK
+    ).map(lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :])
+    return st.one_of(st.binary(max_size=200), spliced)
+
+
+def _fuzz_exit_codes(data: bytes, commands) -> list[int]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        codes = []
+        for argv in commands(path, os.path.join(tmp, "out")):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                codes.append(main(argv))
+        return codes
+
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+@given(data=_inputs(FIXTURE_DIR.joinpath("oom-commits.dump").read_bytes()))
+@FUZZ
+def test_fuzzed_git_dump_never_exits_internal(data):
+    codes = _fuzz_exit_codes(
+        data,
+        lambda path, out: [
+            ["ingest", path, "--format", "git", "-o", out + ".jsonl"],
+            ["ingest", path, "--format", "jsonl"],
+        ],
+    )
+    assert set(codes) <= {0, 2}
+
+
+@given(data=_inputs(FIXTURE_DIR.joinpath("artifacts.jsonl").read_bytes()))
+@FUZZ
+def test_fuzzed_artifact_file_never_exits_internal(data):
+    codes = _fuzz_exit_codes(
+        data,
+        lambda path, out: [
+            ["ingest", path, "--format", "jsonl", "-o", out + ".jsonl"],
+            ["build", path, "-o", out + ".json"],
+        ],
+    )
+    assert set(codes) <= {0, 2}
+
+
+@given(data=st.data())
+@FUZZ
+def test_fuzzed_graph_file_never_exits_internal(fixture_graph, data):
+    graph_bytes = save(fixture_graph).encode("utf-8")
+    codes = _fuzz_exit_codes(
+        data.draw(_inputs(graph_bytes)),
+        lambda path, out: [
+            ["validate", path, "--json"],
+            ["export", path, "--dot", "-o", out + ".dot"],
+            ["check", path, "--text", "oom: remove the priority boost"],
+            ["query", path, "--topic", "t1"],
+            ["query", path, "--decision", D4, "--hops", "2"],
+        ],
+    )
+    assert set(codes) <= {0, 1, 2}
+
+
+_CONFIG = json.dumps(
+    {"thresholds": {"similar": 0.3}, "k": 3, "window": 1,
+     "lexicons": {"abbreviations": ["vs"], "markers": {"cause": ["because"]}}}
+).encode("utf-8")
+
+
+@given(data=_inputs(_CONFIG))
+@settings(FUZZ, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_config_never_exits_internal(graph_d1_d4_file, data):
+    codes = _fuzz_exit_codes(
+        data,
+        lambda path, out: [
+            ["build", ARTIFACTS_D1_D4, "--config", path, "-o", out + ".json"],
+            ["check", graph_d1_d4_file, "--file", PROPOSAL, "--config", path],
+            ["validate", graph_d1_d4_file, "--config", path],
+        ],
+    )
+    assert set(codes) <= {0, 1, 2}

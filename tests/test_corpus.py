@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 
 import pytest
@@ -70,6 +71,21 @@ def test_parse_git_log_bad_date():
         parse_git_log(raw)
 
 
+def test_parse_git_log_timestamp_out_of_range_in_utc():
+    raw = record("abc", "A <a@x>", "0001-01-01T00:00:00+05:00", "s: fix", "")
+    with pytest.raises(CorpusError, match="record 1: unparseable timestamp"):
+        parse_git_log(raw)
+
+
+def test_parse_jsonl_keeps_surrogate_pairs():
+    line = '{"id": "m1", "uri": "u", "author": "a", "timestamp": "2021-05-01T10:00:00Z", "summary": "s", "body": "\\ud83d\\ude00"}'
+    (artifact,) = parse_jsonl(line)
+    assert artifact.body == "\U0001F600"
+    # An escaped backslash before "ud800" is text, not a surrogate escape.
+    (artifact,) = parse_jsonl(line.replace("\\ud83d\\ude00", "\\\\ud800"))
+    assert artifact.body == "\\ud800"
+
+
 def test_parse_git_log_duplicate_hash():
     raw = record("abc", "A <a@x>", "2020-01-01T00:00:00Z", "s: one", "") + "\n" + record(
         "abc", "A <a@x>", "2020-01-02T00:00:00Z", "s: two", ""
@@ -121,6 +137,11 @@ def test_parse_jsonl_duplicate_id_is_an_error():
         ('{"id": "m", "uri": "u", "author": "a", "timestamp": "2021-05-01T10:00:00Z", "summary": "s", "body": "b", "kind": "carrier-pigeon"}', "kind"),
         ("[1, 2]", "expected an object"),
         ("{bad json", "invalid JSON"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON", id="deep-nesting"),
+        pytest.param('{"id": ' + "1" * 5000 + "}", "invalid JSON", id="int-digit-limit"),
+        pytest.param('{"id": "m", "uri": "u", "author": "a", "timestamp": "9999-12-31T23:59:59-01:00", "summary": "s", "body": "b"}', "timestamp", id="timestamp-overflow"),
+        pytest.param('{"id": "m", "uri": "u", "author": "a", "timestamp": "2021-05-01T10:00:00Z", "summary": "s", "body": "x\\ud800"}', "artifact.body holds an unpaired surrogate", id="lone-surrogate-body"),
+        pytest.param('{"id": "m", "uri": "u", "author": "a", "timestamp": "2021-05-01T10:00:00Z", "summary": "s", "body": "b", "trailers": {"Link": ["\\uDFFF"]}}', r"artifact.trailers.Link\[0\] holds an unpaired surrogate", id="lone-surrogate-trailer"),
     ],
 )
 def test_parse_jsonl_schema_errors_carry_line_numbers(mutation, match):
@@ -246,3 +267,112 @@ _ARTIFACTS = st.builds(
 def test_artifact_file_round_trip_property(artifacts):
     normalized = parse_jsonl(dumps_artifacts(artifacts))
     assert parse_jsonl(dumps_artifacts(normalized)) == normalized
+
+
+def test_segment_abbreviation_may_sit_before_a_line_break():
+    # The word before a dot may end a soft-wrapped line, as "e.g" does here.
+    assert len(segment_sentences(make_artifact("", "Use e.g\n. Then more."))) == 1
+    assert len(segment_sentences(make_artifact("", "Use foo\n. Then more."))) == 2
+
+
+# Test-side copy of the quadratic segmenter the package shipped before its
+# abbreviation check became a bounded backward scan.
+_REFERENCE_WORD_BEFORE_DOT_RE = re.compile(r"[A-Za-z][A-Za-z.]*$")
+
+
+def _reference_is_abbreviation(text, dot, abbreviations):
+    match = _REFERENCE_WORD_BEFORE_DOT_RE.search(text[:dot])
+    if not match:
+        return False
+    word = match.group(0).lower().rstrip(".")
+    return word in abbreviations or word.lstrip(".") in abbreviations
+
+
+def _reference_segment_block(text, base, abbreviations):
+    spans = []
+    start = 0
+    depth = 0
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif ch in ".!?" and depth == 0:
+            j = i
+            while j + 1 < len(text) and text[j + 1] in ".!?":
+                j += 1
+            after = j + 1
+            if after >= len(text):
+                i = after
+                continue
+            if text[after] == ")":
+                i = after
+                continue
+            if ch == "." and _reference_is_abbreviation(text, i, abbreviations):
+                i = after
+                continue
+            k = after
+            while k < len(text) and text[k].isspace():
+                k += 1
+            if k > after and k < len(text) and text[k].isupper():
+                spans.append((start, after))
+                start = k
+                i = k
+                continue
+            i = after
+            continue
+        i += 1
+    if start < len(text):
+        spans.append((start, len(text)))
+    out = []
+    for s, e in spans:
+        chunk = text[s:e]
+        lead = len(chunk) - len(chunk.lstrip())
+        trail = len(chunk) - len(chunk.rstrip())
+        if s + lead < e - trail:
+            out.append((base + s + lead, base + e - trail))
+    return out
+
+
+def _reference_bounds(artifact, abbreviations):
+    bounds = []
+    if artifact.summary:
+        bounds.append((0, len(artifact.summary)))
+        body_base = len(artifact.summary) + 2 if artifact.body else len(artifact.summary)
+    else:
+        body_base = 0
+    if artifact.body:
+        pos = 0
+        for sep in re.finditer(r"\n[ \t]*\n", artifact.body):
+            bounds.extend(
+                _reference_segment_block(artifact.body[pos : sep.start()], body_base + pos, abbreviations)
+            )
+            pos = sep.end()
+        bounds.extend(
+            _reference_segment_block(artifact.body[pos:], body_base + pos, abbreviations)
+        )
+    return bounds
+
+
+# Pieces that exercise every branch of the segmenter, including non-ASCII
+# letters whose lower case holds an ASCII letter ("\u0130", the Kelvin sign).
+SEGMENT_PIECES = list("\n.!?(),;' \taAbBeEgGiIsSvVxX\u0130\u212a") + [
+    "e.g", "i.e", "vs", "cf", "e.g.", "i.e.", "vs.", "cf.", "\n\n", ". A", ". a",
+]
+segment_texts = st.lists(st.sampled_from(SEGMENT_PIECES), max_size=40).map("".join)
+abbreviation_sets = st.one_of(
+    st.just(frozenset({"e.g", "i.e", "vs", "cf"})),
+    st.frozensets(
+        st.text(alphabet="abegsvx.\u0130", max_size=4).map(str.lower), max_size=4
+    ),
+)
+
+
+@given(summary=segment_texts, body=segment_texts, abbreviations=abbreviation_sets)
+@settings(max_examples=500)
+def test_segmentation_equals_the_reference_segmenter(summary, body, abbreviations):
+    artifact = make_artifact(summary.replace("\n", " ").strip(), body)
+    sentences = segment_sentences(artifact, abbreviations)
+    assert [(s.start, s.end) for s in sentences] == _reference_bounds(artifact, abbreviations)

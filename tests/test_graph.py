@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -203,6 +204,35 @@ def test_load_reports_schema_path():
     doc = '{"rdg_version": 1, "decisions": [{"id": 5}], "rationales": [], "topics": [], "sources": [], "edges": []}'
     with pytest.raises(GraphError, match=r"decisions\[0\]"):
         load(doc)
+
+
+def test_load_rejects_lone_surrogate_escapes(fixture_graph):
+    text = save(fixture_graph)
+    doc = json.loads(text)
+    doc["decisions"][1]["text"] += "\ud800"
+    with pytest.raises(GraphError, match=r"graph.decisions\[1\].text holds an unpaired"):
+        load(json.dumps(doc))
+    # A surrogate pair is one astral character and loads.
+    doc["decisions"][1]["text"] = doc["decisions"][1]["text"][:-1] + "\U0001F600"
+    assert load(json.dumps(doc)).decisions[D2].text.endswith("\U0001F600")
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda text: text.replace('"score": 1.0', '"score": 1' + "0" * 400, 1), "number out of range"),
+        (lambda text: "[" * 100_000 + "]" * 100_000, "not valid JSON"),
+        (lambda text: text.replace('"score": 1.0', '"score": 1' + "0" * 5000, 1), "not valid JSON"),
+        (lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": "9999-12-31T23:59:59-05:00"', text, count=1), "timestamp"),
+    ],
+    ids=["float-overflow", "deep-nesting", "int-digit-limit", "timestamp-overflow"],
+)
+def test_load_rejects_numbers_and_nesting_it_cannot_hold(fixture_graph, corrupt, match):
+    text = save(fixture_graph)
+    corrupted = corrupt(text)
+    assert corrupted != text
+    with pytest.raises(GraphError, match=match):
+        load(corrupted)
 
 
 _DOT_NODE = re.compile(r'^  "(?:[^"\\]|\\.)*" \[label="(?:[^"\\]|\\.)*" shape=(box|ellipse|folder|note)\];$')

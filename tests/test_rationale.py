@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import time
 from datetime import datetime, timezone
 
 import pytest
@@ -9,7 +11,15 @@ from hypothesis import strategies as st
 from rdgraph import Artifact, attach_rationale, extract_rationale, normalized_text, segment_sentences
 from rdgraph.corpus import Sentence
 from rdgraph.decisions import Decision
-from rdgraph.rationale import CAUSE, MANNER, PURPOSE
+from rdgraph.rationale import (
+    _BY_GERUND_RE,
+    CAUSE,
+    DEFAULT_MARKERS,
+    MANNER,
+    PURPOSE,
+    ROLES,
+    _marker_pattern,
+)
 
 
 def sentence(text: str, index: int = 0, start: int = 0) -> Sentence:
@@ -246,3 +256,117 @@ def test_growing_the_window_never_removes_spans(body, small, large):
     narrow = {(s.role, s.text, s.start) for s in attach_rationale(decision, sentences, small)}
     wide = {(s.role, s.text, s.start) for s in attach_rationale(decision, sentences, large)}
     assert narrow <= wide
+
+
+def test_clause_scan_lowers_dotted_capital_i_and_kelvin_sign():
+    # "\u0130tem" lowers to "i\u0307tem", so the first word after the comma is
+    # the subject "i" and the clause ends there.
+    fragments = extract_rationale(sentence("Do it because x fails, \u0130tem breaks."))
+    assert fragments[0].text == "x fails"
+    # The Kelvin sign lowers to the word "k", which hides the subject "we".
+    fragments = extract_rationale(sentence("Do it because x fails, \u212a we said."))
+    assert fragments[0].text == "x fails, \u212a we said"
+    # Words are found after the comma by their place in the original text,
+    # although each "\u0130" lowers to two characters.
+    fragments = extract_rationale(sentence("Do it because x \u0130\u0130a, so be it."))
+    assert fragments[0].text == "x \u0130\u0130a, so be it"
+
+
+# Test-side copy of the clause scan the package shipped before the words
+# after a comma came from one token pass per sentence.
+_REFERENCE_WORD_RE = re.compile(r"[A-Za-z0-9_']+")
+_REFERENCE_SUBJECTS = frozenset(
+    {"it", "we", "they", "he", "she", "i", "you", "this", "that", "there",
+     "the", "a", "an"}
+)
+_REFERENCE_COORDINATORS = frozenset({"and", "but", "or", "so", "yet", "nor"})
+
+
+def _reference_clause_end(text, start):
+    i = start
+    depth = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif depth == 0 and ch == ";":
+            return i
+        elif depth == 0 and ch == ",":
+            following = _REFERENCE_WORD_RE.findall(text[i + 1 :].lower())
+            if following:
+                first = following[0]
+                second = following[1] if len(following) > 1 else ""
+                if first in _REFERENCE_SUBJECTS:
+                    return i
+                if first in _REFERENCE_COORDINATORS and second in _REFERENCE_SUBJECTS:
+                    return i
+        i += 1
+    return len(text)
+
+
+def _reference_fragments(text):
+    """(role, marker, text, start, end) of every fragment, via the old scan."""
+    hits = []
+    for role in ROLES:
+        for marker in DEFAULT_MARKERS[role]:
+            for match in _marker_pattern(marker).finditer(text):
+                if marker == "this way" and match.start() != 0:
+                    continue
+                hits.append((match.start(), match.end(), role, marker))
+    for match in _BY_GERUND_RE.finditer(text):
+        hits.append((match.start(), match.end(), MANNER, "by"))
+    hits.sort(key=lambda h: (h[0], -(h[1] - h[0])))
+    out = []
+    last_end = -1
+    for start, end, role, marker in hits:
+        if start < last_end:
+            continue
+        last_end = end
+        chunk = text[end : _reference_clause_end(text, end)]
+        stripped = chunk.strip(" \t\n.,;:!?")
+        if stripped:
+            span_start = end + chunk.find(stripped)
+            out.append((role, marker, stripped, span_start, span_start + len(stripped)))
+    return out
+
+
+CLAUSE_PIECES = list("\n.!?(),;' aAiIkKtTwW\u0130\u212a") + [
+    "so that ", "because ", "This way ", "by doing ", " it", " the", " and",
+    " so", ", we", ", and it", ", \u0130t", ", \u212ait", "\u03a3",
+]
+clause_texts = st.lists(st.sampled_from(CLAUSE_PIECES), max_size=40).map("".join)
+
+
+@given(text=clause_texts, offset=st.integers(0, 50))
+@settings(max_examples=500)
+def test_extraction_equals_the_reference_clause_scan(text, offset):
+    fragments = extract_rationale(sentence(text, start=offset))
+    assert [
+        (f.role, f.marker, f.text, f.start - offset, f.end - offset) for f in fragments
+    ] == _reference_fragments(text)
+
+
+LONG_BODY = 200_000
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "e.g. x " * (LONG_BODY // 7),
+        "so that a, " * (LONG_BODY // 11),
+        "so that x" + ", " * (LONG_BODY // 2),
+        "so that x" + "," * LONG_BODY + " w",
+        "a." * (LONG_BODY // 2),
+    ],
+    ids=["abbreviations", "clauses", "comma-space-run", "comma-run", "dotted-word"],
+)
+def test_long_body_segments_and_extracts_in_linear_time(body):
+    # The quadratic scans took minutes on each of these 200 KB bodies.
+    started = time.perf_counter()
+    sentences = segment_sentences(make_artifact("", body))
+    fragments = [f for s in sentences for f in extract_rationale(s)]
+    assert time.perf_counter() - started < 1.0
+    assert "".join(s.text for s in sentences).replace(" ", "") == body.replace(" ", "")
+    assert all(f.text for f in fragments)
