@@ -53,8 +53,11 @@ def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CorpusError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_graph(path: str):

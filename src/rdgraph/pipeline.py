@@ -14,6 +14,7 @@ from .relations import (
     HISTORY,
     REVERT_METADATA,
     RelationEdge,
+    candidate_pairs,
     cluster_topics,
     decision_document,
     detect_contradicts,
@@ -39,8 +40,10 @@ def build_pipeline(
 
     Deterministic for fixed inputs and config: topic clustering compares the
     owning artifacts' full texts, similar edges compare each decision's
-    sentence plus rationale, and history/contradicts run over every strictly
-    time-ordered pair sharing a topic.
+    sentence plus rationale, and history/contradicts run over the strictly
+    time-ordered pairs of a topic that ``candidate_pairs`` finds through its
+    indices (id prefixes, summaries, contradiction tokens and, at low
+    history thresholds, authors): every pair that can carry such an edge.
     """
     cfg = config if config is not None else default_config()
     artifact_list = list(artifacts)
@@ -94,38 +97,41 @@ def build_pipeline(
         edges.extend(
             detect_similar(members, provider, cfg.thresholds.similar, documents)
         )
-        ordered = sorted(members, key=lambda d: (d.timestamp, d.id))
-        for i, earlier in enumerate(ordered):
-            for later in ordered[i + 1 :]:
-                if later.timestamp <= earlier.timestamp:
-                    continue
-                contra = detect_contradicts(
-                    later,
-                    earlier,
-                    artifacts_by_id,
-                    cfg.contradiction_keywords,
-                    cfg.negation_cues,
-                    cfg.stopwords,
+        for later, earlier in candidate_pairs(
+            members,
+            artifacts_by_id,
+            cfg.contradiction_keywords,
+            cfg.negation_cues,
+            cfg.stopwords,
+            cfg.thresholds.history,
+        ):
+            contra = detect_contradicts(
+                later,
+                earlier,
+                artifacts_by_id,
+                cfg.contradiction_keywords,
+                cfg.negation_cues,
+                cfg.stopwords,
+            )
+            history = detect_history(
+                later, earlier, artifacts_by_id, cfg.thresholds.history
+            )
+            if contra is not None:
+                edges.append(contra)
+                # A revert is both a contradiction and an evolution step.
+                revert = any(
+                    e.feature == REVERT_METADATA for e in contra.evidence
                 )
-                history = detect_history(
-                    later, earlier, artifacts_by_id, cfg.thresholds.history
-                )
-                if contra is not None:
-                    edges.append(contra)
-                    # A revert is both a contradiction and an evolution step.
-                    revert = any(
-                        e.feature == REVERT_METADATA for e in contra.evidence
+                if revert and history is None:
+                    history = RelationEdge(
+                        kind=HISTORY,
+                        from_id=later.id,
+                        to_id=earlier.id,
+                        score=contra.score,
+                        evidence=contra.evidence,
                     )
-                    if revert and history is None:
-                        history = RelationEdge(
-                            kind=HISTORY,
-                            from_id=later.id,
-                            to_id=earlier.id,
-                            score=contra.score,
-                            evidence=contra.evidence,
-                        )
-                if history is not None:
-                    edges.append(history)
+            if history is not None:
+                edges.append(history)
 
     decided = {d.artifact_id for d in decisions}
     sources = [

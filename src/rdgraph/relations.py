@@ -11,9 +11,11 @@ fired, with their weights.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
+import sys
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Mapping, NamedTuple
+from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .corpus import Artifact
 from .decisions import Decision, strip_subsystem_prefix
@@ -27,7 +29,6 @@ EDGE_KINDS = (SIMILAR, HISTORY, CONTRADICTS)
 
 REVERT_METADATA = "revert-metadata"
 EXPLICIT_REFERENCE = "explicit-reference"
-SHARED_FILES = "shared-files"
 SAME_AUTHOR = "same-author"
 ACKED_BY = "acked-by"
 KEYWORD = "keyword"
@@ -39,7 +40,6 @@ COSINE_SCORE = "cosine-score"
 _HISTORY_WEIGHTS = {
     EXPLICIT_REFERENCE: 0.5,
     REVERT_METADATA: 0.5,
-    SHARED_FILES: 0.2,
     ACKED_BY: 0.2,
     SAME_AUTHOR: 0.1,
 }
@@ -47,11 +47,11 @@ _HISTORY_WEIGHTS = {
 _REVERTS_COMMIT_RE = re.compile(r"This reverts commit ([0-9a-f]{7,40})\b")
 _HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 _RAW_WORD_RE = re.compile(r"[a-z0-9_']+")
+_WORD_RUN_RE = re.compile(r"\w+")
+_HEX_RUN_RE = re.compile(r"[0-9a-f]{7,40}")
 
 DEFAULT_CONTRADICTION_KEYWORDS = frozenset({"revert", "remove", "disable"})
 DEFAULT_NEGATION_CUES = frozenset({"no", "not", "never", "n't"})
-
-NliScorer = Callable[[str, str], float]
 
 
 @dataclass(frozen=True)
@@ -92,27 +92,6 @@ class Topic:
     member_decision_ids: tuple[str, ...]
 
 
-class UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
-
-    def find(self, key: str) -> str:
-        self.parent.setdefault(key, key)
-        root = key
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[key] != root:
-            self.parent[key], key = root, self.parent[key]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a != root_b:
-            # Deterministic roots regardless of union order.
-            low, high = sorted((root_a, root_b))
-            self.parent[high] = low
-
-
 def decision_document(decision: Decision, spans: list[RationaleSpan]) -> str:
     """The text a decision is compared by: its sentence plus its rationale."""
     parts = [decision.text] + [span.text for span in spans]
@@ -139,20 +118,27 @@ def cluster_topics(
     permutation.
     """
     ordered = sorted(decisions, key=lambda d: d.id)
-    uf = UnionFind()
-    for decision in ordered:
-        uf.find(decision.id)
+    # A component label per decision.  A union relabels the smaller side, so
+    # a pair already in one component is skipped in O(1); single link only
+    # depends on the partition, so skipping it cannot change the topics.
+    label = list(range(len(ordered)))
+    groups: list[list[int]] = [[i] for i in range(len(ordered))]
     for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
+        for j in range(i + 1, len(ordered)):
+            if label[i] == label[j]:
+                continue
+            b = ordered[j]
             if provider.score(contexts[a.id], contexts[b.id]) >= relatedness_threshold:
-                uf.union(a.id, b.id)
-    groups: dict[str, list[Decision]] = {}
-    for decision in ordered:
-        groups.setdefault(uf.find(decision.id), []).append(decision)
-    components = []
-    for members in groups.values():
-        members.sort(key=lambda d: (d.timestamp, d.id))
-        components.append(members)
+                small, large = sorted((label[i], label[j]), key=lambda c: len(groups[c]))
+                for k in groups[small]:
+                    label[k] = large
+                groups[large].extend(groups[small])
+                groups[small] = []
+    components = [
+        sorted((ordered[k] for k in group), key=lambda d: (d.timestamp, d.id))
+        for group in groups
+        if group
+    ]
     components.sort(key=lambda ms: (ms[0].timestamp, ms[0].id))
     return [
         Topic(
@@ -273,11 +259,6 @@ def detect_history(
                 _HISTORY_WEIGHTS[REVERT_METADATA],
             )
         )
-    shared = jaccard(set(later.files_touched), set(earlier.files_touched))
-    if shared >= 0.5:
-        evidence.append(
-            Evidence(SHARED_FILES, f"jaccard {shared:.2f}", _HISTORY_WEIGHTS[SHARED_FILES])
-        )
     if _acked_by(later_art, earlier_art):
         evidence.append(
             Evidence(ACKED_BY, earlier.author, _HISTORY_WEIGHTS[ACKED_BY])
@@ -381,13 +362,11 @@ def detect_contradicts(
     keywords: frozenset[str] = DEFAULT_CONTRADICTION_KEYWORDS,
     negation_cues: frozenset[str] = DEFAULT_NEGATION_CUES,
     stopwords: frozenset[str] = frozenset(),
-    nli: NliScorer | None = None,
 ) -> RelationEdge | None:
     """Contradicts edge from the later decision to the earlier one, if any.
 
     Revert metadata is checked first and scores 1.0; otherwise the sentence
-    heuristic (or a plugged-in scorer) decides.  The caller guarantees both
-    decisions share a topic.
+    heuristic decides.  The caller guarantees both decisions share a topic.
     """
     later_art = artifacts[later.artifact_id]
     earlier_art = artifacts[earlier.artifact_id]
@@ -405,17 +384,6 @@ def detect_contradicts(
                 ),
             ),
         )
-    if nli is not None:
-        score = nli(later.text, earlier.text)
-        if score > 0.0:
-            return RelationEdge(
-                kind=CONTRADICTS,
-                from_id=later.id,
-                to_id=earlier.id,
-                score=score,
-                evidence=(Evidence(KEYWORD, "pluggable contradiction scorer", score),),
-            )
-        return None
     score, evidence = contradiction_score(
         later.text, earlier.text, keywords, negation_cues, stopwords
     )
@@ -428,3 +396,176 @@ def detect_contradicts(
             evidence=evidence,
         )
     return None
+
+
+class _Haystack(NamedTuple):
+    """Where a later artifact can name an earlier one.
+
+    ``text`` joins the body, the trailer values and a ``Revert`` summary
+    with newlines, which are not word characters, so no word run spans two
+    parts.
+    """
+
+    text: str
+    words: tuple[str, ...]
+    hex_tokens: frozenset[str]
+
+
+@functools.lru_cache(maxsize=4096)
+def _word_runs(text: str) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The distinct ``\\w+`` runs of a text, and those of 7 to 40 hex digits.
+
+    A ``\\b[0-9a-f]{7,40}\\b`` match is always a whole word run, so one scan
+    gives both.  Interned words in a tuple keep the cached entry small.
+    """
+    words = frozenset(map(sys.intern, _WORD_RUN_RE.findall(text)))
+    return tuple(words), frozenset(filter(_HEX_RUN_RE.fullmatch, words))
+
+
+def _haystack(artifact: Artifact) -> _Haystack:
+    parts = [artifact.body] + [v for vs in artifact.trailers.values() for v in vs]
+    if artifact.summary.startswith("Revert"):
+        parts.append(artifact.summary)
+    text = "\n".join(parts)
+    return _Haystack(text, *_word_runs(text))
+
+
+def _interior_words(phrase: str) -> list[str]:
+    """Word runs with a non-word character on both sides inside ``phrase``.
+
+    Every text that contains the phrase holds each of them as a whole word
+    run.
+    """
+    return [
+        m.group()
+        for m in _WORD_RUN_RE.finditer(phrase)
+        if m.start() > 0 and m.end() < len(phrase)
+    ]
+
+
+def _naming_pairs(arts: Mapping[str, Artifact]) -> set[tuple[str, str]]:
+    """(later, earlier) artifact id pairs where the later one may name the
+    earlier by id prefix or by summary: a superset of the pairs with
+    ``explicit-reference`` or ``revert-metadata`` evidence."""
+    haystacks = {aid: _haystack(art) for aid, art in arts.items()}
+    pairs: set[tuple[str, str]] = set()
+
+    by_prefix: dict[str, list[str]] = {}
+    for aid in arts:
+        if len(aid) >= 7:
+            by_prefix.setdefault(aid[:7], []).append(aid)
+    for later_id, haystack in haystacks.items():
+        for token in haystack.hex_tokens:
+            for earlier_id in by_prefix.get(token[:7], ()):
+                if earlier_id.startswith(token):
+                    pairs.add((later_id, earlier_id))
+
+    # Every text that holds a summary holds its prefix-stripped tail, so
+    # looking up the tail alone finds both forms.
+    by_phrase: dict[str, list[str]] = {}
+    for aid, art in arts.items():
+        phrase = strip_subsystem_prefix(art.summary) or art.summary
+        if phrase:
+            by_phrase.setdefault(phrase, []).append(aid)
+    interior = {phrase: _interior_words(phrase) for phrase in by_phrase}
+    wanted = frozenset(w for words in interior.values() for w in words)
+    holders: dict[str, list[str]] = {}
+    for aid, haystack in haystacks.items():
+        for word in wanted.intersection(haystack.words):
+            holders.setdefault(word, []).append(aid)
+    for phrase, earlier_ids in by_phrase.items():
+        words = interior[phrase]
+        if words:
+            laters = min((holders.get(w, ()) for w in words), key=len)
+        else:
+            laters = haystacks.keys()
+        for later_id in laters:
+            if phrase in haystacks[later_id].text:
+                pairs.update((later_id, e) for e in earlier_ids)
+    return pairs
+
+
+def candidate_pairs(
+    members: Iterable[Decision],
+    artifacts: Mapping[str, Artifact],
+    keywords: frozenset[str],
+    negation_cues: frozenset[str],
+    stopwords: frozenset[str],
+    history_threshold: float,
+) -> list[tuple[Decision, Decision]]:
+    """The (later, earlier) pairs of one topic that can carry a history or
+    contradicts edge, each with ``later.timestamp > earlier.timestamp``.
+
+    Each feature that can make such an edge has an index, and a pair that
+    none of them finds cannot make one:
+
+    * hex ids: 7-character prefixes of the hex words in the later body and
+      trailers (``This reverts commit <hex>`` and explicit references);
+    * summaries: the earlier summary and its prefix-stripped form, found in
+      the later body, trailers or ``Revert`` summary, looked up by the
+      rarest interior word;
+    * the keyword rule: earlier sentences sharing a content token with a
+      keyword's object in the later sentence;
+    * the negation rule: tokens negated on one side and plain on the other;
+    * same-author and ``Acked-by`` pairs, only when those two weights
+      together reach ``history_threshold``.
+
+    Pairs come in the order of the all-pairs loop: earlier, then later, by
+    ``(timestamp, id)``.
+    """
+    ordered = sorted(members, key=lambda d: (d.timestamp, d.id))
+    by_artifact: dict[str, list[int]] = {}
+    for i, decision in enumerate(ordered):
+        by_artifact.setdefault(decision.artifact_id, []).append(i)
+    arts = {aid: artifacts[aid] for aid in by_artifact}
+    # Index pairs (later, earlier) into ``ordered``.
+    pairs: set[tuple[int, int]] = set()
+    for later_id, earlier_id in _naming_pairs(arts):
+        pairs.update(itertools.product(by_artifact[later_id], by_artifact[earlier_id]))
+
+    features = [
+        _sentence_features(d.text, negation_cues, stopwords) for d in ordered
+    ]
+    with_token: dict[str, list[int]] = {}
+    plain: dict[str, list[int]] = {}
+    negated: dict[str, list[int]] = {}
+    for j, f in enumerate(features):
+        for token in f.content:
+            with_token.setdefault(token, []).append(j)
+            if token in f.plain:
+                plain.setdefault(token, []).append(j)
+            if token in f.negated:
+                negated.setdefault(token, []).append(j)
+    for i, f in enumerate(features):
+        objects: set[str] = set()
+        for keyword in keywords:
+            if keyword in f.tokens:
+                at = f.tokens.index(keyword)
+                objects |= _content_tokens(f.tokens[at + 1 :], stopwords)
+        for token in objects:
+            pairs.update((i, j) for j in with_token[token])
+        for token in f.content:
+            if token in f.negated:
+                pairs.update((i, j) for j in plain.get(token, ()))
+            if token in f.plain:
+                pairs.update((i, j) for j in negated.get(token, ()))
+
+    # The sum detect_history makes of the two weak features, as a float
+    # (0.30000000000000004); above it a history edge needs an id or summary.
+    weak = _HISTORY_WEIGHTS[ACKED_BY] + _HISTORY_WEIGHTS[SAME_AUTHOR]
+    if weak >= history_threshold:
+        by_author: dict[str, list[int]] = {}
+        for j, decision in enumerate(ordered):
+            if decision.author:
+                by_author.setdefault(decision.author, []).append(j)
+        for i, decision in enumerate(ordered):
+            acks = arts[decision.artifact_id].trailers.get("Acked-by", ())
+            for author, indices in by_author.items():
+                if author == decision.author or any(author in v for v in acks):
+                    pairs.update((i, j) for j in indices)
+
+    return [
+        (ordered[i], ordered[j])
+        for j, i in sorted((j, i) for i, j in pairs)
+        if ordered[i].timestamp > ordered[j].timestamp
+    ]

@@ -238,6 +238,25 @@ def test_artifact_with_lone_surrogate_is_an_input_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["missing-dir/out", "."], ids=["missing-dir", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", DUMP, "--format", "git", "-o", "{out}"],
+        ["build", ARTIFACTS, "-o", "{out}"],
+        ["export", "{graph}", "--dot", "-o", "{out}"],
+    ],
+    ids=["ingest", "build", "export"],
+)
+def test_unwritable_output_path_is_an_input_error(graph_file, tmp_path, capsys, argv, target):
+    out = tmp_path / target
+    capsys.readouterr()
+    assert main([a.format(graph=graph_file, out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["export", "{graph}", "--dot"], ["query", "{graph}", "--topic", "t1"]],

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-import itertools
 import random
 import re
 from datetime import datetime, timedelta, timezone
@@ -21,9 +20,9 @@ from rdgraph import (
     detect_similar,
     title_topic,
 )
-from rdgraph import relations, textsim
+from rdgraph import pipeline, relations, save, textsim
 from rdgraph.corpus import Artifact, normalized_text
-from rdgraph.decisions import Decision
+from rdgraph.decisions import Decision, strip_subsystem_prefix
 from rdgraph.relations import (
     ACKED_BY,
     CONTRADICTS,
@@ -33,7 +32,6 @@ from rdgraph.relations import (
     NEGATION_MISMATCH,
     REVERT_METADATA,
     SAME_AUTHOR,
-    SHARED_FILES,
     SIMILAR,
     Evidence,
     Topic,
@@ -45,7 +43,7 @@ from rdgraph.validate import check_new_decision, graph_documents
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
-def make_decision(n: int, text: str, files: tuple[str, ...] = (), author: str = "A <a@x>") -> Decision:
+def make_decision(n: int, text: str, author: str = "A <a@x>") -> Decision:
     return Decision(
         id=f"a{n}#0",
         text=text,
@@ -54,7 +52,6 @@ def make_decision(n: int, text: str, files: tuple[str, ...] = (), author: str = 
         timestamp=EPOCH + timedelta(days=n),
         score=1.0,
         author=author,
-        files_touched=files,
     )
 
 
@@ -204,7 +201,7 @@ def test_same_author_alone_is_below_the_default_threshold():
     assert edge.score == pytest.approx(0.1)
 
 
-def test_shared_files_and_acked_by_evidence():
+def test_acked_by_evidence():
     artifacts = {
         a.id: a
         for a in [
@@ -214,12 +211,13 @@ def test_shared_files_and_acked_by_evidence():
             ),
         ]
     }
-    earlier = make_decision(0, "s: one", files=("mm/oom_kill.c",), author="A <a@x>")
-    later = make_decision(1, "s: two", files=("mm/oom_kill.c",), author="B <b@x>")
-    edge = detect_history(later, earlier, artifacts, 0.4)
+    earlier = make_decision(0, "s: one", author="A <a@x>")
+    later = make_decision(1, "s: two", author="B <b@x>")
+    assert detect_history(later, earlier, artifacts, 0.3) is None
+    edge = detect_history(later, earlier, artifacts, 0.2)
     assert edge is not None
-    assert {e.feature for e in edge.evidence} == {SHARED_FILES, ACKED_BY}
-    assert edge.score == pytest.approx(0.4)
+    assert [e.feature for e in edge.evidence] == [ACKED_BY]
+    assert edge.score == pytest.approx(0.2)
 
 
 def test_explicit_reference_via_id_prefix():
@@ -306,26 +304,6 @@ def test_keyword_rule_needs_object_overlap(config):
         config.stopwords,
     )
     assert score == 0.0
-
-
-def test_constant_zero_scorer_leaves_only_revert_edges(fixture_artifacts, config):
-    graph = build_pipeline(fixture_artifacts, config)
-    artifacts = {a.id: a for a in fixture_artifacts}
-    d3 = graph.decisions[D3]
-    d4 = graph.decisions[D4]
-    assert detect_contradicts(d4, d3, artifacts, nli=lambda a, b: 0.0) is None
-    edge = detect_contradicts(d3, graph.decisions[D1], artifacts, nli=lambda a, b: 0.0)
-    assert edge is not None and edge.evidence[0].feature == REVERT_METADATA
-
-
-def test_constant_one_scorer_contradicts_every_pair(fixture_artifacts, config):
-    graph = build_pipeline(fixture_artifacts, config)
-    artifacts = {a.id: a for a in fixture_artifacts}
-    ordered = sorted(graph.decisions.values(), key=lambda d: d.timestamp)
-    for earlier, later in itertools.combinations(ordered, 2):
-        edge = detect_contradicts(later, earlier, artifacts, nli=lambda a, b: 1.0)
-        assert edge is not None
-        assert edge.score == 1.0
 
 
 def test_default_heuristic_on_fixture_yields_exactly_the_two_revert_edges(fixture_graph):
@@ -484,3 +462,253 @@ def test_contradiction_score_is_independent_of_the_feature_cache(config, a, b):
     assert contradiction_score(a, b, *args) == forward
     assert forward == _reference_contradiction_score(a, b, *args)
     assert backward == _reference_contradiction_score(b, a, *args)
+
+
+def test_relation_stage_scores_only_candidate_pairs(monkeypatch, config):
+    calls: collections.Counter[str] = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("detect_history", "detect_contradicts"):
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    artifacts = _one_topic_corpus(60)
+    graph = build_pipeline(artifacts, config)
+    (topic,) = graph.topics.values()
+    n = len(topic.member_decision_ids)
+    edges = sum(e.kind in (HISTORY, CONTRADICTS) for e in graph.relation_edges)
+    # All ordered pairs would be n * (n - 1) / 2 = 1770 calls of each.
+    assert 0 < calls["detect_history"] == calls["detect_contradicts"] <= 4 * (edges + n)
+
+    class CountingProvider(TfIdfProvider):
+        def score(self, text_a, text_b):
+            calls["score"] += 1
+            return super().score(text_a, text_b)
+
+    texts = {a.id: normalized_text(a) for a in artifacts}
+    decisions = list(graph.decisions.values())
+    contexts = {d.id: texts[d.artifact_id] for d in decisions}
+    provider = CountingProvider(build_model(list(texts.values()), config.stopwords))
+    topics = cluster_topics(decisions, provider, config.thresholds.relatedness, contexts)
+    assert [t.member_decision_ids for t in topics] == [topic.member_decision_ids]
+    # Pairs already in one component are skipped: at most 4n of 1770.
+    assert calls["score"] <= 4 * n
+
+
+def _all_ordered_pairs(members, artifacts, keywords, negation_cues, stopwords, history_threshold):
+    """The relation loop as written before candidate indices: every strictly
+    time-ordered pair of a topic."""
+    ordered = sorted(members, key=lambda d: (d.timestamp, d.id))
+    return [
+        (later, earlier)
+        for i, earlier in enumerate(ordered)
+        for later in ordered[i + 1 :]
+        if later.timestamp > earlier.timestamp
+    ]
+
+
+def _union_find_topics(decisions, provider, relatedness_threshold, contexts):
+    """Single-link clustering as written before components were skipped:
+    every pair is scored, roots are the smallest id."""
+    parent = {d.id: d.id for d in decisions}
+
+    def find(key):
+        while parent[key] != key:
+            key = parent[key]
+        return key
+
+    ordered = sorted(decisions, key=lambda d: d.id)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            if provider.score(contexts[a.id], contexts[b.id]) >= relatedness_threshold:
+                low, high = sorted((find(a.id), find(b.id)))
+                parent[high] = low
+    groups = {}
+    for decision in ordered:
+        groups.setdefault(find(decision.id), []).append(decision)
+    components = sorted(
+        (sorted(ms, key=lambda d: (d.timestamp, d.id)) for ms in groups.values()),
+        key=lambda ms: (ms[0].timestamp, ms[0].id),
+    )
+    return [
+        Topic(id=f"t{n}", title="", member_decision_ids=tuple(d.id for d in ms))
+        for n, ms in enumerate(components, start=1)
+    ]
+
+
+_WORDS = ["add", "remove", "revert", "disable", "use", "cache", "reaper", "oom",
+          "task", "memory", "the", "of", "no", "not", "never", "don't", "without"]
+_AUTHORS = ["A <a@x>", "B <b@x>", "A", ""]
+# Six- and seven-character prefixes that several ids share.
+_ID_HEADS = ["a1b2c3d", "a1b2c3e", "0f0f0f0"]
+
+
+@st.composite
+def _relation_corpora(draw):
+    """Artifacts whose summaries, bodies and trailers name each other in
+    every way the history and contradicts evidence reads."""
+    phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(" ".join)
+    artifacts = []
+    for i in range(draw(st.integers(min_value=2, max_value=7))):
+        if draw(st.booleans()):
+            aid = draw(st.sampled_from(_ID_HEADS)) + f"{i:033x}"
+        else:
+            aid = f"m{i}"
+        earlier = draw(st.sampled_from(artifacts)) if artifacts else None
+
+        def ref(text):
+            """``text`` with {id} and {summary} filled from an earlier artifact."""
+            if earlier is None:
+                return draw(phrase)
+            cut = draw(st.sampled_from([6, 7, 40]))
+            summary = draw(st.sampled_from([earlier.summary, strip_subsystem_prefix(earlier.summary)]))
+            return text.format(id=earlier.id[:cut], summary=summary)
+
+        summary = draw(
+            st.one_of(
+                phrase,
+                phrase.map(lambda p: f"mm, oom: {p}"),
+                st.sampled_from(["fix", "oom:", "", "mm: x"]),
+                st.just('Revert "{summary}"').map(ref),
+                st.just("{summary} again").map(ref),
+            )
+        )
+        lines = draw(
+            st.lists(
+                st.one_of(
+                    phrase.map(lambda p: p.capitalize() + "."),
+                    st.sampled_from(
+                        [
+                            "This reverts commit {id}.",
+                            'This reverts commit {id} ("{summary}").',
+                            "Follow-up to {summary}, see {id}.",
+                            "{summary}",
+                        ]
+                    ).map(ref),
+                ),
+                max_size=4,
+            )
+        )
+        trailers = {}
+        acked = draw(st.lists(st.sampled_from(_AUTHORS + ["Someone <a@x>"]), max_size=2))
+        if acked:
+            trailers["Acked-by"] = tuple(acked)
+        if draw(st.booleans()):
+            trailers["Fixes"] = (ref('{id} ("{summary}")'),)
+        artifacts.append(
+            Artifact(
+                id=aid,
+                uri=f"git:{aid}",
+                author=draw(st.sampled_from(_AUTHORS)),
+                timestamp=EPOCH + timedelta(days=draw(st.integers(min_value=0, max_value=3))),
+                summary=summary,
+                body=" ".join(lines),
+                trailers=trailers,
+                kind="commit",
+            )
+        )
+    return artifacts
+
+
+def _lexicon(draw_from):
+    return st.lists(st.sampled_from(draw_from), min_size=1, max_size=4, unique=True)
+
+
+def _indexed_and_all_pairs(artifacts, cfg):
+    """Graphs built with the candidate indices and with the all-pairs loop."""
+    indexed = build_pipeline(artifacts, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "candidate_pairs", _all_ordered_pairs)
+        mp.setattr(pipeline, "cluster_topics", _union_find_topics)
+        reference = build_pipeline(artifacts, cfg)
+    return indexed, reference
+
+
+def _relation_config(history, relatedness=0.0, keywords=None, cues=None, stopwords=None):
+    from rdgraph.config import DEFAULTS, from_dict
+
+    lexicons = DEFAULTS["lexicons"]
+    return from_dict(
+        {
+            **DEFAULTS,
+            # A body sentence opening with an action verb is a decision too,
+            # so artifacts carry several decisions.
+            "thresholds": {
+                **DEFAULTS["thresholds"],
+                "decision": 0.3,
+                "history": history,
+                "relatedness": relatedness,
+            },
+            "lexicons": {
+                **lexicons,
+                "contradiction_keywords": keywords or lexicons["contradiction_keywords"],
+                "negation_cues": cues or lexicons["negation_cues"],
+                "stopwords": stopwords or lexicons["stopwords"],
+            },
+        }
+    )
+
+
+@given(
+    _relation_corpora(),
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.2 + 0.1, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.05, 0.12, 0.5]),
+    _lexicon(["revert", "remove", "disable", "cache", "add"]),
+    _lexicon(["no", "not", "never", "n't", "without"]),
+    _lexicon(["the", "of", "a", "cache", "not"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_indexed_relations_equal_all_pairs(artifacts, history, relatedness, keywords, cues, stopwords):
+    cfg = _relation_config(history, relatedness, keywords, cues, stopwords)
+    indexed, reference = _indexed_and_all_pairs(artifacts, cfg)
+    assert {t.member_decision_ids for t in indexed.topics.values()} == {
+        t.member_decision_ids for t in reference.topics.values()
+    }
+    assert set(indexed.relation_edges) == set(reference.relation_edges)
+    assert save(indexed) == save(reference)
+
+
+def _pair(earlier_summary, later_summary, earlier_body="", later_body="", later_trailers=None,
+          later_author="B <b@x>", earlier_id="m0"):
+    def artifact(aid, day, summary, body, trailers, author):
+        return Artifact(
+            id=aid, uri=f"git:{aid}", author=author, timestamp=EPOCH + timedelta(days=day),
+            summary=summary, body=body, trailers=trailers or {}, kind="commit",
+        )
+
+    return [
+        artifact(earlier_id, 0, earlier_summary, earlier_body, None, "A <a@x>"),
+        artifact("m1", 1, later_summary, later_body, later_trailers, later_author),
+    ]
+
+
+_HEX_ID = "a1b2c3d4e5f60718293a4b5c6d7e8f9012345678"
+
+
+@pytest.mark.parametrize(
+    "artifacts, history",
+    [
+        (_pair("add the cache", "use the reaper", later_body=f"This reverts commit {_HEX_ID[:7]}.",
+               earlier_id=_HEX_ID), 0.5),
+        # "add" is no whole word of the later body, so only "cache" can find it.
+        (_pair("add cache oom", "use the reaper", later_body="Readd cache oom."), 0.5),
+        (_pair("mm: add cache oom", "use the reaper", later_body="Follow-up to add cache oom, again."), 0.5),
+        (_pair("oom:", "use the reaper", earlier_body="Add the cache.", later_body="See oom: above."), 0.5),
+        (_pair("add the cache", "use the reaper", later_trailers={"Acked-by": ("A <a@x>",)},
+               later_author="A <a@x>"), 0.2 + 0.1),
+        (_pair("add the cache", "remove the cache"), 0.5),
+        (_pair("add the cache", "use no cache"), 0.5),
+        (_pair("add no cache oom", "use the cache"), 0.5),
+    ],
+    ids=["reverts-id-prefix", "summary-inside-a-word", "prefix-stripped-summary",
+         "summary-without-interior-word", "acked-and-same-author", "keyword",
+         "later-negated", "earlier-negated"],
+)
+def test_each_way_to_a_relation_edge_is_a_candidate(artifacts, history):
+    indexed, reference = _indexed_and_all_pairs(artifacts, _relation_config(history))
+    assert any(e.kind in (HISTORY, CONTRADICTS) for e in reference.relation_edges)
+    assert indexed.relation_edges == reference.relation_edges
