@@ -12,7 +12,6 @@ Run from the repository root:  python demos/05_validation_and_conflicts.py
 from pathlib import Path
 
 from rdgraph import (
-    build_model,
     build_pipeline,
     check_new_decision,
     check_rationale_consistency,
@@ -20,8 +19,6 @@ from rdgraph import (
     parse_git_log,
     validate_structure,
 )
-from rdgraph.textsim import TfIdfProvider
-from rdgraph.validate import graph_documents
 
 config = default_config()
 dump = Path("fixtures/oom/oom-commits.dump").read_text(encoding="utf-8")
@@ -32,19 +29,7 @@ graph = build_pipeline(artifacts[:4], config)
 
 print("structural check:", validate_structure(graph) or "clean")
 
-rationale_texts = [
-    " ".join(graph.rationales[r].text for r in rids)
-    for rids in graph.rationale_edges.values()
-]
-consistency = check_rationale_consistency(
-    graph,
-    TfIdfProvider(build_model(rationale_texts, config.stopwords)),
-    config.thresholds.consistency,
-    config.thresholds.duplicate,
-    config.contradiction_keywords,
-    config.negation_cues,
-    config.stopwords,
-)
+consistency = check_rationale_consistency(graph, config)
 print("\nrationale consistency across similar decisions:")
 for finding in consistency:
     print(f"  {finding.severity}: {finding.message}")
@@ -54,11 +39,7 @@ proposal = Path("fixtures/oom/proposed-mrelease.txt").read_text(encoding="utf-8"
 print("\nincoming proposal:")
 print("  " + proposal.strip().split("\n")[0])
 
-documents = list(graph_documents(graph).values())
-provider = TfIdfProvider(build_model(documents + [proposal], config.stopwords))
-warnings = check_new_decision(
-    graph, proposal, provider, config.thresholds.similar, config.k
-)
+warnings = check_new_decision(graph, proposal, config)
 print("\nconflict check:")
 for finding in warnings:
     print(f"  {finding.severity} ({finding.kind}):")

@@ -44,7 +44,6 @@ from .relations import (
     title_topic,
 )
 from .textsim import (
-    SimilarityProvider,
     TfIdfModel,
     TfIdfProvider,
     build_model,
@@ -73,7 +72,6 @@ __all__ = [
     "RdGraph",
     "RelationEdge",
     "Sentence",
-    "SimilarityProvider",
     "SourceRef",
     "Subgraph",
     "TfIdfModel",

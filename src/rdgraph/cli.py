@@ -13,13 +13,11 @@ from .config import ConfigError, load_config
 from .corpus import CorpusError, dumps_artifacts, parse_git_log, parse_jsonl
 from .graph import GraphError, export_dot, k_hop, load, save
 from .pipeline import build_pipeline
-from .textsim import TfIdfProvider, build_model
 from .validate import (
     CONFLICT_WARNING,
     check_new_decision,
     check_rationale_consistency,
     findings_to_jsonl,
-    graph_documents,
     render_findings,
 )
 
@@ -104,15 +102,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     candidate = args.text if args.text is not None else _read(args.file)
     if not candidate.strip():
         raise CorpusError("candidate text is empty")
-    docs = list(graph_documents(graph).values())
-    model = build_model(docs + [candidate], config.stopwords)
-    findings = check_new_decision(
-        graph,
-        candidate,
-        TfIdfProvider(model),
-        config.thresholds.similar,
-        config.k,
-    )
+    findings = check_new_decision(graph, candidate, config)
     _emit_findings(findings, args.json)
     if any(f.kind == CONFLICT_WARNING for f in findings):
         return EXIT_FINDINGS
@@ -123,23 +113,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     # load() already rejects a graph that breaks a structural invariant.
     graph = _load_graph(args.graph)
-    findings = []
-    rationale_texts = [
-        " ".join(graph.rationales[rid].text for rid in rids)
-        for rids in graph.rationale_edges.values()
-    ]
-    rationale_texts = [t for t in rationale_texts if t]
-    if rationale_texts:
-        provider = TfIdfProvider(build_model(rationale_texts, config.stopwords))
-        findings = check_rationale_consistency(
-            graph,
-            provider,
-            config.thresholds.consistency,
-            config.thresholds.duplicate,
-            config.contradiction_keywords,
-            config.negation_cues,
-            config.stopwords,
-        )
+    findings = check_rationale_consistency(graph, config)
     _emit_findings(findings, args.json)
     if any(f.severity != "info" for f in findings):
         return EXIT_FINDINGS

@@ -1,15 +1,12 @@
 """Identify decision-carrying sentences with a deterministic lexicon scorer.
 
-The default scorer is additive and clamped to [0, 1]:
+The scorer is additive and clamped to [0, 1]:
 
 * +0.6 when a summary sentence (after an optional ``subsys:`` prefix) opens
   with an action verb,
 * +0.4 when a cue phrase occurs anywhere as whole words,
 * +0.3 when a non-summary sentence opens with an action verb in base form,
 * -0.5 when a negative cue occurs as whole words.
-
-Any ``(sentence, artifact) -> [0, 1]`` callable can replace it through the
-``scorer`` argument of :func:`extract_decisions`.
 """
 
 from __future__ import annotations
@@ -17,19 +14,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable
 
 from .corpus import Artifact, Sentence
 
 SUBSYSTEM_PREFIX_RE = re.compile(r"^[a-z0-9_, \-]+:\s*")
 _FIRST_WORD_RE = re.compile(r"[a-z0-9_]+")
 
-Scorer = Callable[[Sentence, Artifact], float]
-
 
 @dataclass(frozen=True)
 class DecisionLexicon:
-    """Lowercase verb/phrase sets driving the default scorer."""
+    """Lowercase verb/phrase sets driving the scorer."""
 
     action_verbs: frozenset[str]
     cue_phrases: frozenset[str]
@@ -122,19 +116,15 @@ def extract_decisions(
     sentences: list[Sentence],
     lexicon: DecisionLexicon,
     threshold: float,
-    scorer: Scorer | None = None,
 ) -> list[Decision]:
     """One decision per sentence whose score reaches the threshold."""
     if any(s.artifact_id != artifact.id for s in sentences):
         raise ValueError("sentences do not belong to the given artifact")
-
-    def default_scorer(sentence: Sentence, art: Artifact) -> float:
-        return score_decision(sentence, lexicon, is_summary_sentence(art, sentence))
-
-    score_fn = scorer if scorer is not None else default_scorer
     decisions = []
     for sentence in sentences:
-        score = score_fn(sentence, artifact)
+        score = score_decision(
+            sentence, lexicon, is_summary_sentence(artifact, sentence)
+        )
         if score >= threshold:
             decisions.append(
                 Decision(

@@ -20,7 +20,7 @@ from typing import AbstractSet, Iterable, Mapping, NamedTuple
 from .corpus import Artifact
 from .decisions import Decision, strip_subsystem_prefix
 from .rationale import RationaleSpan
-from .textsim import SimilarityProvider, TfIdfModel, vectorize
+from .textsim import TfIdfModel, TfIdfProvider, vectorize
 
 SIMILAR = "similar"
 HISTORY = "history"
@@ -45,7 +45,6 @@ _HISTORY_WEIGHTS = {
 }
 
 _REVERTS_COMMIT_RE = re.compile(r"This reverts commit ([0-9a-f]{7,40})\b")
-_HEX_TOKEN_RE = re.compile(r"\b[0-9a-f]{7,40}\b")
 _RAW_WORD_RE = re.compile(r"[a-z0-9_']+")
 _WORD_RUN_RE = re.compile(r"\w+")
 _HEX_RUN_RE = re.compile(r"[0-9a-f]{7,40}")
@@ -107,7 +106,7 @@ def jaccard(a: AbstractSet[str], b: AbstractSet[str]) -> float:
 
 def cluster_topics(
     decisions: list[Decision],
-    provider: SimilarityProvider,
+    provider: TfIdfProvider,
     relatedness_threshold: float,
     contexts: Mapping[str, str],
 ) -> list[Topic]:
@@ -166,7 +165,7 @@ def title_topic(
 
 def detect_similar(
     decisions: list[Decision],
-    provider: SimilarityProvider,
+    provider: TfIdfProvider,
     similar_threshold: float,
     documents: Mapping[str, str],
 ) -> list[RelationEdge]:
@@ -191,11 +190,6 @@ def detect_similar(
     return edges
 
 
-@functools.lru_cache(maxsize=4096)
-def _hex_tokens(haystack: str) -> tuple[str, ...]:
-    return tuple(_HEX_TOKEN_RE.findall(haystack))
-
-
 def _mentions_reference(later: Artifact, earlier: Artifact) -> bool:
     haystacks = [later.body] + [v for vs in later.trailers.values() for v in vs]
     phrase = earlier.summary
@@ -205,9 +199,8 @@ def _mentions_reference(later: Artifact, earlier: Artifact) -> bool:
             return True
         if bare and bare != phrase and bare in haystack:
             return True
-        for token in _hex_tokens(haystack):
-            if len(token) >= 7 and earlier.id.startswith(token):
-                return True
+        if any(earlier.id.startswith(token) for token in _word_runs(haystack)[1]):
+            return True
     return False
 
 

@@ -1,9 +1,7 @@
 """Deterministic TF-IDF cosine similarity over a fixed corpus.
 
-This is the default similarity provider behind topic clustering, similar
-edges, and the validation checks.  Scores are corpus-dependent and fully
-reproducible; anything smarter (embeddings, learned relatedness) can be
-swapped in through the :class:`SimilarityProvider` protocol.
+This is the similarity behind topic clustering, similar edges, and the
+validation checks.  Scores are corpus-dependent and fully reproducible.
 """
 
 from __future__ import annotations
@@ -11,18 +9,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
 DEFAULT_STOPWORDS = frozenset()
-
-
-class SimilarityProvider(Protocol):
-    """Anything that scores two texts symmetrically into [0, 1]."""
-
-    def score(self, text_a: str, text_b: str) -> float:  # pragma: no cover
-        ...
 
 
 def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
@@ -112,7 +103,7 @@ def similarity(model: TfIdfModel, text_a: str, text_b: str) -> float:
 
 
 class TfIdfProvider:
-    """SimilarityProvider backed by a fixed TfIdfModel.
+    """Scores two texts symmetrically into [0, 1] under a fixed TfIdfModel.
 
     Each distinct text is vectorized once per provider: its vector and norm
     are kept for the provider's lifetime, which is one command.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .config import Config, default_config
 from .graph import RdGraph, graph_violations, rationales_of
 from .relations import (
     CONTRADICTS,
@@ -18,7 +19,7 @@ from .relations import (
     contradiction_score,
     decision_document,
 )
-from .textsim import SimilarityProvider
+from .textsim import TfIdfProvider, build_model
 
 INCONSISTENT_REASONING = "inconsistent-reasoning"
 DUPLICATE_RATIONALE = "duplicate-rationale"
@@ -55,32 +56,33 @@ def _sorted_findings(findings: list[ValidationFinding]) -> list[ValidationFindin
     )
 
 
-def _joined_rationale(graph: RdGraph, decision_id: str) -> str:
-    return " ".join(span.text for span in rationales_of(graph, decision_id))
-
-
 def check_rationale_consistency(
-    graph: RdGraph,
-    provider: SimilarityProvider,
-    consistency_threshold: float = 0.2,
-    duplicate_threshold: float = 0.9,
-    keywords: frozenset[str] = frozenset({"revert", "remove", "disable"}),
-    negation_cues: frozenset[str] = frozenset({"no", "not", "never", "n't"}),
-    stopwords: frozenset[str] = frozenset(),
+    graph: RdGraph, config: Config | None = None
 ) -> list[ValidationFinding]:
     """Compare the rationales of every similar decision pair.
 
     Contradicting rationales signal inconsistent reasoning; near-identical
-    ones signal the same rationale reused for different decisions.  The
-    provider must be built over the graph's rationale texts.
+    ones signal the same rationale reused for different decisions.  Scores
+    come from a model fitted over the graph's non-empty joined rationales;
+    a graph without any rationale text has no findings.
     """
+    cfg = config if config is not None else default_config()
+    rationales = {
+        decision_id: " ".join(span.text for span in rationales_of(graph, decision_id))
+        for decision_id in graph.decisions
+    }
+    texts = [text for text in rationales.values() if text]
+    if not texts:
+        return []
+    provider = TfIdfProvider(build_model(texts, cfg.stopwords))
+    lexicons = (cfg.contradiction_keywords, cfg.negation_cues, cfg.stopwords)
     findings: list[ValidationFinding] = []
     for edge in graph.relation_edges:
         if edge.kind != SIMILAR:
             continue
         subjects = tuple(sorted((edge.from_id, edge.to_id)))
-        text_a = _joined_rationale(graph, edge.from_id)
-        text_b = _joined_rationale(graph, edge.to_id)
+        text_a = rationales[edge.from_id]
+        text_b = rationales[edge.to_id]
         if not text_a or not text_b:
             missing = [
                 d for d, t in ((edge.from_id, text_a), (edge.to_id, text_b)) if not t
@@ -98,12 +100,8 @@ def check_rationale_consistency(
                 )
             )
             continue
-        contra, _ = contradiction_score(
-            text_a, text_b, keywords, negation_cues, stopwords
-        )
-        contra_rev, _ = contradiction_score(
-            text_b, text_a, keywords, negation_cues, stopwords
-        )
+        contra, _ = contradiction_score(text_a, text_b, *lexicons)
+        contra_rev, _ = contradiction_score(text_b, text_a, *lexicons)
         if max(contra, contra_rev) > 0.0:
             findings.append(
                 ValidationFinding(
@@ -119,12 +117,12 @@ def check_rationale_consistency(
             )
             continue
         score = provider.score(text_a, text_b)
-        if score >= duplicate_threshold:
+        if score >= cfg.thresholds.duplicate:
             kind, message = DUPLICATE_RATIONALE, (
                 f"decisions {subjects[0]} and {subjects[1]} share the same "
                 f"rationale (similarity {score:.2f})"
             )
-        elif score >= consistency_threshold:
+        elif score >= cfg.thresholds.consistency:
             kind, message = CONSISTENT_PAIR, (
                 f"rationales of {subjects[0]} and {subjects[1]} are consistent "
                 f"(similarity {score:.2f})"
@@ -157,20 +155,21 @@ def graph_documents(graph: RdGraph) -> dict[str, str]:
 
 
 def check_new_decision(
-    graph: RdGraph,
-    candidate_text: str,
-    provider: SimilarityProvider,
-    similar_threshold: float = 0.25,
-    k: int = 2,
+    graph: RdGraph, candidate_text: str, config: Config | None = None
 ) -> list[ValidationFinding]:
     """Warn when a proposed decision resembles one entangled in contradictions.
 
-    The provider must be built over the graph decision documents plus the
-    candidate.  One hop is spent linking the candidate to a similar decision;
-    the remaining k-1 hops walk similar neighbors and contradicts edges.
+    Scores come from a model fitted over the graph decision documents plus
+    the candidate.  One hop of ``config.k`` is spent linking the candidate to
+    a decision at or above ``thresholds.similar``; the remaining k-1 hops
+    walk similar neighbors and contradicts edges.
     """
-    findings: list[ValidationFinding] = []
+    cfg = config if config is not None else default_config()
     documents = graph_documents(graph)
+    provider = TfIdfProvider(
+        build_model([*documents.values(), candidate_text], cfg.stopwords)
+    )
+    findings: list[ValidationFinding] = []
     # Each decision's similar neighbours and contradicts edges, in edge order
     # (a graph has no self edges, so each edge is listed once per end).
     similar_by_id: dict[str, list[tuple[str, RelationEdge]]] = {}
@@ -199,7 +198,7 @@ def check_new_decision(
                 )
             )
             continue
-        if score < similar_threshold:
+        if score < cfg.thresholds.similar:
             continue
         targets: list[tuple[str, tuple[RelationEdge, ...]]] = [(decision_id, ())]
         targets.extend(
@@ -208,7 +207,7 @@ def check_new_decision(
         for target_id, prefix in targets:
             for edge in contradicts_by_id.get(target_id, ()):
                 path = prefix + (edge,)
-                if 1 + len(path) > k:
+                if 1 + len(path) > cfg.k:
                     continue
                 target = graph.decisions[target_id]
                 findings.append(

@@ -143,19 +143,6 @@ def test_extract_threshold_zero_takes_every_sentence(lexicon):
     assert len(decisions) == len(sentences)
 
 
-def test_constant_zero_scorer_extracts_nothing(fixture_artifacts, lexicon):
-    artifact = fixture_artifacts[0]
-    sentences = segment_sentences(artifact)
-    assert extract_decisions(artifact, sentences, lexicon, 0.5, scorer=lambda s, a: 0.0) == []
-
-
-def test_constant_one_scorer_extracts_everything(fixture_artifacts, lexicon):
-    artifact = fixture_artifacts[0]
-    sentences = segment_sentences(artifact)
-    decisions = extract_decisions(artifact, sentences, lexicon, 0.5, scorer=lambda s, a: 1.0)
-    assert len(decisions) == len(sentences)
-
-
 def test_default_scorer_on_fixture_extracts_exactly_the_five_summaries(
     fixture_artifacts, lexicon, config
 ):

@@ -6,7 +6,7 @@ import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
@@ -234,6 +234,24 @@ def test_explicit_reference_via_id_prefix():
     assert detect_history(later, earlier, artifacts, 0.5) is None
 
 
+_HEX_DIGITS = "0123456789abcdef"
+_WORD_PIECE = st.one_of(
+    st.sampled_from([6, 7, 40, 41]).flatmap(
+        lambda n: st.text(_HEX_DIGITS, min_size=n, max_size=n)
+    ),
+    st.text(_HEX_DIGITS.upper(), min_size=7, max_size=8),
+    st.sampled_from(["_", "7", "x", "é", "ß", "٣", " ", "-", ".", "\n", "/"]),
+)
+
+
+@given(st.lists(_WORD_PIECE, max_size=12).map("".join))
+@example("deadbee_ deadbeef é1234567 1234567٣ cafe42 " + "a" * 40 + " " + "b" * 41)
+@settings(max_examples=300)
+def test_word_runs_hex_tokens_are_the_hex_words(text):
+    reference = set(re.findall(r"\b[0-9a-f]{7,40}\b", text))
+    assert relations._word_runs(text)[1] == reference
+
+
 def test_contradicts_via_revert_metadata(fixture_graph):
     contradicts = [e for e in fixture_graph.relation_edges if e.kind == CONTRADICTS]
     assert {(e.from_id, e.to_id) for e in contradicts} == {(D3, D1), (D3, D2)}
@@ -399,7 +417,7 @@ def test_pair_work_vectorizes_each_text_once(vectorize_calls, config):
 
     vectorize_calls.clear()
     candidate = "add the alpha memory cache handler"
-    check_new_decision(graph, candidate, TfIdfProvider(build_model(docs + [candidate])))
+    check_new_decision(graph, candidate, config)
     assert vectorize_calls[candidate] == 1
     assert max(vectorize_calls.values()) == 1
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import graphlib
 import json
 from dataclasses import replace
@@ -22,8 +23,10 @@ from rdgraph import (
     save,
     validate_structure,
 )
+from rdgraph import validate
+from rdgraph.cli import main
 from rdgraph.decisions import Decision
-from rdgraph.graph import RdGraph
+from rdgraph.graph import RdGraph, rationales_of
 from rdgraph.rationale import PURPOSE, RationaleSpan
 from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR, RelationEdge, Topic
 from rdgraph.textsim import TfIdfProvider
@@ -44,28 +47,8 @@ from rdgraph.validate import (
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
-def rationale_provider(graph, config):
-    texts = [
-        " ".join(graph.rationales[r].text for r in rids)
-        for rids in graph.rationale_edges.values()
-    ]
-    return TfIdfProvider(build_model([t for t in texts if t], config.stopwords))
-
-
-def check_args(config):
-    return dict(
-        consistency_threshold=config.thresholds.consistency,
-        duplicate_threshold=config.thresholds.duplicate,
-        keywords=config.contradiction_keywords,
-        negation_cues=config.negation_cues,
-        stopwords=config.stopwords,
-    )
-
-
 def test_fixture_similar_pair_is_consistent(fixture_graph, config):
-    findings = check_rationale_consistency(
-        fixture_graph, rationale_provider(fixture_graph, config), **check_args(config)
-    )
+    findings = check_rationale_consistency(fixture_graph, config)
     assert len(findings) == 1
     finding = findings[0]
     assert finding.kind == CONSISTENT_PAIR
@@ -117,34 +100,26 @@ def test_contradicting_rationales_flag_inconsistent_reasoning(config):
         "we need the extra buffering for bursts",
         "there is no need for extra buffering",
     )
-    findings = check_rationale_consistency(
-        graph, rationale_provider(graph, config), **check_args(config)
-    )
+    findings = check_rationale_consistency(graph, config)
     assert [f.kind for f in findings] == [INCONSISTENT_REASONING]
     assert findings[0].severity == "warning"
 
 
 def test_identical_rationales_flag_duplicates(config):
     graph = pair_graph("keep latency low under load", "keep latency low under load")
-    findings = check_rationale_consistency(
-        graph, rationale_provider(graph, config), **check_args(config)
-    )
+    findings = check_rationale_consistency(graph, config)
     assert [f.kind for f in findings] == [DUPLICATE_RATIONALE]
 
 
 def test_unrelated_rationales_report_low_similarity(config):
     graph = pair_graph("keep latency low", "simplify the build scripts")
-    findings = check_rationale_consistency(
-        graph, rationale_provider(graph, config), **check_args(config)
-    )
+    findings = check_rationale_consistency(graph, config)
     assert [f.kind for f in findings] == [LOW_SIMILARITY]
 
 
 def test_missing_rationale_is_skipped_with_a_note(config):
     graph = pair_graph("keep latency low", None)
-    findings = check_rationale_consistency(
-        graph, rationale_provider(graph, config), **check_args(config)
-    )
+    findings = check_rationale_consistency(graph, config)
     assert [f.kind for f in findings] == [MISSING_RATIONALE]
 
 
@@ -152,25 +127,50 @@ def test_no_similar_edges_no_pair_findings(config):
     d0 = make_decision(0, "mm: one thing")
     topic = Topic(id="t1", title="", member_decision_ids=(d0.id,))
     graph = build_graph([d0], [make_span(d0.id, "why not")], [topic], [])
-    findings = check_rationale_consistency(
-        graph, rationale_provider(graph, config), **check_args(config)
-    )
+    findings = check_rationale_consistency(graph, config)
     assert findings == []
 
 
-def check_provider(graph, candidate, config):
-    docs = list(graph_documents(graph).values())
-    return TfIdfProvider(build_model(docs + [candidate], config.stopwords))
+def test_similar_pair_without_any_rationale_has_no_findings(tmp_path, capsys, config):
+    graph = pair_graph(None, None)
+    assert check_rationale_consistency(graph, config) == []
+    path = tmp_path / "graph.json"
+    path.write_text(save(graph), encoding="utf-8")
+    assert main(["validate", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "no findings\n"
+
+
+def test_each_rationale_is_joined_once(monkeypatch, config):
+    decisions = [make_decision(n, f"mm: add cache layer {n}") for n in range(8)]
+    spans = [make_span(d.id, f"keep latency low under load {d.id}") for d in decisions]
+    edges = [
+        RelationEdge(kind=SIMILAR, from_id=a.id, to_id=b.id, score=0.9)
+        for i, a in enumerate(decisions)
+        for b in decisions[i + 1 :]
+    ]
+    members = tuple(d.id for d in decisions)
+    topic = Topic(id="t1", title="cache", member_decision_ids=members)
+    graph = build_graph(decisions, spans, [topic], edges)
+    calls = collections.Counter()
+
+    def counting(graph, decision_id):
+        calls[decision_id] += 1
+        return rationales_of(graph, decision_id)
+
+    monkeypatch.setattr(validate, "rationales_of", counting)
+    findings = check_rationale_consistency(graph, config)
+    assert len(findings) == len(edges) == 28
+    # Joining at both ends of every similar edge would make 56 calls.
+    assert calls == {d.id: 1 for d in decisions}
 
 
 def test_proposed_mrelease_conflicts_via_the_revert(
     fixture_graph_d1_d4, fixture_artifacts, config
 ):
     candidate = normalized_text(fixture_artifacts[4])
-    provider = check_provider(fixture_graph_d1_d4, candidate, config)
-    findings = check_new_decision(
-        fixture_graph_d1_d4, candidate, provider, config.thresholds.similar, config.k
-    )
+    findings = check_new_decision(fixture_graph_d1_d4, candidate, config)
     conflicts = [f for f in findings if f.kind == CONFLICT_WARNING]
     assert conflicts, findings
     assert any(
@@ -183,23 +183,13 @@ def test_proposed_mrelease_conflicts_via_the_revert(
 
 def test_disjoint_candidate_yields_no_findings(fixture_graph, config):
     candidate = "docs: clarify the frobnicator manual"
-    provider = check_provider(fixture_graph, candidate, config)
-    assert (
-        check_new_decision(
-            fixture_graph, candidate, provider, config.thresholds.similar, config.k
-        )
-        == []
-    )
+    assert check_new_decision(fixture_graph, candidate, config) == []
 
 
 def test_candidate_identical_to_a_decision_is_a_duplicate(fixture_graph, config):
     candidate = graph_documents(fixture_graph)[D4]
     assert candidate == "mm, oom: introduce oom reaper"  # D4 carries no rationale
-    provider = check_provider(fixture_graph, candidate, config)
-    assert provider.score(candidate, candidate) == 1.0
-    findings = check_new_decision(
-        fixture_graph, candidate, provider, config.thresholds.similar, config.k
-    )
+    findings = check_new_decision(fixture_graph, candidate, config)
     duplicates = [f for f in findings if f.kind == DUPLICATE_RATIONALE]
     assert len(duplicates) == 1
     assert duplicates[0].subject_ids == (D4,)
@@ -208,8 +198,8 @@ def test_candidate_identical_to_a_decision_is_a_duplicate(fixture_graph, config)
 def test_check_new_decision_does_not_mutate_the_graph(fixture_graph, config):
     before = save(fixture_graph)
     candidate = "oom: raise the dying task priority again"
-    provider = check_provider(fixture_graph, candidate, config)
-    check_new_decision(fixture_graph, candidate, provider, 0.01, 4)
+    loose = replace(config, k=4, thresholds=replace(config.thresholds, similar=0.01))
+    check_new_decision(fixture_graph, candidate, loose)
     assert save(fixture_graph) == before
 
 
@@ -217,11 +207,12 @@ def test_conflict_paths_start_at_a_similar_decision(
     fixture_graph_d1_d4, fixture_artifacts, config
 ):
     candidate = normalized_text(fixture_artifacts[4])
-    provider = check_provider(fixture_graph_d1_d4, candidate, config)
     documents = graph_documents(fixture_graph_d1_d4)
-    findings = check_new_decision(
-        fixture_graph_d1_d4, candidate, provider, config.thresholds.similar, config.k
+    # A test-side model over the same corpus is the oracle for the anchors.
+    provider = TfIdfProvider(
+        build_model([*documents.values(), candidate], config.stopwords)
     )
+    findings = check_new_decision(fixture_graph_d1_d4, candidate, config)
     for finding in findings:
         if finding.kind != CONFLICT_WARNING:
             continue
@@ -243,13 +234,8 @@ def test_larger_hop_budget_reaches_the_second_revert(
     fixture_graph_d1_d4, fixture_artifacts, config
 ):
     candidate = normalized_text(fixture_artifacts[4])
-    provider = check_provider(fixture_graph_d1_d4, candidate, config)
-    near = check_new_decision(
-        fixture_graph_d1_d4, candidate, provider, config.thresholds.similar, k=2
-    )
-    far = check_new_decision(
-        fixture_graph_d1_d4, candidate, provider, config.thresholds.similar, k=3
-    )
+    near = check_new_decision(fixture_graph_d1_d4, candidate, replace(config, k=2))
+    far = check_new_decision(fixture_graph_d1_d4, candidate, replace(config, k=3))
     assert len(far) > len(near)
     assert any(len(f.path) == 2 for f in far if f.kind == CONFLICT_WARNING)
     assert all(len(f.path) <= 1 for f in near if f.kind == CONFLICT_WARNING)
@@ -484,10 +470,7 @@ def test_validate_structure_reports_missing_source(fixture_graph):
 
 def test_findings_serialize_to_json_lines(fixture_graph_d1_d4, fixture_artifacts, config):
     candidate = normalized_text(fixture_artifacts[4])
-    provider = check_provider(fixture_graph_d1_d4, candidate, config)
-    findings = check_new_decision(
-        fixture_graph_d1_d4, candidate, provider, config.thresholds.similar, config.k
-    )
+    findings = check_new_decision(fixture_graph_d1_d4, candidate, config)
     payload = findings_to_jsonl(findings)
     rows = [json.loads(line) for line in payload.strip().split("\n")]
     assert rows == [finding_to_dict(f) for f in findings]
