@@ -8,7 +8,6 @@ import itertools
 from pathlib import Path
 
 from rdgraph import (
-    build_model,
     cluster_topics,
     default_config,
     normalized_text,
@@ -27,8 +26,8 @@ print("tokenizer:", tokenize("Give the dying task a higher priority", config.sto
 
 # The model is corpus-wide: idf comes from every artifact's full text.
 docs = [normalized_text(a) for a in artifacts]
-model = build_model(docs, config.stopwords)
-provider = TfIdfProvider(model)
+provider = TfIdfProvider.fit(docs, config.stopwords)
+model = provider.model
 print(f"vocabulary size: {len(model.vocabulary)} over {model.doc_count} documents\n")
 
 labels = [a.summary.split(":")[0] for a in artifacts]

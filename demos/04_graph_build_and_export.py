@@ -47,6 +47,5 @@ assert load(text) == graph
 print(f"\ngraph file: {len(text.encode())} bytes, round-trips exactly")
 
 dot = export_dot(graph)
-Path("/tmp/rdgraph-demo.dot").write_text(dot)
-print(f"DOT export written to /tmp/rdgraph-demo.dot ({dot.count(chr(10))} lines);")
-print("render it with:  dot -Tsvg /tmp/rdgraph-demo.dot -o /tmp/rdgraph-demo.svg")
+print(f"DOT export: {dot.count(chr(10))} lines; to write and render it:")
+print("  rdgraph export GRAPH --dot -o rdgraph.dot && dot -Tsvg rdgraph.dot -o rdgraph.svg")

@@ -48,6 +48,6 @@ for finding in warnings:
         print(f"    path edge: {edge.from_id[:12]} -{edge.kind}-> {edge.to_id[:12]}")
 
 print("\nsame check via the command line:")
-print("  rdgraph build fixtures/oom/artifacts-d1-d4.jsonl -o /tmp/old-graph.json")
-print("  rdgraph check /tmp/old-graph.json --file fixtures/oom/proposed-mrelease.txt")
+print("  rdgraph build fixtures/oom/artifacts-d1-d4.jsonl -o old-graph.json")
+print("  rdgraph check old-graph.json --file fixtures/oom/proposed-mrelease.txt")
 print("(exits 1 because a conflict warning fired)")

@@ -430,118 +430,242 @@ def load(text: str) -> RdGraph:
         raise GraphError(f"graph file: number out of range: {exc}") from exc
 
 
+# The exact key set of each record kind, as ``save`` writes it.
+_DECISION_KEYS = frozenset(
+    ("artifact_id", "author", "files_touched", "id", "score", "source_uri",
+     "text", "timestamp")
+)
+_RATIONALE_KEYS = frozenset(
+    ("artifact_id", "decision_id", "end", "id", "marker", "role",
+     "same_sentence", "start", "text")
+)
+_TOPIC_KEYS = frozenset(("id", "members", "title"))
+_SOURCE_KEYS = frozenset(("artifact_kind", "id", "uri"))
+_EDGE_KEYS = frozenset(("evidence", "from", "kind", "score", "to"))
+_EVIDENCE_KEYS = frozenset(("detail", "feature", "weight"))
+
+
+def _field(obj: dict, key: str, types: type, path: str):
+    """``obj[key]`` when its type is exactly ``types``, else ``_expect``'s verdict."""
+    value = obj.get(key)
+    return value if type(value) is types else _expect(obj, key, types, path)
+
+
 def _graph_from_doc(doc: dict) -> RdGraph:
-    version = _expect(doc, "rdg_version", int, "graph")
+    """The graph of a parsed document, each record checked once.
+
+    A record of exactly the shape ``save`` writes (its key set, and the exact
+    JSON type of every value) is built in one step.  Any other record, or one
+    whose constructor raises, goes through the per-field ``_checked_*``
+    functions: they build what the format also accepts (int scores, bool
+    offsets, extra keys) and otherwise raise the first error in field order.
+    Records are never falsy, so ``or`` picks the fallback only for None.
+    """
+    version = _field(doc, "rdg_version", int, "graph")
     if version != RDG_VERSION:
         raise GraphError(f"unsupported rdg_version {version}")
-
-    decisions = []
-    for n, obj in enumerate(_expect(doc, "decisions", list, "graph")):
-        path = f"decisions[{n}]"
-        if not isinstance(obj, dict):
-            raise GraphError(f"{path}: expected object")
-        files = _expect(obj, "files_touched", list, path)
-        if not all(isinstance(f, str) for f in files):
-            raise GraphError(f"{path}.files_touched: expected strings")
-        try:
-            timestamp = parse_timestamp(_expect(obj, "timestamp", str, path))
-        except ValueError as exc:
-            raise GraphError(f"{path}.timestamp: {exc}") from exc
-        decisions.append(
-            Decision(
-                id=_expect(obj, "id", str, path),
-                text=_expect(obj, "text", str, path),
-                artifact_id=_expect(obj, "artifact_id", str, path),
-                source_uri=_expect(obj, "source_uri", str, path),
-                timestamp=timestamp,
-                score=float(_expect(obj, "score", (int, float), path)),
-                author=_expect(obj, "author", str, path),
-                files_touched=tuple(files),
-            )
-        )
-
-    rationales = []
-    for n, obj in enumerate(_expect(doc, "rationales", list, "graph")):
-        path = f"rationales[{n}]"
-        if not isinstance(obj, dict):
-            raise GraphError(f"{path}: expected object")
-        rationales.append(
-            RationaleSpan(
-                id=_expect(obj, "id", str, path),
-                decision_id=_expect(obj, "decision_id", str, path),
-                artifact_id=_expect(obj, "artifact_id", str, path),
-                role=_expect(obj, "role", str, path),
-                marker=_expect(obj, "marker", str, path),
-                text=_expect(obj, "text", str, path),
-                start=_expect(obj, "start", int, path),
-                end=_expect(obj, "end", int, path),
-                same_sentence=_expect(obj, "same_sentence", bool, path),
-            )
-        )
-
-    topics = []
-    for n, obj in enumerate(_expect(doc, "topics", list, "graph")):
-        path = f"topics[{n}]"
-        if not isinstance(obj, dict):
-            raise GraphError(f"{path}: expected object")
-        members = _expect(obj, "members", list, path)
-        if not all(isinstance(m, str) for m in members):
-            raise GraphError(f"{path}.members: expected strings")
-        topics.append(
-            Topic(
-                id=_expect(obj, "id", str, path),
-                title=_expect(obj, "title", str, path),
-                member_decision_ids=tuple(members),
-            )
-        )
-
-    sources = []
-    for n, obj in enumerate(_expect(doc, "sources", list, "graph")):
-        path = f"sources[{n}]"
-        if not isinstance(obj, dict):
-            raise GraphError(f"{path}: expected object")
-        try:
-            sources.append(
-                SourceRef(
-                    id=_expect(obj, "id", str, path),
-                    uri=_expect(obj, "uri", str, path),
-                    artifact_kind=_expect(obj, "artifact_kind", str, path),
-                )
-            )
-        except ValueError as exc:
-            raise GraphError(f"{path}: {exc}") from exc
-
-    edges = []
-    for n, obj in enumerate(_expect(doc, "edges", list, "graph")):
-        path = f"edges[{n}]"
-        if not isinstance(obj, dict):
-            raise GraphError(f"{path}: expected object")
-        evidence = []
-        for m, ev in enumerate(_expect(obj, "evidence", list, path)):
-            ev_path = f"{path}.evidence[{m}]"
-            if not isinstance(ev, dict):
-                raise GraphError(f"{ev_path}: expected object")
-            try:
-                evidence.append(
-                    Evidence(
-                        feature=_expect(ev, "feature", str, ev_path),
-                        detail=_expect(ev, "detail", str, ev_path),
-                        weight=float(_expect(ev, "weight", (int, float), ev_path)),
-                    )
-                )
-            except ValueError as exc:
-                raise GraphError(f"{ev_path}: {exc}") from exc
-        edges.append(
-            RelationEdge(
-                kind=_expect(obj, "kind", str, path),
-                from_id=_expect(obj, "from", str, path),
-                to_id=_expect(obj, "to", str, path),
-                score=float(_expect(obj, "score", (int, float), path)),
-                evidence=tuple(evidence),
-            )
-        )
-
+    decisions = [
+        _decision(obj) or _checked_decision(obj, f"decisions[{n}]")
+        for n, obj in enumerate(_field(doc, "decisions", list, "graph"))
+    ]
+    rationales = [
+        _rationale(obj) or _checked_rationale(obj, f"rationales[{n}]")
+        for n, obj in enumerate(_field(doc, "rationales", list, "graph"))
+    ]
+    topics = [
+        _topic(obj) or _checked_topic(obj, f"topics[{n}]")
+        for n, obj in enumerate(_field(doc, "topics", list, "graph"))
+    ]
+    sources = [
+        _source(obj) or _checked_source(obj, f"sources[{n}]")
+        for n, obj in enumerate(_field(doc, "sources", list, "graph"))
+    ]
+    edges = [
+        _edge(obj) or _checked_edge(obj, f"edges[{n}]")
+        for n, obj in enumerate(_field(doc, "edges", list, "graph"))
+    ]
     return build_graph(decisions, rationales, topics, edges, sources)
+
+
+def _decision(obj: object) -> Decision | None:
+    if type(obj) is not dict or obj.keys() != _DECISION_KEYS:
+        return None
+    id_, text, artifact_id, source_uri, stamp, score, author, files = (
+        obj["id"], obj["text"], obj["artifact_id"], obj["source_uri"],
+        obj["timestamp"], obj["score"], obj["author"], obj["files_touched"],
+    )
+    if not (
+        type(id_) is str and type(text) is str and type(artifact_id) is str
+        and type(source_uri) is str and type(stamp) is str
+        and type(score) is float and type(author) is str
+        and type(files) is list and all(type(f) is str for f in files)
+    ):
+        return None
+    try:
+        timestamp = parse_timestamp(stamp)
+    except ValueError:
+        return None
+    return Decision(
+        id_, text, artifact_id, source_uri, timestamp, score, author, tuple(files)
+    )
+
+
+def _rationale(obj: object) -> RationaleSpan | None:
+    if type(obj) is not dict or obj.keys() != _RATIONALE_KEYS:
+        return None
+    id_, decision_id, artifact_id, role, marker, text, start, end, same = (
+        obj["id"], obj["decision_id"], obj["artifact_id"], obj["role"],
+        obj["marker"], obj["text"], obj["start"], obj["end"], obj["same_sentence"],
+    )
+    if not (
+        type(id_) is str and type(decision_id) is str and type(artifact_id) is str
+        and type(role) is str and type(marker) is str and type(text) is str
+        and type(start) is int and type(end) is int and type(same) is bool
+    ):
+        return None
+    return RationaleSpan(
+        id_, decision_id, artifact_id, role, marker, text, start, end, same
+    )
+
+
+def _topic(obj: object) -> Topic | None:
+    if type(obj) is not dict or obj.keys() != _TOPIC_KEYS:
+        return None
+    id_, title, members = obj["id"], obj["title"], obj["members"]
+    if not (
+        type(id_) is str and type(title) is str and type(members) is list
+        and all(type(m) is str for m in members)
+    ):
+        return None
+    return Topic(id_, title, tuple(members))
+
+
+def _source(obj: object) -> SourceRef | None:
+    if type(obj) is not dict or obj.keys() != _SOURCE_KEYS:
+        return None
+    id_, uri, kind = obj["id"], obj["uri"], obj["artifact_kind"]
+    if not (type(id_) is str and type(uri) is str and type(kind) is str):
+        return None
+    try:
+        return SourceRef(id_, uri, kind)
+    except ValueError:
+        return None
+
+
+def _edge(obj: object) -> RelationEdge | None:
+    if type(obj) is not dict or obj.keys() != _EDGE_KEYS:
+        return None
+    kind, from_id, to_id, score, records = (
+        obj["kind"], obj["from"], obj["to"], obj["score"], obj["evidence"]
+    )
+    if not (
+        type(kind) is str and type(from_id) is str and type(to_id) is str
+        and type(score) is float and type(records) is list
+    ):
+        return None
+    evidence = []
+    for ev in records:
+        if type(ev) is not dict or ev.keys() != _EVIDENCE_KEYS:
+            return None
+        feature, detail, weight = ev["feature"], ev["detail"], ev["weight"]
+        if not (type(feature) is str and type(detail) is str and type(weight) is float):
+            return None
+        try:
+            evidence.append(Evidence(feature, detail, weight))
+        except ValueError:
+            return None
+    return RelationEdge(kind, from_id, to_id, score, tuple(evidence))
+
+
+def _checked_decision(obj: object, path: str) -> Decision:
+    if not isinstance(obj, dict):
+        raise GraphError(f"{path}: expected object")
+    files = _expect(obj, "files_touched", list, path)
+    if not all(isinstance(f, str) for f in files):
+        raise GraphError(f"{path}.files_touched: expected strings")
+    try:
+        timestamp = parse_timestamp(_expect(obj, "timestamp", str, path))
+    except ValueError as exc:
+        raise GraphError(f"{path}.timestamp: {exc}") from exc
+    return Decision(
+        id=_expect(obj, "id", str, path),
+        text=_expect(obj, "text", str, path),
+        artifact_id=_expect(obj, "artifact_id", str, path),
+        source_uri=_expect(obj, "source_uri", str, path),
+        timestamp=timestamp,
+        score=float(_expect(obj, "score", (int, float), path)),
+        author=_expect(obj, "author", str, path),
+        files_touched=tuple(files),
+    )
+
+
+def _checked_rationale(obj: object, path: str) -> RationaleSpan:
+    if not isinstance(obj, dict):
+        raise GraphError(f"{path}: expected object")
+    return RationaleSpan(
+        id=_expect(obj, "id", str, path),
+        decision_id=_expect(obj, "decision_id", str, path),
+        artifact_id=_expect(obj, "artifact_id", str, path),
+        role=_expect(obj, "role", str, path),
+        marker=_expect(obj, "marker", str, path),
+        text=_expect(obj, "text", str, path),
+        start=_expect(obj, "start", int, path),
+        end=_expect(obj, "end", int, path),
+        same_sentence=_expect(obj, "same_sentence", bool, path),
+    )
+
+
+def _checked_topic(obj: object, path: str) -> Topic:
+    if not isinstance(obj, dict):
+        raise GraphError(f"{path}: expected object")
+    members = _expect(obj, "members", list, path)
+    if not all(isinstance(m, str) for m in members):
+        raise GraphError(f"{path}.members: expected strings")
+    return Topic(
+        id=_expect(obj, "id", str, path),
+        title=_expect(obj, "title", str, path),
+        member_decision_ids=tuple(members),
+    )
+
+
+def _checked_source(obj: object, path: str) -> SourceRef:
+    if not isinstance(obj, dict):
+        raise GraphError(f"{path}: expected object")
+    try:
+        return SourceRef(
+            id=_expect(obj, "id", str, path),
+            uri=_expect(obj, "uri", str, path),
+            artifact_kind=_expect(obj, "artifact_kind", str, path),
+        )
+    except ValueError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
+
+
+def _checked_edge(obj: object, path: str) -> RelationEdge:
+    if not isinstance(obj, dict):
+        raise GraphError(f"{path}: expected object")
+    evidence = []
+    for m, ev in enumerate(_expect(obj, "evidence", list, path)):
+        ev_path = f"{path}.evidence[{m}]"
+        if not isinstance(ev, dict):
+            raise GraphError(f"{ev_path}: expected object")
+        try:
+            evidence.append(
+                Evidence(
+                    feature=_expect(ev, "feature", str, ev_path),
+                    detail=_expect(ev, "detail", str, ev_path),
+                    weight=float(_expect(ev, "weight", (int, float), ev_path)),
+                )
+            )
+        except ValueError as exc:
+            raise GraphError(f"{ev_path}: {exc}") from exc
+    return RelationEdge(
+        kind=_expect(obj, "kind", str, path),
+        from_id=_expect(obj, "from", str, path),
+        to_id=_expect(obj, "to", str, path),
+        score=float(_expect(obj, "score", (int, float), path)),
+        evidence=tuple(evidence),
+    )
 
 
 def _dot_escape(text: str) -> str:

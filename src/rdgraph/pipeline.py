@@ -22,7 +22,7 @@ from .relations import (
     detect_similar,
     title_topic,
 )
-from .textsim import TfIdfProvider, build_model
+from .textsim import TfIdfProvider
 
 
 def lexicon_from_config(config: Config) -> DecisionLexicon:
@@ -72,10 +72,9 @@ def build_pipeline(
     if not decisions:
         return build_graph([], [], [], [], [])
 
-    model = build_model(
+    provider = TfIdfProvider.fit(
         [normalized_text(a) for a in artifact_list], cfg.stopwords
     )
-    provider = TfIdfProvider(model)
     contexts = {
         d.id: normalized_text(artifacts_by_id[d.artifact_id]) for d in decisions
     }
@@ -86,7 +85,7 @@ def build_pipeline(
     topics = cluster_topics(decisions, provider, cfg.thresholds.relatedness, contexts)
     sentence_texts = {d.id: d.text for d in decisions}
     topics = [
-        replace(topic, title=title_topic(topic, model, sentence_texts))
+        replace(topic, title=title_topic(topic, provider.model, sentence_texts))
         for topic in topics
     ]
 

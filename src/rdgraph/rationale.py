@@ -9,6 +9,7 @@ pattern "by <gerund>".
 
 from __future__ import annotations
 
+import functools
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -66,6 +67,7 @@ class SpanFragment:
     end: int
 
 
+@functools.lru_cache(maxsize=256)
 def _marker_pattern(marker: str) -> re.Pattern[str]:
     words = [re.escape(w) for w in marker.split()]
     return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)

@@ -49,9 +49,6 @@ _RAW_WORD_RE = re.compile(r"[a-z0-9_']+")
 _WORD_RUN_RE = re.compile(r"\w+")
 _HEX_RUN_RE = re.compile(r"[0-9a-f]{7,40}")
 
-DEFAULT_CONTRADICTION_KEYWORDS = frozenset({"revert", "remove", "disable"})
-DEFAULT_NEGATION_CUES = frozenset({"no", "not", "never", "n't"})
-
 
 @dataclass(frozen=True)
 class Evidence:
@@ -311,16 +308,17 @@ def _sentence_features(
 def contradiction_score(
     later_text: str,
     earlier_text: str,
-    keywords: frozenset[str] = DEFAULT_CONTRADICTION_KEYWORDS,
-    negation_cues: frozenset[str] = DEFAULT_NEGATION_CUES,
-    stopwords: frozenset[str] = frozenset(),
+    keywords: frozenset[str],
+    negation_cues: frozenset[str],
+    stopwords: frozenset[str],
 ) -> tuple[float, tuple[Evidence, ...]]:
     """Default sentence-level contradiction heuristic.
 
-    Keyword rule: the later sentence uses revert/remove/disable and its
-    object overlaps the earlier sentence (0.7).  Negation rule: a shared
-    content token is negated in one sentence but not the other (0.9).
-    Returns (0, ()) when neither rule fires.
+    Keyword rule: the later sentence uses one of ``keywords`` (the config's
+    ``contradiction_keywords``) and its object overlaps the earlier sentence
+    (0.7).  Negation rule: a shared content token is negated (after one of
+    ``negation_cues``) in one sentence but not the other (0.9).  Returns
+    (0, ()) when neither rule fires.
     """
     later = _sentence_features(later_text, negation_cues, stopwords)
     earlier = _sentence_features(earlier_text, negation_cues, stopwords)
@@ -352,9 +350,9 @@ def detect_contradicts(
     later: Decision,
     earlier: Decision,
     artifacts: Mapping[str, Artifact],
-    keywords: frozenset[str] = DEFAULT_CONTRADICTION_KEYWORDS,
-    negation_cues: frozenset[str] = DEFAULT_NEGATION_CUES,
-    stopwords: frozenset[str] = frozenset(),
+    keywords: frozenset[str],
+    negation_cues: frozenset[str],
+    stopwords: frozenset[str],
 ) -> RelationEdge | None:
     """Contradicts edge from the later decision to the earlier one, if any.
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
@@ -39,25 +41,26 @@ class TfIdfModel:
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
 
 
-def build_model(
-    docs: Iterable[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> TfIdfModel:
-    """Fit vocabulary and idf over a corpus; the corpus must be non-empty."""
-    doc_list = list(docs)
-    if not doc_list:
+def _fit(entries: list[Iterable[str]], stopwords: frozenset[str]) -> TfIdfModel:
+    """Vocabulary and idf from each corpus entry's distinct tokens."""
+    if not entries:
         raise ValueError("cannot build a similarity model over an empty corpus")
-    df: dict[str, int] = {}
-    for doc in doc_list:
-        for token in set(tokenize(doc, stopwords)):
-            df[token] = df.get(token, 0) + 1
+    df = Counter(chain.from_iterable(entries))
     vocabulary = {token: i for i, token in enumerate(sorted(df))}
-    n = len(doc_list)
+    n = len(entries)
     idf = tuple(
         math.log((n + 1) / (df[token] + 1)) + 1.0 for token in sorted(df)
     )
     return TfIdfModel(
         vocabulary=vocabulary, idf=idf, doc_count=n, stopwords=stopwords
     )
+
+
+def build_model(
+    docs: Iterable[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS
+) -> TfIdfModel:
+    """Fit vocabulary and idf over a corpus; the corpus must be non-empty."""
+    return _fit([set(tokenize(doc, stopwords)) for doc in docs], stopwords)
 
 
 def vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
@@ -74,9 +77,12 @@ def vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
 _Weighted = tuple[dict[int, float], float]
 
 
-def _weighted(model: TfIdfModel, text: str) -> _Weighted:
-    vector = vectorize(model, text)
+def _with_norm(vector: dict[int, float]) -> _Weighted:
     return vector, math.sqrt(sum(w * w for _, w in sorted(vector.items())))
+
+
+def _weighted(model: TfIdfModel, text: str) -> _Weighted:
+    return _with_norm(vectorize(model, text))
 
 
 def _cosine(a: _Weighted, b: _Weighted) -> float:
@@ -112,6 +118,32 @@ class TfIdfProvider:
     def __init__(self, model: TfIdfModel):
         self.model = model
         self._memo: dict[str, _Weighted] = {}
+
+    @classmethod
+    def fit(
+        cls, docs: Iterable[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS
+    ) -> TfIdfProvider:
+        """A provider over ``build_model(docs, stopwords)``, tokenizing each text once.
+
+        Each distinct corpus text's token counts give both its share of the
+        document frequencies (once per corpus entry, duplicates included)
+        and its vector, which the provider keeps from the start.
+        """
+        counts: dict[str, Counter[str]] = {}
+        entries = []
+        for doc in docs:
+            if doc not in counts:
+                counts[doc] = Counter(tokenize(doc, stopwords))
+            entries.append(counts[doc])
+        provider = cls(_fit(entries, stopwords))
+        vocabulary, idf = provider.model.vocabulary, provider.model.idf
+        for doc, doc_counts in counts.items():
+            vector = {}
+            for token, count in doc_counts.items():
+                index = vocabulary[token]
+                vector[index] = count * idf[index]
+            provider._memo[doc] = _with_norm(vector)
+        return provider
 
     def _lookup(self, text: str) -> _Weighted:
         entry = self._memo.get(text)

@@ -19,7 +19,7 @@ from .relations import (
     contradiction_score,
     decision_document,
 )
-from .textsim import TfIdfProvider, build_model
+from .textsim import TfIdfProvider
 
 INCONSISTENT_REASONING = "inconsistent-reasoning"
 DUPLICATE_RATIONALE = "duplicate-rationale"
@@ -74,7 +74,7 @@ def check_rationale_consistency(
     texts = [text for text in rationales.values() if text]
     if not texts:
         return []
-    provider = TfIdfProvider(build_model(texts, cfg.stopwords))
+    provider = TfIdfProvider.fit(texts, cfg.stopwords)
     lexicons = (cfg.contradiction_keywords, cfg.negation_cues, cfg.stopwords)
     findings: list[ValidationFinding] = []
     for edge in graph.relation_edges:
@@ -166,9 +166,7 @@ def check_new_decision(
     """
     cfg = config if config is not None else default_config()
     documents = graph_documents(graph)
-    provider = TfIdfProvider(
-        build_model([*documents.values(), candidate_text], cfg.stopwords)
-    )
+    provider = TfIdfProvider.fit([*documents.values(), candidate_text], cfg.stopwords)
     findings: list[ValidationFinding] = []
     # Each decision's similar neighbours and contradicts edges, in edge order
     # (a graph has no self edges, so each edge is listed once per end).

@@ -13,8 +13,9 @@ from datetime import datetime, timedelta, timezone
 
 from hypothesis import strategies as st
 
+from rdgraph.corpus import parse_timestamp
 from rdgraph.decisions import Decision
-from rdgraph.graph import SourceRef
+from rdgraph.graph import GraphError, RdGraph, SourceRef, build_graph
 from rdgraph.rationale import CAUSE, MANNER, PURPOSE, RationaleSpan
 from rdgraph.relations import (
     CONTRADICTS,
@@ -149,3 +150,129 @@ def valid_graph_parts(draw):
         for d in decisions
     ]
     return decisions, rationales, topics, edges, sources
+
+
+def _reference_expect(obj, key, types, path):
+    if key not in obj:
+        raise GraphError(f"{path}: missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, types):
+        raise GraphError(f"{path}.{key}: unexpected type {type(value).__name__}")
+    return value
+
+
+def reference_graph_from_doc(doc: dict) -> RdGraph:
+    """The graph loader as written before records were shape-tested: every
+    field of every record goes through ``_expect``."""
+    _expect = _reference_expect
+    version = _expect(doc, "rdg_version", int, "graph")
+    if version != 1:
+        raise GraphError(f"unsupported rdg_version {version}")
+
+    decisions = []
+    for n, obj in enumerate(_expect(doc, "decisions", list, "graph")):
+        path = f"decisions[{n}]"
+        if not isinstance(obj, dict):
+            raise GraphError(f"{path}: expected object")
+        files = _expect(obj, "files_touched", list, path)
+        if not all(isinstance(f, str) for f in files):
+            raise GraphError(f"{path}.files_touched: expected strings")
+        try:
+            timestamp = parse_timestamp(_expect(obj, "timestamp", str, path))
+        except ValueError as exc:
+            raise GraphError(f"{path}.timestamp: {exc}") from exc
+        decisions.append(
+            Decision(
+                id=_expect(obj, "id", str, path),
+                text=_expect(obj, "text", str, path),
+                artifact_id=_expect(obj, "artifact_id", str, path),
+                source_uri=_expect(obj, "source_uri", str, path),
+                timestamp=timestamp,
+                score=float(_expect(obj, "score", (int, float), path)),
+                author=_expect(obj, "author", str, path),
+                files_touched=tuple(files),
+            )
+        )
+
+    rationales = []
+    for n, obj in enumerate(_expect(doc, "rationales", list, "graph")):
+        path = f"rationales[{n}]"
+        if not isinstance(obj, dict):
+            raise GraphError(f"{path}: expected object")
+        rationales.append(
+            RationaleSpan(
+                id=_expect(obj, "id", str, path),
+                decision_id=_expect(obj, "decision_id", str, path),
+                artifact_id=_expect(obj, "artifact_id", str, path),
+                role=_expect(obj, "role", str, path),
+                marker=_expect(obj, "marker", str, path),
+                text=_expect(obj, "text", str, path),
+                start=_expect(obj, "start", int, path),
+                end=_expect(obj, "end", int, path),
+                same_sentence=_expect(obj, "same_sentence", bool, path),
+            )
+        )
+
+    topics = []
+    for n, obj in enumerate(_expect(doc, "topics", list, "graph")):
+        path = f"topics[{n}]"
+        if not isinstance(obj, dict):
+            raise GraphError(f"{path}: expected object")
+        members = _expect(obj, "members", list, path)
+        if not all(isinstance(m, str) for m in members):
+            raise GraphError(f"{path}.members: expected strings")
+        topics.append(
+            Topic(
+                id=_expect(obj, "id", str, path),
+                title=_expect(obj, "title", str, path),
+                member_decision_ids=tuple(members),
+            )
+        )
+
+    sources = []
+    for n, obj in enumerate(_expect(doc, "sources", list, "graph")):
+        path = f"sources[{n}]"
+        if not isinstance(obj, dict):
+            raise GraphError(f"{path}: expected object")
+        try:
+            sources.append(
+                SourceRef(
+                    id=_expect(obj, "id", str, path),
+                    uri=_expect(obj, "uri", str, path),
+                    artifact_kind=_expect(obj, "artifact_kind", str, path),
+                )
+            )
+        except ValueError as exc:
+            raise GraphError(f"{path}: {exc}") from exc
+
+    edges = []
+    for n, obj in enumerate(_expect(doc, "edges", list, "graph")):
+        path = f"edges[{n}]"
+        if not isinstance(obj, dict):
+            raise GraphError(f"{path}: expected object")
+        evidence = []
+        for m, ev in enumerate(_expect(obj, "evidence", list, path)):
+            ev_path = f"{path}.evidence[{m}]"
+            if not isinstance(ev, dict):
+                raise GraphError(f"{ev_path}: expected object")
+            try:
+                evidence.append(
+                    Evidence(
+                        feature=_expect(ev, "feature", str, ev_path),
+                        detail=_expect(ev, "detail", str, ev_path),
+                        weight=float(_expect(ev, "weight", (int, float), ev_path)),
+                    )
+                )
+            except ValueError as exc:
+                raise GraphError(f"{ev_path}: {exc}") from exc
+        edges.append(
+            RelationEdge(
+                kind=_expect(obj, "kind", str, path),
+                from_id=_expect(obj, "from", str, path),
+                to_id=_expect(obj, "to", str, path),
+                score=float(_expect(obj, "score", (int, float), path)),
+                evidence=tuple(evidence),
+            )
+        )
+
+    return build_graph(decisions, rationales, topics, edges, sources)

@@ -39,3 +39,5 @@ def test_demo_runs_cleanly(demo):
     assert done.returncode == 0, done.stderr
     assert done.stdout
     assert EXPECTED.get(demo.stem, "") in done.stdout
+    # No demo writes to, or tells the reader to use, a fixed /tmp path.
+    assert "/tmp/" not in done.stdout

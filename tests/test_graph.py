@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import copy
 import json
 import re
 from dataclasses import replace
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
-from helpers import valid_graph_parts
+from helpers import reference_graph_from_doc, valid_graph_parts
+from rdgraph import graph as graph_module
 from rdgraph import (
     GraphError,
     build_graph,
@@ -21,7 +24,7 @@ from rdgraph import (
     save,
 )
 from rdgraph.decisions import Decision
-from rdgraph.graph import ALL_KINDS
+from rdgraph.graph import ALL_KINDS, RdGraph
 from rdgraph.rationale import PURPOSE, RationaleSpan
 from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR, Evidence, RelationEdge, Topic
 
@@ -233,6 +236,170 @@ def test_load_rejects_numbers_and_nesting_it_cannot_hold(fixture_graph, corrupt,
     assert corrupted != text
     with pytest.raises(GraphError, match=match):
         load(corrupted)
+
+
+def _load_outcome(loader, doc):
+    """The graph a loader builds from a copy of ``doc``, or its error's type and text."""
+    try:
+        return loader(copy.deepcopy(doc))
+    except (GraphError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loads_as_reference(doc):
+    assert _load_outcome(graph_module._graph_from_doc, doc) == _load_outcome(
+        reference_graph_from_doc, doc
+    )
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        del target[last]
+
+    return mutate
+
+
+# One case per kind of record the shape test rejects; "loads" says whether the
+# per-field path accepts it.
+@pytest.mark.parametrize(
+    "mutate, loads",
+    [
+        (_drop(("decisions", 0, "author")), False),
+        (_set(("rationales", 0, "extra"), 1), True),
+        (_set(("topics", 0, "title"), 5), False),
+        (_set(("edges", 0, "score"), 1), True),
+        (_set(("decisions", 0, "score"), 0), True),
+        (_set(("decisions", 0, "score"), True), True),
+        (_set(("rationales", 0, "start"), True), True),
+        (_set(("edges", 0, "evidence", 0, "weight"), 1), True),
+        (_set(("sources", 0), "x"), False),
+        (_set(("edges", 0, "evidence", 0), []), False),
+        (_set(("edges", 0, "evidence", 0, "weight"), 0.0), False),
+        (_set(("edges", 0, "evidence", 0, "weight"), -1), False),
+        (_set(("sources", 0, "uri"), ""), False),
+        (_set(("decisions", 0, "timestamp"), "yesterday"), False),
+        (_set(("decisions", 0, "timestamp"), "9999-12-31T23:59:59-05:00"), False),
+        (_set(("decisions", 0, "files_touched"), [1]), False),
+        (_set(("topics", 0, "members"), "t"), False),
+        (_set(("edges", 0, "score"), 10**400), False),
+        (_set(("rdg_version",), True), True),
+        (_drop(("edges",)), False),
+    ],
+    ids=[
+        "dropped-key", "extra-key", "other-type", "int-edge-score",
+        "int-decision-score", "bool-score", "bool-offset", "int-weight",
+        "non-object-record", "non-object-evidence", "zero-weight",
+        "negative-weight", "empty-uri", "bad-timestamp", "timestamp-overflow",
+        "non-string-file", "members-not-a-list", "int-beyond-float",
+        "bool-version", "missing-array",
+    ],
+)
+def test_load_matches_the_per_field_loader(fixture_graph, mutate, loads):
+    doc = json.loads(save(fixture_graph))
+    mutate(doc)
+    _assert_loads_as_reference(doc)
+    assert isinstance(_load_outcome(graph_module._graph_from_doc, doc), RdGraph) is loads
+
+
+# Field values a mutation may write: every JSON type, the numbers only the
+# per-field path accepts (ints and bools for floats, bools for ints), weights
+# of at most 0, an empty string, bad and out-of-range timestamps, and an
+# integer beyond float range.
+_MUTANT_VALUES = [
+    None, True, False, 0, 1, -1, 0.0, -0.5, 0.5, 10**400, "", "x", "yesterday",
+    "2020-13-01T00:00:00Z", "9999-12-31T23:59:59-05:00", "2020-01-02T00:00:00",
+    [], ["x"], [1], {}, {"x": 1},
+]
+
+
+def _record_slots(doc):
+    """(container, key) of every array entry and every edge's evidence entry."""
+    slots = []
+    for name in ("decisions", "rationales", "topics", "sources", "edges"):
+        entries = doc.get(name)
+        if not isinstance(entries, list):
+            continue
+        for index, entry in enumerate(entries):
+            slots.append((entries, index))
+            evidence = entry.get("evidence") if isinstance(entry, dict) else None
+            if isinstance(evidence, list):
+                slots.extend((evidence, m) for m in range(len(evidence)))
+    return slots
+
+
+@st.composite
+def mutated_graph_docs(draw):
+    """A saved ``valid_graph_parts()`` graph with up to three fields or records changed."""
+    doc = json.loads(save(build_graph(*draw(valid_graph_parts()))))
+    for _ in range(draw(st.integers(0, 3))):
+        slot = draw(st.sampled_from([None, *_record_slots(doc)]))
+        record = doc if slot is None else slot[0][slot[1]]
+        ops = ["extra", "drop", "set"] if slot is None else ["extra", "drop", "set", "replace"]
+        op = draw(st.sampled_from(ops))
+        value = copy.deepcopy(draw(st.sampled_from(_MUTANT_VALUES)))
+        if op == "replace" or not isinstance(record, dict):
+            slot[0][slot[1]] = draw(st.sampled_from([value, [record]]))
+        elif op == "extra":
+            record["extra"] = value
+        elif record:
+            key = draw(st.sampled_from(sorted(record)))
+            if op == "drop":
+                del record[key]
+            else:
+                record[key] = value
+    return doc
+
+
+@given(mutated_graph_docs())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_mutated_documents_load_as_with_the_per_field_loader(doc):
+    _assert_loads_as_reference(doc)
+
+
+def _counting_expect():
+    calls = []
+    original = graph_module._expect
+
+    def counting(obj, key, types, path):
+        calls.append((path, key))
+        return original(obj, key, types, path)
+
+    return calls, mock.patch.object(graph_module, "_expect", counting)
+
+
+@given(valid_graph_parts())
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_a_well_formed_file_makes_no_per_field_checks(parts):
+    graph = build_graph(*parts)
+    calls, patch = _counting_expect()
+    with patch:
+        assert load(save(graph)) == graph
+    assert calls == []
+
+
+def test_only_a_misshapen_record_takes_the_per_field_path(fixture_graph):
+    doc = json.loads(save(fixture_graph))
+    doc["edges"][1]["score"] = 1
+    calls, patch = _counting_expect()
+    with patch:
+        load(json.dumps(doc))
+    # The edge's evidence is checked field by field along with it.
+    assert {path.split(".")[0] for path, _ in calls} == {"edges[1]"}
 
 
 _DOT_NODE = re.compile(r'^  "(?:[^"\\]|\\.)*" \[label="(?:[^"\\]|\\.)*" shape=(box|ellipse|folder|note)\];$')

@@ -260,7 +260,7 @@ def test_contradicts_via_revert_metadata(fixture_graph):
         assert [e.feature for e in edge.evidence] == [REVERT_METADATA]
 
 
-def test_contradicts_via_revert_summary_form():
+def test_contradicts_via_revert_summary_form(config):
     artifacts = {
         a.id: a
         for a in [
@@ -270,7 +270,14 @@ def test_contradicts_via_revert_summary_form():
     }
     earlier = make_decision(0, "mm: add the fast path")
     later = make_decision(1, 'Revert "mm: add the fast path"')
-    edge = detect_contradicts(later, earlier, artifacts)
+    edge = detect_contradicts(
+        later,
+        earlier,
+        artifacts,
+        config.contradiction_keywords,
+        config.negation_cues,
+        config.stopwords,
+    )
     assert edge is not None
     assert edge.evidence[0].feature == REVERT_METADATA
 
@@ -418,8 +425,9 @@ def test_pair_work_vectorizes_each_text_once(vectorize_calls, config):
     vectorize_calls.clear()
     candidate = "add the alpha memory cache handler"
     check_new_decision(graph, candidate, config)
-    assert vectorize_calls[candidate] == 1
-    assert max(vectorize_calls.values()) == 1
+    # The candidate and every document are in the check's corpus, so their
+    # vectors come from the fit's token counts, not from vectorize.
+    assert vectorize_calls == {}
 
 
 def _reference_contradiction_score(later_text, earlier_text, keywords, negation_cues, stopwords):

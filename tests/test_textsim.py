@@ -173,3 +173,25 @@ def test_memoised_provider_scores_equal_uncached_similarity(data):
         assert provider.score(b, a) == similarity(model, b, a)
         assert provider.score(a, b) == expected
         assert TfIdfProvider(model).score(a, b) == expected
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_fitted_provider_equals_a_provider_over_build_model(data):
+    words = st.sampled_from(["oom", "task", "Memory", "a", "the", "exit_now", "reap"])
+    text = st.lists(words, max_size=10).map(" ".join)
+    docs = data.draw(st.lists(text, min_size=1, max_size=5))
+    docs += data.draw(st.lists(st.sampled_from(docs), max_size=2))  # duplicates
+    stopwords = data.draw(st.sampled_from([frozenset(), frozenset({"the", "oom"})]))
+    fitted = TfIdfProvider.fit(iter(docs), stopwords)
+    assert fitted.model == build_model(docs, stopwords)
+    reference = TfIdfProvider(build_model(docs, stopwords))
+    texts = docs + data.draw(st.lists(text, max_size=2))
+    for a in texts:
+        for b in texts:
+            assert fitted.score(a, b) == reference.score(a, b)
+
+
+def test_fit_rejects_an_empty_corpus():
+    with pytest.raises(ValueError, match="empty corpus"):
+        TfIdfProvider.fit([])

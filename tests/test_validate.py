@@ -23,7 +23,7 @@ from rdgraph import (
     save,
     validate_structure,
 )
-from rdgraph import validate
+from rdgraph import textsim, validate
 from rdgraph.cli import main
 from rdgraph.decisions import Decision
 from rdgraph.graph import RdGraph, rationales_of
@@ -164,6 +164,44 @@ def test_each_rationale_is_joined_once(monkeypatch, config):
     assert len(findings) == len(edges) == 28
     # Joining at both ends of every similar edge would make 56 calls.
     assert calls == {d.id: 1 for d in decisions}
+
+
+@pytest.fixture()
+def tokenize_calls(monkeypatch):
+    """Count textsim.tokenize calls by text."""
+    calls: collections.Counter[str] = collections.Counter()
+    original = textsim.tokenize
+
+    def counting(text, stopwords=textsim.DEFAULT_STOPWORDS):
+        calls[text] += 1
+        return original(text, stopwords)
+
+    monkeypatch.setattr(textsim, "tokenize", counting)
+    return calls
+
+
+def test_check_tokenizes_each_corpus_text_once(fixture_graph, config, tokenize_calls):
+    candidate = "oom: give the dying task a higher priority so it exits quickly"
+    corpus = [*graph_documents(fixture_graph).values(), candidate]
+    assert len(set(corpus)) == len(corpus)
+    check_new_decision(fixture_graph, candidate, config)
+    # Fitting and scoring share one token count per text.
+    assert tokenize_calls == {text: 1 for text in corpus}
+
+
+def test_validate_tokenizes_each_joined_rationale_once(config, tokenize_calls):
+    decisions = [make_decision(n, f"mm: add cache layer {n}") for n in range(6)]
+    spans = [make_span(d.id, f"keep latency low under load {d.id}") for d in decisions]
+    edges = [
+        RelationEdge(kind=SIMILAR, from_id=a.id, to_id=b.id, score=0.9)
+        for i, a in enumerate(decisions)
+        for b in decisions[i + 1 :]
+    ]
+    topic = Topic(id="t1", title="cache", member_decision_ids=tuple(d.id for d in decisions))
+    graph = build_graph(decisions, spans, [topic], edges)
+    findings = check_rationale_consistency(graph, config)
+    assert len(findings) == len(edges) == 15
+    assert tokenize_calls == {span.text: 1 for span in spans}
 
 
 def test_proposed_mrelease_conflicts_via_the_revert(
