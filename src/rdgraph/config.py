@@ -33,7 +33,8 @@ DEFAULTS: dict[str, Any] = {
     },
     # Sentences scanned around a decision when its own sentence has no marker.
     "window": 2,
-    # Hop budget for conflict discovery; the candidate~decision link counts.
+    # Conflict discovery: the candidate~decision link is one hop, 2 reaches
+    # that decision's contradicts edges, 3 those of its similar neighbors.
     "k": 2,
     "lexicons": {
         "action_verbs": [
@@ -133,12 +134,18 @@ def _lower_set(values: Any, path: str) -> frozenset[str]:
 def from_dict(data: Mapping[str, Any]) -> Config:
     """Validate a raw config mapping and freeze it into a Config."""
     thresholds = data["thresholds"]
+    # Python's bool is an int, but a JSON true or false is no number here.
     for key in _THRESHOLD_KEYS:
         value = thresholds[key]
-        if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not 0.0 <= value <= 1.0
+        ):
             raise ConfigError(f"thresholds.{key}: must be a number in [0, 1]")
     for key in ("window", "k"):
-        if not isinstance(data[key], int) or data[key] < 0:
+        value = data[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ConfigError(f"{key}: must be an integer >= 0")
     lex = data["lexicons"]
     markers: dict[str, tuple[str, ...]] = {}

@@ -414,7 +414,7 @@ def _expect(obj: Mapping, key: str, types: type | tuple, path: str):
 
 
 def load(text: str) -> RdGraph:
-    """Parse and validate a graph document; structural checks all apply."""
+    """Parse a graph document, decode each record, and check every invariant."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -430,21 +430,6 @@ def load(text: str) -> RdGraph:
         raise GraphError(f"graph file: number out of range: {exc}") from exc
 
 
-# The exact key set of each record kind, as ``save`` writes it.
-_DECISION_KEYS = frozenset(
-    ("artifact_id", "author", "files_touched", "id", "score", "source_uri",
-     "text", "timestamp")
-)
-_RATIONALE_KEYS = frozenset(
-    ("artifact_id", "decision_id", "end", "id", "marker", "role",
-     "same_sentence", "start", "text")
-)
-_TOPIC_KEYS = frozenset(("id", "members", "title"))
-_SOURCE_KEYS = frozenset(("artifact_kind", "id", "uri"))
-_EDGE_KEYS = frozenset(("evidence", "from", "kind", "score", "to"))
-_EVIDENCE_KEYS = frozenset(("detail", "feature", "weight"))
-
-
 def _field(obj: dict, key: str, types: type, path: str):
     """``obj[key]`` when its type is exactly ``types``, else ``_expect``'s verdict."""
     value = obj.get(key)
@@ -452,220 +437,152 @@ def _field(obj: dict, key: str, types: type, path: str):
 
 
 def _graph_from_doc(doc: dict) -> RdGraph:
-    """The graph of a parsed document, each record checked once.
+    """The graph of a parsed document, each record decoded once.
 
-    A record of exactly the shape ``save`` writes (its key set, and the exact
-    JSON type of every value) is built in one step.  Any other record, or one
-    whose constructor raises, goes through the per-field ``_checked_*``
-    functions: they build what the format also accepts (int scores, bool
-    offsets, extra keys) and otherwise raise the first error in field order.
-    Records are never falsy, so ``or`` picks the fallback only for None.
+    Each record kind has one decoder.  It tests each field's exact JSON type
+    in the order errors are reported and calls ``_expect`` only on a
+    mismatch; ``_expect`` accepts what the format also allows (int scores
+    and weights, bool offsets) and otherwise raises that field's error.
+    Extra keys are ignored, and a record's path is formatted only to raise.
     """
     version = _field(doc, "rdg_version", int, "graph")
     if version != RDG_VERSION:
         raise GraphError(f"unsupported rdg_version {version}")
     decisions = [
-        _decision(obj) or _checked_decision(obj, f"decisions[{n}]")
+        _decision(obj, n)
         for n, obj in enumerate(_field(doc, "decisions", list, "graph"))
     ]
     rationales = [
-        _rationale(obj) or _checked_rationale(obj, f"rationales[{n}]")
+        _rationale(obj, n)
         for n, obj in enumerate(_field(doc, "rationales", list, "graph"))
     ]
     topics = [
-        _topic(obj) or _checked_topic(obj, f"topics[{n}]")
-        for n, obj in enumerate(_field(doc, "topics", list, "graph"))
+        _topic(obj, n) for n, obj in enumerate(_field(doc, "topics", list, "graph"))
     ]
     sources = [
-        _source(obj) or _checked_source(obj, f"sources[{n}]")
-        for n, obj in enumerate(_field(doc, "sources", list, "graph"))
+        _source(obj, n) for n, obj in enumerate(_field(doc, "sources", list, "graph"))
     ]
     edges = [
-        _edge(obj) or _checked_edge(obj, f"edges[{n}]")
-        for n, obj in enumerate(_field(doc, "edges", list, "graph"))
+        _edge(obj, n) for n, obj in enumerate(_field(doc, "edges", list, "graph"))
     ]
     return build_graph(decisions, rationales, topics, edges, sources)
 
 
-def _decision(obj: object) -> Decision | None:
-    if type(obj) is not dict or obj.keys() != _DECISION_KEYS:
-        return None
-    id_, text, artifact_id, source_uri, stamp, score, author, files = (
-        obj["id"], obj["text"], obj["artifact_id"], obj["source_uri"],
-        obj["timestamp"], obj["score"], obj["author"], obj["files_touched"],
-    )
-    if not (
-        type(id_) is str and type(text) is str and type(artifact_id) is str
-        and type(source_uri) is str and type(stamp) is str
-        and type(score) is float and type(author) is str
-        and type(files) is list and all(type(f) is str for f in files)
-    ):
-        return None
+def _decision(obj: object, n: int) -> Decision:
+    if not isinstance(obj, dict):
+        raise GraphError(f"decisions[{n}]: expected object")
+    if type(files := obj.get("files_touched")) is not list:
+        files = _expect(obj, "files_touched", list, f"decisions[{n}]")
+    if not all(isinstance(f, str) for f in files):
+        raise GraphError(f"decisions[{n}].files_touched: expected strings")
+    if type(stamp := obj.get("timestamp")) is not str:
+        stamp = _expect(obj, "timestamp", str, f"decisions[{n}]")
     try:
         timestamp = parse_timestamp(stamp)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise GraphError(f"decisions[{n}].timestamp: {exc}") from exc
+    if type(id_ := obj.get("id")) is not str:
+        id_ = _expect(obj, "id", str, f"decisions[{n}]")
+    if type(text := obj.get("text")) is not str:
+        text = _expect(obj, "text", str, f"decisions[{n}]")
+    if type(artifact_id := obj.get("artifact_id")) is not str:
+        artifact_id = _expect(obj, "artifact_id", str, f"decisions[{n}]")
+    if type(source_uri := obj.get("source_uri")) is not str:
+        source_uri = _expect(obj, "source_uri", str, f"decisions[{n}]")
+    if type(score := obj.get("score")) is not float:
+        score = float(_expect(obj, "score", (int, float), f"decisions[{n}]"))
+    if type(author := obj.get("author")) is not str:
+        author = _expect(obj, "author", str, f"decisions[{n}]")
     return Decision(
         id_, text, artifact_id, source_uri, timestamp, score, author, tuple(files)
     )
 
 
-def _rationale(obj: object) -> RationaleSpan | None:
-    if type(obj) is not dict or obj.keys() != _RATIONALE_KEYS:
-        return None
-    id_, decision_id, artifact_id, role, marker, text, start, end, same = (
-        obj["id"], obj["decision_id"], obj["artifact_id"], obj["role"],
-        obj["marker"], obj["text"], obj["start"], obj["end"], obj["same_sentence"],
-    )
-    if not (
-        type(id_) is str and type(decision_id) is str and type(artifact_id) is str
-        and type(role) is str and type(marker) is str and type(text) is str
-        and type(start) is int and type(end) is int and type(same) is bool
-    ):
-        return None
+def _rationale(obj: object, n: int) -> RationaleSpan:
+    if not isinstance(obj, dict):
+        raise GraphError(f"rationales[{n}]: expected object")
+    if type(id_ := obj.get("id")) is not str:
+        id_ = _expect(obj, "id", str, f"rationales[{n}]")
+    if type(decision_id := obj.get("decision_id")) is not str:
+        decision_id = _expect(obj, "decision_id", str, f"rationales[{n}]")
+    if type(artifact_id := obj.get("artifact_id")) is not str:
+        artifact_id = _expect(obj, "artifact_id", str, f"rationales[{n}]")
+    if type(role := obj.get("role")) is not str:
+        role = _expect(obj, "role", str, f"rationales[{n}]")
+    if type(marker := obj.get("marker")) is not str:
+        marker = _expect(obj, "marker", str, f"rationales[{n}]")
+    if type(text := obj.get("text")) is not str:
+        text = _expect(obj, "text", str, f"rationales[{n}]")
+    if type(start := obj.get("start")) is not int:
+        start = _expect(obj, "start", int, f"rationales[{n}]")
+    if type(end := obj.get("end")) is not int:
+        end = _expect(obj, "end", int, f"rationales[{n}]")
+    if type(same := obj.get("same_sentence")) is not bool:
+        same = _expect(obj, "same_sentence", bool, f"rationales[{n}]")
     return RationaleSpan(
         id_, decision_id, artifact_id, role, marker, text, start, end, same
     )
 
 
-def _topic(obj: object) -> Topic | None:
-    if type(obj) is not dict or obj.keys() != _TOPIC_KEYS:
-        return None
-    id_, title, members = obj["id"], obj["title"], obj["members"]
-    if not (
-        type(id_) is str and type(title) is str and type(members) is list
-        and all(type(m) is str for m in members)
-    ):
-        return None
+def _topic(obj: object, n: int) -> Topic:
+    if not isinstance(obj, dict):
+        raise GraphError(f"topics[{n}]: expected object")
+    if type(members := obj.get("members")) is not list:
+        members = _expect(obj, "members", list, f"topics[{n}]")
+    if not all(isinstance(m, str) for m in members):
+        raise GraphError(f"topics[{n}].members: expected strings")
+    if type(id_ := obj.get("id")) is not str:
+        id_ = _expect(obj, "id", str, f"topics[{n}]")
+    if type(title := obj.get("title")) is not str:
+        title = _expect(obj, "title", str, f"topics[{n}]")
     return Topic(id_, title, tuple(members))
 
 
-def _source(obj: object) -> SourceRef | None:
-    if type(obj) is not dict or obj.keys() != _SOURCE_KEYS:
-        return None
-    id_, uri, kind = obj["id"], obj["uri"], obj["artifact_kind"]
-    if not (type(id_) is str and type(uri) is str and type(kind) is str):
-        return None
+def _source(obj: object, n: int) -> SourceRef:
+    if not isinstance(obj, dict):
+        raise GraphError(f"sources[{n}]: expected object")
+    if type(id_ := obj.get("id")) is not str:
+        id_ = _expect(obj, "id", str, f"sources[{n}]")
+    if type(uri := obj.get("uri")) is not str:
+        uri = _expect(obj, "uri", str, f"sources[{n}]")
+    if type(kind := obj.get("artifact_kind")) is not str:
+        kind = _expect(obj, "artifact_kind", str, f"sources[{n}]")
     try:
         return SourceRef(id_, uri, kind)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise GraphError(f"sources[{n}]: {exc}") from exc
 
 
-def _edge(obj: object) -> RelationEdge | None:
-    if type(obj) is not dict or obj.keys() != _EDGE_KEYS:
-        return None
-    kind, from_id, to_id, score, records = (
-        obj["kind"], obj["from"], obj["to"], obj["score"], obj["evidence"]
-    )
-    if not (
-        type(kind) is str and type(from_id) is str and type(to_id) is str
-        and type(score) is float and type(records) is list
-    ):
-        return None
+def _edge(obj: object, n: int) -> RelationEdge:
+    if not isinstance(obj, dict):
+        raise GraphError(f"edges[{n}]: expected object")
+    if type(records := obj.get("evidence")) is not list:
+        records = _expect(obj, "evidence", list, f"edges[{n}]")
     evidence = []
-    for ev in records:
-        if type(ev) is not dict or ev.keys() != _EVIDENCE_KEYS:
-            return None
-        feature, detail, weight = ev["feature"], ev["detail"], ev["weight"]
-        if not (type(feature) is str and type(detail) is str and type(weight) is float):
-            return None
+    for m, ev in enumerate(records):
+        if not isinstance(ev, dict):
+            raise GraphError(f"edges[{n}].evidence[{m}]: expected object")
+        if type(feature := ev.get("feature")) is not str:
+            feature = _expect(ev, "feature", str, f"edges[{n}].evidence[{m}]")
+        if type(detail := ev.get("detail")) is not str:
+            detail = _expect(ev, "detail", str, f"edges[{n}].evidence[{m}]")
+        if type(weight := ev.get("weight")) is not float:
+            weight = float(
+                _expect(ev, "weight", (int, float), f"edges[{n}].evidence[{m}]")
+            )
         try:
             evidence.append(Evidence(feature, detail, weight))
-        except ValueError:
-            return None
-    return RelationEdge(kind, from_id, to_id, score, tuple(evidence))
-
-
-def _checked_decision(obj: object, path: str) -> Decision:
-    if not isinstance(obj, dict):
-        raise GraphError(f"{path}: expected object")
-    files = _expect(obj, "files_touched", list, path)
-    if not all(isinstance(f, str) for f in files):
-        raise GraphError(f"{path}.files_touched: expected strings")
-    try:
-        timestamp = parse_timestamp(_expect(obj, "timestamp", str, path))
-    except ValueError as exc:
-        raise GraphError(f"{path}.timestamp: {exc}") from exc
-    return Decision(
-        id=_expect(obj, "id", str, path),
-        text=_expect(obj, "text", str, path),
-        artifact_id=_expect(obj, "artifact_id", str, path),
-        source_uri=_expect(obj, "source_uri", str, path),
-        timestamp=timestamp,
-        score=float(_expect(obj, "score", (int, float), path)),
-        author=_expect(obj, "author", str, path),
-        files_touched=tuple(files),
-    )
-
-
-def _checked_rationale(obj: object, path: str) -> RationaleSpan:
-    if not isinstance(obj, dict):
-        raise GraphError(f"{path}: expected object")
-    return RationaleSpan(
-        id=_expect(obj, "id", str, path),
-        decision_id=_expect(obj, "decision_id", str, path),
-        artifact_id=_expect(obj, "artifact_id", str, path),
-        role=_expect(obj, "role", str, path),
-        marker=_expect(obj, "marker", str, path),
-        text=_expect(obj, "text", str, path),
-        start=_expect(obj, "start", int, path),
-        end=_expect(obj, "end", int, path),
-        same_sentence=_expect(obj, "same_sentence", bool, path),
-    )
-
-
-def _checked_topic(obj: object, path: str) -> Topic:
-    if not isinstance(obj, dict):
-        raise GraphError(f"{path}: expected object")
-    members = _expect(obj, "members", list, path)
-    if not all(isinstance(m, str) for m in members):
-        raise GraphError(f"{path}.members: expected strings")
-    return Topic(
-        id=_expect(obj, "id", str, path),
-        title=_expect(obj, "title", str, path),
-        member_decision_ids=tuple(members),
-    )
-
-
-def _checked_source(obj: object, path: str) -> SourceRef:
-    if not isinstance(obj, dict):
-        raise GraphError(f"{path}: expected object")
-    try:
-        return SourceRef(
-            id=_expect(obj, "id", str, path),
-            uri=_expect(obj, "uri", str, path),
-            artifact_kind=_expect(obj, "artifact_kind", str, path),
-        )
-    except ValueError as exc:
-        raise GraphError(f"{path}: {exc}") from exc
-
-
-def _checked_edge(obj: object, path: str) -> RelationEdge:
-    if not isinstance(obj, dict):
-        raise GraphError(f"{path}: expected object")
-    evidence = []
-    for m, ev in enumerate(_expect(obj, "evidence", list, path)):
-        ev_path = f"{path}.evidence[{m}]"
-        if not isinstance(ev, dict):
-            raise GraphError(f"{ev_path}: expected object")
-        try:
-            evidence.append(
-                Evidence(
-                    feature=_expect(ev, "feature", str, ev_path),
-                    detail=_expect(ev, "detail", str, ev_path),
-                    weight=float(_expect(ev, "weight", (int, float), ev_path)),
-                )
-            )
         except ValueError as exc:
-            raise GraphError(f"{ev_path}: {exc}") from exc
-    return RelationEdge(
-        kind=_expect(obj, "kind", str, path),
-        from_id=_expect(obj, "from", str, path),
-        to_id=_expect(obj, "to", str, path),
-        score=float(_expect(obj, "score", (int, float), path)),
-        evidence=tuple(evidence),
-    )
+            raise GraphError(f"edges[{n}].evidence[{m}]: {exc}") from exc
+    if type(kind := obj.get("kind")) is not str:
+        kind = _expect(obj, "kind", str, f"edges[{n}]")
+    if type(from_id := obj.get("from")) is not str:
+        from_id = _expect(obj, "from", str, f"edges[{n}]")
+    if type(to_id := obj.get("to")) is not str:
+        to_id = _expect(obj, "to", str, f"edges[{n}]")
+    if type(score := obj.get("score")) is not float:
+        score = float(_expect(obj, "score", (int, float), f"edges[{n}]"))
+    return RelationEdge(kind, from_id, to_id, score, tuple(evidence))
 
 
 def _dot_escape(text: str) -> str:

@@ -160,9 +160,11 @@ def check_new_decision(
     """Warn when a proposed decision resembles one entangled in contradictions.
 
     Scores come from a model fitted over the graph decision documents plus
-    the candidate.  One hop of ``config.k`` is spent linking the candidate to
-    a decision at or above ``thresholds.similar``; the remaining k-1 hops
-    walk similar neighbors and contradicts edges.
+    the candidate.  Linking the candidate to a decision at or above
+    ``thresholds.similar`` spends one hop of ``config.k``.  From that decision
+    the walk takes at most one similar edge and then one contradicts edge:
+    k >= 2 reaches the decision's own contradicts edges, k >= 3 adds those of
+    its similar neighbors, and a larger k reaches nothing more.
     """
     cfg = config if config is not None else default_config()
     documents = graph_documents(graph)

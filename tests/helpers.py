@@ -162,8 +162,8 @@ def _reference_expect(obj, key, types, path):
 
 
 def reference_graph_from_doc(doc: dict) -> RdGraph:
-    """The graph loader as written before records were shape-tested: every
-    field of every record goes through ``_expect``."""
+    """The per-field reference for ``graph.load``: every field of every record
+    goes through ``_expect``, and errors come in the loader's field order."""
     _expect = _reference_expect
     version = _expect(doc, "rdg_version", int, "graph")
     if version != 1:
@@ -177,8 +177,9 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
         files = _expect(obj, "files_touched", list, path)
         if not all(isinstance(f, str) for f in files):
             raise GraphError(f"{path}.files_touched: expected strings")
+        stamp = _expect(obj, "timestamp", str, path)
         try:
-            timestamp = parse_timestamp(_expect(obj, "timestamp", str, path))
+            timestamp = parse_timestamp(stamp)
         except ValueError as exc:
             raise GraphError(f"{path}.timestamp: {exc}") from exc
         decisions.append(
@@ -234,14 +235,11 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
         path = f"sources[{n}]"
         if not isinstance(obj, dict):
             raise GraphError(f"{path}: expected object")
+        id_ = _expect(obj, "id", str, path)
+        uri = _expect(obj, "uri", str, path)
+        artifact_kind = _expect(obj, "artifact_kind", str, path)
         try:
-            sources.append(
-                SourceRef(
-                    id=_expect(obj, "id", str, path),
-                    uri=_expect(obj, "uri", str, path),
-                    artifact_kind=_expect(obj, "artifact_kind", str, path),
-                )
-            )
+            sources.append(SourceRef(id=id_, uri=uri, artifact_kind=artifact_kind))
         except ValueError as exc:
             raise GraphError(f"{path}: {exc}") from exc
 
@@ -255,14 +253,11 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
             ev_path = f"{path}.evidence[{m}]"
             if not isinstance(ev, dict):
                 raise GraphError(f"{ev_path}: expected object")
+            feature = _expect(ev, "feature", str, ev_path)
+            detail = _expect(ev, "detail", str, ev_path)
+            weight = float(_expect(ev, "weight", (int, float), ev_path))
             try:
-                evidence.append(
-                    Evidence(
-                        feature=_expect(ev, "feature", str, ev_path),
-                        detail=_expect(ev, "detail", str, ev_path),
-                        weight=float(_expect(ev, "weight", (int, float), ev_path)),
-                    )
-                )
+                evidence.append(Evidence(feature=feature, detail=detail, weight=weight))
             except ValueError as exc:
                 raise GraphError(f"{ev_path}: {exc}") from exc
         edges.append(

@@ -87,6 +87,24 @@ def test_build_bad_config_is_an_input_error(tmp_path, capsys):
     assert "thresholds.decision" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ('{"k": true}', "k: must be an integer >= 0"),
+        ('{"window": false}', "window: must be an integer >= 0"),
+        ('{"thresholds": {"similar": true}}', "thresholds.similar: must be a number in [0, 1]"),
+        ('{"thresholds": {"duplicate": false}}', "thresholds.duplicate: must be a number in [0, 1]"),
+    ],
+    ids=["k", "window", "threshold-true", "threshold-false"],
+)
+def test_boolean_config_number_is_an_input_error(graph_d1_d4_file, tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    capsys.readouterr()
+    assert main(["check", graph_d1_d4_file, "--file", PROPOSAL, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_build_unknown_config_key_is_an_input_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"surprise": true}')

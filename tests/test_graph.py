@@ -274,8 +274,8 @@ def _drop(path):
     return mutate
 
 
-# One case per kind of record the shape test rejects; "loads" says whether the
-# per-field path accepts it.
+# One case per kind of field the decoders' exact type tests reject; "loads"
+# says whether ``_expect`` or the record's constructor then accepts it.
 @pytest.mark.parametrize(
     "mutate, loads",
     [
@@ -299,6 +299,9 @@ def _drop(path):
         (_set(("edges", 0, "score"), 10**400), False),
         (_set(("rdg_version",), True), True),
         (_drop(("edges",)), False),
+        (_drop(("sources", 0, "artifact_kind")), False),
+        (_drop(("decisions", 0, "timestamp")), False),
+        (_drop(("edges", 0, "evidence", 0, "feature")), False),
     ],
     ids=[
         "dropped-key", "extra-key", "other-type", "int-edge-score",
@@ -306,7 +309,8 @@ def _drop(path):
         "non-object-record", "non-object-evidence", "zero-weight",
         "negative-weight", "empty-uri", "bad-timestamp", "timestamp-overflow",
         "non-string-file", "members-not-a-list", "int-beyond-float",
-        "bool-version", "missing-array",
+        "bool-version", "missing-array", "missing-source-kind",
+        "missing-timestamp", "missing-evidence-feature",
     ],
 )
 def test_load_matches_the_per_field_loader(fixture_graph, mutate, loads):
@@ -316,8 +320,31 @@ def test_load_matches_the_per_field_loader(fixture_graph, mutate, loads):
     assert isinstance(_load_outcome(graph_module._graph_from_doc, doc), RdGraph) is loads
 
 
-# Field values a mutation may write: every JSON type, the numbers only the
-# per-field path accepts (ints and bools for floats, bools for ints), weights
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            _drop(("sources", 0, "artifact_kind")),
+            "sources[0]: missing key 'artifact_kind'",
+        ),
+        (_drop(("decisions", 0, "timestamp")), "decisions[0]: missing key 'timestamp'"),
+        (
+            _drop(("edges", 0, "evidence", 0, "feature")),
+            "edges[0].evidence[0]: missing key 'feature'",
+        ),
+    ],
+    ids=["source-kind", "timestamp", "evidence-feature"],
+)
+def test_a_missing_key_names_its_record_path_once(fixture_graph, mutate, message):
+    doc = json.loads(save(fixture_graph))
+    mutate(doc)
+    with pytest.raises(GraphError) as info:
+        load(json.dumps(doc))
+    assert str(info.value) == message
+
+
+# Field values a mutation may write: every JSON type, the numbers only
+# ``_expect`` accepts (ints and bools for floats, bools for ints), weights
 # of at most 0, an empty string, bad and out-of-range timestamps, and an
 # integer beyond float range.
 _MUTANT_VALUES = [
@@ -398,7 +425,7 @@ def test_only_a_misshapen_record_takes_the_per_field_path(fixture_graph):
     calls, patch = _counting_expect()
     with patch:
         load(json.dumps(doc))
-    # The edge's evidence is checked field by field along with it.
+    # Only the int score leaves the exact type tests, under its edge's path.
     assert {path.split(".")[0] for path, _ in calls} == {"edges[1]"}
 
 
