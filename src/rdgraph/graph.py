@@ -9,7 +9,9 @@ graphs serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Mapping
 
 from .corpus import format_timestamp, lone_surrogate, parse_timestamp
@@ -338,70 +340,102 @@ def _adjacent(
     return peers
 
 
-def _decision_to_dict(decision: Decision) -> dict:
-    return {
-        "artifact_id": decision.artifact_id,
-        "author": decision.author,
-        "files_touched": list(decision.files_touched),
-        "id": decision.id,
-        "score": decision.score,
-        "source_uri": decision.source_uri,
-        "text": decision.text,
-        "timestamp": format_timestamp(decision.timestamp),
-    }
+_q = encode_basestring  # the string encoder of json.dumps(ensure_ascii=False)
 
 
-def _rationale_to_dict(span: RationaleSpan) -> dict:
-    return {
-        "artifact_id": span.artifact_id,
-        "decision_id": span.decision_id,
-        "end": span.end,
-        "id": span.id,
-        "marker": span.marker,
-        "role": span.role,
-        "same_sentence": span.same_sentence,
-        "start": span.start,
-        "text": span.text,
-    }
+def _number(value: float) -> str:
+    if not -math.inf < value < math.inf:
+        raise GraphError(f"cannot save the non-finite number {value!r}")
+    return repr(value)
+
+
+def _array(items: list[str], pad: str) -> str:
+    """Encoded items as a JSON array whose closing bracket is indented by pad."""
+    if not items:
+        return "[]"
+    inner = f",\n{pad}  ".join(items)
+    return f"[\n{pad}  {inner}\n{pad}]"
+
+
+def _evidence(e: Evidence) -> str:
+    return f"""{{
+          "detail": {_q(e.detail)},
+          "feature": {_q(e.feature)},
+          "weight": {_number(e.weight)}
+        }}"""
 
 
 def save(graph: RdGraph) -> str:
-    """Serialize to the canonical JSON graph document."""
-    doc = {
-        "rdg_version": RDG_VERSION,
-        "decisions": [
-            _decision_to_dict(graph.decisions[i]) for i in sorted(graph.decisions)
-        ],
-        "rationales": [
-            _rationale_to_dict(graph.rationales[i]) for i in sorted(graph.rationales)
-        ],
-        "topics": [
-            {
-                "id": t.id,
-                "members": list(t.member_decision_ids),
-                "title": t.title,
-            }
-            for t in (graph.topics[i] for i in sorted(graph.topics))
-        ],
-        "sources": [
-            {"artifact_kind": s.artifact_kind, "id": s.id, "uri": s.uri}
-            for s in (graph.sources[i] for i in sorted(graph.sources))
-        ],
-        "edges": [
-            {
-                "evidence": [
-                    {"detail": e.detail, "feature": e.feature, "weight": e.weight}
-                    for e in edge.evidence
-                ],
-                "from": edge.from_id,
-                "kind": edge.kind,
-                "score": edge.score,
-                "to": edge.to_id,
-            }
-            for edge in sorted(graph.relation_edges, key=_edge_sort_key)
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Serialize to the canonical JSON graph document.
+
+    The text is what ``json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False)`` gives for the graph's document, written directly:
+    one template per record kind with its keys in sorted order, strings
+    through json's own encoder and floats by ``repr``.  A non-finite number
+    raises GraphError, as ``allow_nan=False`` would.
+    """
+    decisions = [
+        f"""{{
+      "artifact_id": {_q(d.artifact_id)},
+      "author": {_q(d.author)},
+      "files_touched": {_array(list(map(_q, d.files_touched)), "      ")},
+      "id": {_q(d.id)},
+      "score": {_number(d.score)},
+      "source_uri": {_q(d.source_uri)},
+      "text": {_q(d.text)},
+      "timestamp": {_q(format_timestamp(d.timestamp))}
+    }}"""
+        for d in (graph.decisions[i] for i in sorted(graph.decisions))
+    ]
+    rationales = [
+        f"""{{
+      "artifact_id": {_q(r.artifact_id)},
+      "decision_id": {_q(r.decision_id)},
+      "end": {r.end:d},
+      "id": {_q(r.id)},
+      "marker": {_q(r.marker)},
+      "role": {_q(r.role)},
+      "same_sentence": {"true" if r.same_sentence else "false"},
+      "start": {r.start:d},
+      "text": {_q(r.text)}
+    }}"""
+        for r in (graph.rationales[i] for i in sorted(graph.rationales))
+    ]
+    topics = [
+        f"""{{
+      "id": {_q(t.id)},
+      "members": {_array(list(map(_q, t.member_decision_ids)), "      ")},
+      "title": {_q(t.title)}
+    }}"""
+        for t in (graph.topics[i] for i in sorted(graph.topics))
+    ]
+    sources = [
+        f"""{{
+      "artifact_kind": {_q(s.artifact_kind)},
+      "id": {_q(s.id)},
+      "uri": {_q(s.uri)}
+    }}"""
+        for s in (graph.sources[i] for i in sorted(graph.sources))
+    ]
+    edges = [
+        f"""{{
+      "evidence": {_array(list(map(_evidence, edge.evidence)), "      ")},
+      "from": {_q(edge.from_id)},
+      "kind": {_q(edge.kind)},
+      "score": {_number(edge.score)},
+      "to": {_q(edge.to_id)}
+    }}"""
+        for edge in sorted(graph.relation_edges, key=_edge_sort_key)
+    ]
+    return f"""{{
+  "decisions": {_array(decisions, "  ")},
+  "edges": {_array(edges, "  ")},
+  "rationales": {_array(rationales, "  ")},
+  "rdg_version": {RDG_VERSION},
+  "sources": {_array(sources, "  ")},
+  "topics": {_array(topics, "  ")}
+}}
+"""
 
 
 def _expect(obj: Mapping, key: str, types: type | tuple, path: str):
@@ -413,10 +447,18 @@ def _expect(obj: Mapping, key: str, types: type | tuple, path: str):
     return value
 
 
+def _non_finite(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
 def load(text: str) -> RdGraph:
-    """Parse a graph document, decode each record, and check every invariant."""
+    """Parse a graph document, decode each record, and check every invariant.
+
+    ``NaN`` and ``Infinity``, which ``json.loads`` would accept, are not JSON
+    and are rejected.
+    """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_non_finite)
     except (ValueError, RecursionError) as exc:
         raise GraphError(f"graph file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -442,7 +484,8 @@ def _graph_from_doc(doc: dict) -> RdGraph:
     Each record kind has one decoder.  It tests each field's exact JSON type
     in the order errors are reported and calls ``_expect`` only on a
     mismatch; ``_expect`` accepts what the format also allows (int scores
-    and weights, bool offsets) and otherwise raises that field's error.
+    and weights, bool offsets), which the decoder converts to float and int,
+    and otherwise raises that field's error.
     Extra keys are ignored, and a record's path is formatted only to raise.
     """
     version = _field(doc, "rdg_version", int, "graph")
@@ -514,9 +557,9 @@ def _rationale(obj: object, n: int) -> RationaleSpan:
     if type(text := obj.get("text")) is not str:
         text = _expect(obj, "text", str, f"rationales[{n}]")
     if type(start := obj.get("start")) is not int:
-        start = _expect(obj, "start", int, f"rationales[{n}]")
+        start = int(_expect(obj, "start", int, f"rationales[{n}]"))
     if type(end := obj.get("end")) is not int:
-        end = _expect(obj, "end", int, f"rationales[{n}]")
+        end = int(_expect(obj, "end", int, f"rationales[{n}]"))
     if type(same := obj.get("same_sentence")) is not bool:
         same = _expect(obj, "same_sentence", bool, f"rationales[{n}]")
     return RationaleSpan(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ _HEX_RUN_RE = re.compile(r"[0-9a-f]{7,40}")
 
 @dataclass(frozen=True)
 class Evidence:
-    """One feature that contributed to an edge, with a positive weight."""
+    """One feature that contributed to an edge, with a positive, finite weight."""
 
     feature: str
     detail: str
@@ -61,6 +62,8 @@ class Evidence:
     def __post_init__(self) -> None:
         if self.weight <= 0:
             raise ValueError("evidence weight must be positive")
+        if not math.isfinite(self.weight):
+            raise ValueError(f"evidence weight must be finite, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -166,24 +169,26 @@ def detect_similar(
     similar_threshold: float,
     documents: Mapping[str, str],
 ) -> list[RelationEdge]:
-    """Similar edges between decisions of one topic, canonical order."""
+    """Similar edges between decisions of one topic, canonical order.
+
+    The pairs come from ``provider.pairs``, an inverted-index join that
+    reaches only pairs of documents sharing a token and gives each the score
+    ``provider.score`` would; a pair sharing none scores 0 and never makes
+    an edge, at any threshold.
+    """
     ordered = sorted(decisions, key=lambda d: d.id)
     edges = []
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            score = provider.score(documents[a.id], documents[b.id])
-            if score >= similar_threshold and score > 0.0:
-                edges.append(
-                    RelationEdge(
-                        kind=SIMILAR,
-                        from_id=a.id,
-                        to_id=b.id,
-                        score=score,
-                        evidence=(
-                            Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),
-                        ),
-                    )
+    for i, j, score in provider.pairs([documents[d.id] for d in ordered]):
+        if score >= similar_threshold and score > 0.0:
+            edges.append(
+                RelationEdge(
+                    kind=SIMILAR,
+                    from_id=ordered[i].id,
+                    to_id=ordered[j].id,
+                    score=score,
+                    evidence=(Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),),
                 )
+            )
     return edges
 
 

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
@@ -153,3 +153,33 @@ class TfIdfProvider:
 
     def score(self, text_a: str, text_b: str) -> float:
         return _cosine(self._lookup(text_a), self._lookup(text_b))
+
+    def pairs(self, texts: Sequence[str]) -> Iterator[tuple[int, int, float]]:
+        """``(i, j, score(texts[i], texts[j]))`` in ``(i, j)`` order, for each
+        ``i < j`` whose vectors share an index; every other pair scores 0.
+
+        An inverted index replaces the pairwise loop: each pair sums its
+        products in ascending index order from 0.0, as ``_cosine`` does, so
+        every score is the same float.
+        """
+        weighted = [self._lookup(text) for text in texts]
+        # Each postings list runs from the last text down to the first, so
+        # when text i is reached, its own entry is the last one left.
+        postings: dict[int, list[tuple[int, float]]] = {}
+        for j in range(len(weighted) - 1, -1, -1):
+            for index, weight in weighted[j][0].items():
+                postings.setdefault(index, []).append((j, weight))
+        for i, (va, norm_a) in enumerate(weighted):
+            dots: dict[int, float] = {}
+            get = dots.get
+            for index, wa in sorted(va.items()):
+                later = postings[index]
+                later.pop()
+                for j, wb in later:
+                    dots[j] = get(j, 0.0) + wa * wb
+            for j in sorted(dots):
+                vb, norm_b = weighted[j]
+                if norm_a == norm_b and va == vb:
+                    yield i, j, 1.0
+                else:
+                    yield i, j, min(1.0, max(0.0, dots[j] / (norm_a * norm_b)))

@@ -7,18 +7,20 @@ without sharing code paths.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from datetime import datetime, timedelta, timezone
 
 from hypothesis import strategies as st
 
-from rdgraph.corpus import parse_timestamp
+from rdgraph.corpus import format_timestamp, parse_timestamp
 from rdgraph.decisions import Decision
 from rdgraph.graph import GraphError, RdGraph, SourceRef, build_graph
 from rdgraph.rationale import CAUSE, MANNER, PURPOSE, RationaleSpan
 from rdgraph.relations import (
     CONTRADICTS,
+    COSINE_SCORE,
     HISTORY,
     SIMILAR,
     Evidence,
@@ -64,8 +66,50 @@ def oracle_similarity(
     return dot / (norm_a * norm_b)
 
 
-_TEXTS = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60
+def reference_detect_similar(decisions, provider, similar_threshold, documents):
+    """The all-pairs reference for ``relations.detect_similar``: every pair of
+    the topic, in ``(i, j)`` order, is scored with ``provider.score``."""
+    ordered = sorted(decisions, key=lambda d: d.id)
+    edges = []
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            score = provider.score(documents[a.id], documents[b.id])
+            if score >= similar_threshold and score > 0.0:
+                edges.append(
+                    RelationEdge(
+                        kind=SIMILAR,
+                        from_id=a.id,
+                        to_id=b.id,
+                        score=score,
+                        evidence=(
+                            Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),
+                        ),
+                    )
+                )
+    return edges
+
+
+# Any text but lone surrogates, or text made only of the characters a JSON
+# writer must escape or pass through: quotes, backslashes, controls and
+# non-ASCII.
+_TEXTS = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60),
+    st.text(
+        alphabet=st.sampled_from(
+            '"\\/ \x00\x1f\x7f\n\r\t\b\f\u00e9\u2028\u20ac\U0001f600'
+        ),
+        max_size=12,
+    ),
+)
+_DETAILS = st.sampled_from(["gen", "", 'say "hi" \\ \x00\x1f\n', "é€😀\u2028"])
+# Scores and weights in [0, 1], with the smallest subnormal, a float that
+# repr writes in exponent form, and 1.0 drawn often.
+_NOTABLE_FLOATS = st.sampled_from([5e-324, 1e-7, 1.0])
+_SCORES = st.one_of(
+    _NOTABLE_FLOATS, st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+)
+_WEIGHTS = st.one_of(
+    _NOTABLE_FLOATS, st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 )
 _EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -83,7 +127,7 @@ def valid_graph_parts(draw):
                 artifact_id=f"a{i}",
                 source_uri=f"git:a{i}",
                 timestamp=_EPOCH + timedelta(days=i, seconds=draw(st.integers(0, 3600))),
-                score=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
+                score=draw(_SCORES),
                 author=draw(st.sampled_from(["ada", "grace", "linus"])),
                 files_touched=tuple(draw(st.lists(st.sampled_from(["mm/a.c", "mm/b.c"]), max_size=2))),
             )
@@ -117,8 +161,10 @@ def valid_graph_parts(draw):
     ]
 
     def evidence() -> tuple[Evidence, ...]:
-        weight = draw(st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
-        return (Evidence(feature="cosine-score", detail="gen", weight=weight),)
+        if draw(st.integers(0, 3)) == 0:
+            return ()
+        weight = draw(_WEIGHTS)
+        return (Evidence(feature="cosine-score", detail=draw(_DETAILS), weight=weight),)
 
     edges = []
     seen = set()
@@ -140,7 +186,7 @@ def valid_graph_parts(draw):
                         kind=kind,
                         from_id=from_id,
                         to_id=to_id,
-                        score=draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False)),
+                        score=draw(_SCORES),
                         evidence=evidence(),
                     )
                 )
@@ -150,6 +196,65 @@ def valid_graph_parts(draw):
         for d in decisions
     ]
     return decisions, rationales, topics, edges, sources
+
+
+def reference_save(graph: RdGraph) -> str:
+    """The ``json.dumps`` reference for ``graph.save``: the graph's document
+    as a dict, serialized with sorted keys and two-space indentation."""
+    doc = {
+        "rdg_version": 1,
+        "decisions": [
+            {
+                "artifact_id": d.artifact_id,
+                "author": d.author,
+                "files_touched": list(d.files_touched),
+                "id": d.id,
+                "score": d.score,
+                "source_uri": d.source_uri,
+                "text": d.text,
+                "timestamp": format_timestamp(d.timestamp),
+            }
+            for d in (graph.decisions[i] for i in sorted(graph.decisions))
+        ],
+        "rationales": [
+            {
+                "artifact_id": r.artifact_id,
+                "decision_id": r.decision_id,
+                "end": r.end,
+                "id": r.id,
+                "marker": r.marker,
+                "role": r.role,
+                "same_sentence": r.same_sentence,
+                "start": r.start,
+                "text": r.text,
+            }
+            for r in (graph.rationales[i] for i in sorted(graph.rationales))
+        ],
+        "topics": [
+            {"id": t.id, "members": list(t.member_decision_ids), "title": t.title}
+            for t in (graph.topics[i] for i in sorted(graph.topics))
+        ],
+        "sources": [
+            {"artifact_kind": s.artifact_kind, "id": s.id, "uri": s.uri}
+            for s in (graph.sources[i] for i in sorted(graph.sources))
+        ],
+        "edges": [
+            {
+                "evidence": [
+                    {"detail": e.detail, "feature": e.feature, "weight": e.weight}
+                    for e in edge.evidence
+                ],
+                "from": edge.from_id,
+                "kind": edge.kind,
+                "score": edge.score,
+                "to": edge.to_id,
+            }
+            for edge in sorted(
+                graph.relation_edges, key=lambda e: (e.kind, e.from_id, e.to_id)
+            )
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _reference_expect(obj, key, types, path):
@@ -208,8 +313,8 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
                 role=_expect(obj, "role", str, path),
                 marker=_expect(obj, "marker", str, path),
                 text=_expect(obj, "text", str, path),
-                start=_expect(obj, "start", int, path),
-                end=_expect(obj, "end", int, path),
+                start=int(_expect(obj, "start", int, path)),
+                end=int(_expect(obj, "end", int, path)),
                 same_sentence=_expect(obj, "same_sentence", bool, path),
             )
         )

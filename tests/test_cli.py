@@ -292,6 +292,33 @@ def test_graph_with_lone_surrogate_is_an_input_error(graph_file, tmp_path, capsy
     assert "graph.topics[0].title holds an unpaired surrogate" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{graph}", "--text", "reap the victim"], ["validate", "{graph}"]],
+    ids=["check", "validate"],
+)
+@pytest.mark.parametrize(
+    "field, value, token",
+    [("weight", float("nan"), "NaN"), ("score", float("inf"), "Infinity")],
+    ids=["nan-weight", "infinite-score"],
+)
+def test_graph_with_a_non_finite_number_is_an_input_error(
+    graph_file, tmp_path, capsys, argv, field, value, token
+):
+    doc = json.loads(pathlib.Path(graph_file).read_text())
+    if field == "weight":
+        doc["edges"][0]["evidence"][0]["weight"] = value
+    else:
+        doc["decisions"][0]["score"] = value
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([a.format(graph=bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: graph file is not valid JSON: non-finite number {token}\n"
+
+
 @pytest.mark.parametrize("hops", ["-1", "x"])
 def test_query_rejects_a_bad_hop_count(graph_file, capsys, hops):
     assert main(["query", graph_file, "--decision", D4, "--hops", hops]) == 2

@@ -2,17 +2,18 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 from dataclasses import replace
 from datetime import datetime, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
-from helpers import reference_graph_from_doc, valid_graph_parts
+from helpers import reference_graph_from_doc, reference_save, valid_graph_parts
 from rdgraph import graph as graph_module
 from rdgraph import (
     GraphError,
@@ -467,6 +468,71 @@ def test_generated_graphs_round_trip(parts):
     assert load(save(graph)) == graph
     # Serialization itself is deterministic.
     assert save(graph) == save(load(save(graph)))
+
+
+@given(valid_graph_parts(), st.booleans())
+@example(([], [], [], [], []), False)
+@settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_save_writes_what_json_dumps_writes(parts, empty_members):
+    graph = build_graph(*parts)
+    if empty_members and graph.topics:
+        # No valid graph has a memberless topic, but the writer's empty-array
+        # layout must match json.dumps for members as for any other array.
+        first = min(graph.topics)
+        topics = {**graph.topics, first: replace(graph.topics[first], member_decision_ids=())}
+        graph = replace(graph, topics=topics)
+    assert save(graph) == reference_save(graph)
+
+
+def _with_number(graph: RdGraph, where: str, value: float) -> RdGraph:
+    if where == "decision-score":
+        first = min(graph.decisions)
+        decision = replace(graph.decisions[first], score=value)
+        return replace(graph, decisions={**graph.decisions, first: decision})
+    edge = replace(graph.relation_edges[0], score=value)
+    return replace(graph, relation_edges=(edge,) + graph.relation_edges[1:])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["decision-score", "edge-score"])
+def test_save_refuses_a_non_finite_number(fixture_graph, where, value):
+    graph = _with_number(fixture_graph, where, value)
+    with pytest.raises(GraphError) as info:
+        save(graph)
+    assert str(info.value) == f"cannot save the non-finite number {value!r}"
+
+
+@pytest.mark.parametrize(
+    "path, value, token",
+    [
+        (("edges", 0, "evidence", 0, "weight"), math.nan, "NaN"),
+        (("decisions", 0, "score"), math.inf, "Infinity"),
+        (("edges", 0, "score"), -math.inf, "-Infinity"),
+    ],
+    ids=["nan-weight", "infinite-score", "negative-infinite-score"],
+)
+def test_load_rejects_a_non_finite_number(fixture_graph, path, value, token):
+    doc = json.loads(save(fixture_graph))
+    _set(path, value)(doc)
+    text = json.dumps(doc)
+    assert token in text
+    with pytest.raises(GraphError) as info:
+        load(text)
+    assert str(info.value) == f"graph file is not valid JSON: non-finite number {token}"
+
+
+@pytest.mark.parametrize("key", ["start", "end"])
+def test_a_bool_offset_loads_and_saves_as_an_integer(fixture_graph, key):
+    doc = json.loads(save(fixture_graph))
+    doc["rationales"][0][key] = True
+    graph = load(json.dumps(doc))
+    span = graph.rationales[doc["rationales"][0]["id"]]
+    assert type(getattr(span, key)) is int
+    text = save(graph)
+    assert f'"{key}": true' not in text
+    saved = json.loads(text)["rationales"][0][key]
+    assert type(saved) is int and saved == 1
+    assert load(text) == graph
 
 
 @given(valid_graph_parts(), st.integers(0, 4))

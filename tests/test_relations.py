@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import math
 import random
 import re
 from datetime import datetime, timedelta, timezone
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
+from helpers import reference_detect_similar
 from rdgraph import (
     build_model,
     build_pipeline,
@@ -156,6 +158,42 @@ def test_no_similar_edges_below_threshold(provider):
     decisions = [make_decision(0, docs[0]), make_decision(1, docs[2])]
     documents = {d.id: d.text for d in decisions}
     assert detect_similar(decisions, scorer, 0.5, documents) == []
+
+
+def test_pairs_reach_only_pairs_sharing_a_token_in_order():
+    provider = TfIdfProvider.fit(["reap memory", "tune tick", "the of"], frozenset({"the", "of"}))
+    texts = ["reap memory", "tune tick", "memory reap", "", "the of", "reap tick"]
+    pairs = list(provider.pairs(texts))
+    assert [(i, j) for i, j, _ in pairs] == [(0, 2), (0, 5), (1, 5), (2, 5)]
+    assert pairs[0][2] == 1.0  # equal vectors, whatever the word order
+    assert all(score == provider.score(texts[i], texts[j]) for i, j, score in pairs)
+
+
+_JOIN_DOCS = st.lists(
+    st.sampled_from(["reap", "memory", "task", "tick", "latency", "the", "of"]),
+    max_size=6,
+).map(" ".join)
+
+
+@given(
+    corpus=st.lists(_JOIN_DOCS, min_size=1, max_size=5),
+    docs=st.lists(_JOIN_DOCS, max_size=10),
+    repeats=st.lists(st.integers(0, 9), max_size=4),
+    order=st.randoms(use_true_random=False),
+    threshold=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_similar_join_matches_the_all_pairs_loop(corpus, docs, repeats, order, threshold):
+    # Duplicates, empty and stopword-only documents, and words the model has
+    # not seen (half the documents are left out of its corpus) all occur.
+    docs = docs + [docs[k % len(docs)] for k in repeats if docs]
+    numbers = list(range(len(docs)))
+    order.shuffle(numbers)
+    decisions = [make_decision(n, doc) for n, doc in zip(numbers, docs)]
+    documents = {d.id: d.text for d in decisions}
+    provider = TfIdfProvider.fit(corpus + docs[::2], frozenset({"the", "of"}))
+    expected = reference_detect_similar(decisions, provider, threshold, documents)
+    assert detect_similar(decisions, provider, threshold, documents) == expected
 
 
 def test_history_edge_for_the_revert_pair(fixture_graph, fixture_artifacts, config):
@@ -381,6 +419,13 @@ def test_raising_thresholds_never_adds_edges(fixture_artifacts, config):
 def test_evidence_weight_must_be_positive():
     with pytest.raises(ValueError, match="positive"):
         Evidence(feature=KEYWORD, detail="x", weight=0.0)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_evidence_weight_must_be_finite(weight):
+    with pytest.raises(ValueError) as info:
+        Evidence(feature=KEYWORD, detail="x", weight=weight)
+    assert str(info.value) == f"evidence weight must be finite, got {weight!r}"
 
 
 def _one_topic_corpus(n: int) -> list[Artifact]:
