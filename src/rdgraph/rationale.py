@@ -1,10 +1,10 @@
 """Extract rationale spans for decisions from causal/purpose/manner markers.
 
-A span runs from the token after a matched marker to the end of the clause:
-the end of the sentence, the next semicolon, or a comma that introduces a
-new finite clause.  Purpose and cause markers match anywhere in a sentence;
-"this way" only counts sentence-initially, and manner also matches the
-pattern "by <gerund>".
+A span runs from the token after a matched marker to the end of the clause
+(the end of the sentence, the next semicolon, or a comma that introduces a
+new finite clause) or to the next marker, whichever comes first.  Purpose
+and cause markers match anywhere in a sentence; "this way" only counts
+sentence-initially, and manner also matches the pattern "by <gerund>".
 """
 
 from __future__ import annotations
@@ -95,16 +95,19 @@ def _word_index(text: str) -> tuple[list[int], list[str]]:
     return starts, words
 
 
-def _clause_end(text: str, start: int, starts: list[int], words: list[str]) -> int:
-    """Scan from start to the clause boundary; offsets are sentence-local.
+def _clause_end(
+    text: str, start: int, stop: int, starts: list[int], words: list[str]
+) -> int:
+    """Scan from start to the clause boundary, or to ``stop`` if none comes
+    first; offsets are sentence-local.
 
     ``starts``/``words`` are :func:`_word_index` of ``text``, so the two words
     after a comma are a binary search away instead of a scan of the rest.
     """
     i = start
     depth = 0
-    while (stop := _CLAUSE_STOP_RE.search(text, i)) is not None:
-        i = stop.start()
+    while (boundary := _CLAUSE_STOP_RE.search(text, i, stop)) is not None:
+        i = boundary.start()
         ch = text[i]
         if ch == "(":
             depth += 1
@@ -122,7 +125,7 @@ def _clause_end(text: str, start: int, starts: list[int], words: list[str]) -> i
                 if first in _COORDINATORS and second in _SUBJECT_WORDS:
                     return i
         i += 1
-    return len(text)
+    return stop
 
 
 def _trim(text: str, start: int, end: int) -> tuple[str, int, int]:
@@ -139,8 +142,11 @@ def extract_rationale(
 ) -> list[SpanFragment]:
     """All marker-derived span fragments of one sentence, leftmost first.
 
-    Overlapping marker matches are resolved leftmost-longest.  Offsets are
-    absolute (into the artifact's normalized text).
+    Overlapping marker matches are resolved leftmost-longest.  A span ends at
+    its clause end or at the start of the next accepted marker, whichever
+    comes first, so each marker keeps its role and the spans of a sentence
+    are disjoint and in order.  Offsets are absolute (into the artifact's
+    normalized text).
     """
     marker_map = markers if markers is not None else DEFAULT_MARKERS
     text = sentence.text
@@ -156,15 +162,16 @@ def extract_rationale(
         for match in _BY_GERUND_RE.finditer(text):
             hits.append((match.start(), match.end(), MANNER, "by"))
     hits.sort(key=lambda h: (h[0], -(h[1] - h[0])))
+    accepted: list[tuple[int, int, str, str]] = []
+    for hit in hits:
+        if not accepted or hit[0] >= accepted[-1][1]:
+            accepted.append(hit)
     fragments: list[SpanFragment] = []
     starts, words = _word_index(text) if hits else ([], [])
-    last_end = -1
-    for start, end, role, marker in hits:
-        if start < last_end:
-            continue
-        last_end = end
+    stops = [start for start, _, _, _ in accepted[1:]] + [len(text)]
+    for (_, end, role, marker), stop in zip(accepted, stops):
         span_text, span_start, span_end = _trim(
-            text, end, _clause_end(text, end, starts, words)
+            text, end, _clause_end(text, end, stop, starts, words)
         )
         if not span_text:
             continue

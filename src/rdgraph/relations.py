@@ -274,40 +274,71 @@ def detect_history(
     )
 
 
-def _content_tokens(
-    tokens: tuple[str, ...], stopwords: frozenset[str]
-) -> frozenset[str]:
-    return frozenset(t for t in tokens if len(t) > 1 and t not in stopwords)
+def _content_tokens(tokens: list[str], stopwords: frozenset[str]) -> frozenset[str]:
+    return frozenset(t for t in set(tokens).difference(stopwords) if len(t) > 1)
 
 
 class _SentenceFeatures(NamedTuple):
-    tokens: tuple[str, ...]
+    """What the contradiction rule reads from one text."""
+
     content: frozenset[str]
-    # Tokens seen after a negation cue (within two tokens), and seen without.
+    # Content tokens seen after a negation cue (within two tokens), and
+    # content tokens seen without one.
     negated: frozenset[str]
     plain: frozenset[str]
+    # Each keyword the text holds, in sorted order, with the content tokens
+    # after its first occurrence (its object), when there are any.
+    objects: tuple[tuple[str, frozenset[str]], ...]
 
 
 @functools.lru_cache(maxsize=4096)
 def _sentence_features(
-    text: str, negation_cues: frozenset[str], stopwords: frozenset[str]
+    text: str,
+    keywords: frozenset[str],
+    negation_cues: frozenset[str],
+    stopwords: frozenset[str],
 ) -> _SentenceFeatures:
-    """What the contradiction rules read from one sentence, computed once."""
+    """The contradiction features of one text, computed once.
 
-    def is_cue(token: str) -> bool:
-        return token in negation_cues or token.endswith("n't")
+    Cached: build reads a decision sentence in ``candidate_pairs`` and in
+    each ``contradiction_score`` call of its pairs, and repeated validations
+    in one process read the same rationales.
+    """
+    tokens = _RAW_WORD_RE.findall(text.lower())
+    content = _content_tokens(tokens, stopwords)
+    # Positions within two tokens after a negation cue.
+    after_cue = {
+        j
+        for i, token in enumerate(tokens)
+        if token in negation_cues or token.endswith("n't")
+        for j in (i + 1, i + 2)
+    }
+    negated = content.intersection(tokens[j] for j in after_cue if j < len(tokens))
+    plain = content.intersection(t for j, t in enumerate(tokens) if j not in after_cue)
+    objects = []
+    for keyword in sorted(keywords.intersection(tokens)):
+        obj = _content_tokens(tokens[tokens.index(keyword) + 1 :], stopwords)
+        if obj:
+            objects.append((keyword, obj))
+    return _SentenceFeatures(content, negated, plain, tuple(objects))
 
-    tokens = tuple(_RAW_WORD_RE.findall(text.lower()))
-    negated: set[str] = set()
-    plain: set[str] = set()
-    for i, token in enumerate(tokens):
-        if any(is_cue(tokens[j]) for j in (i - 1, i - 2) if j >= 0):
-            negated.add(token)
-        else:
-            plain.add(token)
-    return _SentenceFeatures(
-        tokens, _content_tokens(tokens, stopwords), frozenset(negated), frozenset(plain)
-    )
+
+def _contradiction(
+    later: _SentenceFeatures, earlier: _SentenceFeatures
+) -> tuple[float, tuple[Evidence, ...]]:
+    """The contradiction rule over the features of two texts.
+
+    The negation rule wins over the keyword rule, and each reports its
+    first hit: the smallest clashing token, or the first keyword in sorted
+    order whose object overlaps the earlier text.
+    """
+    clashes = (later.negated & earlier.plain) | (later.plain & earlier.negated)
+    if clashes:
+        return 0.9, (Evidence(NEGATION_MISMATCH, min(clashes), 0.9),)
+    for keyword, obj in later.objects:
+        if jaccard(obj, earlier.content) >= 0.3:
+            return 0.7, (Evidence(KEYWORD, keyword, 0.7),)
+    return 0.0, ()
 
 
 def contradiction_score(
@@ -323,32 +354,14 @@ def contradiction_score(
     ``contradiction_keywords``) and its object overlaps the earlier sentence
     (0.7).  Negation rule: a shared content token is negated (after one of
     ``negation_cues``) in one sentence but not the other (0.9).  Returns
-    (0, ()) when neither rule fires.
+    (0, ()) when neither rule fires.  Each text is read once into a feature
+    record (cached), and the rule is a few set operations over two records.
     """
-    later = _sentence_features(later_text, negation_cues, stopwords)
-    earlier = _sentence_features(earlier_text, negation_cues, stopwords)
-    best_score = 0.0
-    best_evidence: tuple[Evidence, ...] = ()
-
-    for keyword in sorted(keywords):
-        if keyword not in later.tokens:
-            continue
-        at = later.tokens.index(keyword)
-        obj = _content_tokens(later.tokens[at + 1 :], stopwords)
-        if obj and jaccard(obj, earlier.content) >= 0.3:
-            best_score = 0.7
-            best_evidence = (Evidence(KEYWORD, keyword, 0.7),)
-            break
-
-    for token in sorted(later.content & earlier.content):
-        if (token in later.negated and token in earlier.plain) or (
-            token in later.plain and token in earlier.negated
-        ):
-            best_score = 0.9
-            best_evidence = (Evidence(NEGATION_MISMATCH, token, 0.9),)
-            break
-
-    return best_score, best_evidence
+    lexicons = (keywords, negation_cues, stopwords)
+    return _contradiction(
+        _sentence_features(later_text, *lexicons),
+        _sentence_features(earlier_text, *lexicons),
+    )
 
 
 def detect_contradicts(
@@ -506,6 +519,9 @@ def candidate_pairs(
     * same-author and ``Acked-by`` pairs, only when those two weights
       together reach ``history_threshold``.
 
+    The two sentence rules read the feature record ``contradiction_score``
+    reads, so keyword objects and negation states are derived in one place.
+
     Pairs come in the order of the all-pairs loop: earlier, then later, by
     ``(timestamp, id)``.
     """
@@ -520,7 +536,8 @@ def candidate_pairs(
         pairs.update(itertools.product(by_artifact[later_id], by_artifact[earlier_id]))
 
     features = [
-        _sentence_features(d.text, negation_cues, stopwords) for d in ordered
+        _sentence_features(d.text, keywords, negation_cues, stopwords)
+        for d in ordered
     ]
     with_token: dict[str, list[int]] = {}
     plain: dict[str, list[int]] = {}
@@ -528,23 +545,17 @@ def candidate_pairs(
     for j, f in enumerate(features):
         for token in f.content:
             with_token.setdefault(token, []).append(j)
-            if token in f.plain:
-                plain.setdefault(token, []).append(j)
-            if token in f.negated:
-                negated.setdefault(token, []).append(j)
+        for token in f.plain:
+            plain.setdefault(token, []).append(j)
+        for token in f.negated:
+            negated.setdefault(token, []).append(j)
     for i, f in enumerate(features):
-        objects: set[str] = set()
-        for keyword in keywords:
-            if keyword in f.tokens:
-                at = f.tokens.index(keyword)
-                objects |= _content_tokens(f.tokens[at + 1 :], stopwords)
-        for token in objects:
+        for token in frozenset().union(*(obj for _, obj in f.objects)):
             pairs.update((i, j) for j in with_token[token])
-        for token in f.content:
-            if token in f.negated:
-                pairs.update((i, j) for j in plain.get(token, ()))
-            if token in f.plain:
-                pairs.update((i, j) for j in negated.get(token, ()))
+        for token in f.negated:
+            pairs.update((i, j) for j in plain.get(token, ()))
+        for token in f.plain:
+            pairs.update((i, j) for j in negated.get(token, ()))
 
     # The sum detect_history makes of the two weak features, as a float
     # (0.30000000000000004); above it a history edge needs an id or summary.

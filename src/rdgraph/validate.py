@@ -7,8 +7,8 @@ and serialize to JSON lines for CI consumption.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _q
 
 from .config import Config, default_config
 from .graph import RdGraph, graph_violations, rationales_of
@@ -16,7 +16,8 @@ from .relations import (
     CONTRADICTS,
     SIMILAR,
     RelationEdge,
-    contradiction_score,
+    _contradiction,
+    _sentence_features,
     decision_document,
 )
 from .textsim import TfIdfProvider
@@ -64,7 +65,9 @@ def check_rationale_consistency(
     Contradicting rationales signal inconsistent reasoning; near-identical
     ones signal the same rationale reused for different decisions.  Scores
     come from a model fitted over the graph's non-empty joined rationales;
-    a graph without any rationale text has no findings.
+    a graph without any rationale text has no findings.  Each distinct
+    rationale text is read once into the feature record of the
+    contradiction rule, so a similar pair costs a few set operations.
     """
     cfg = config if config is not None else default_config()
     rationales = {
@@ -76,6 +79,10 @@ def check_rationale_consistency(
         return []
     provider = TfIdfProvider.fit(texts, cfg.stopwords)
     lexicons = (cfg.contradiction_keywords, cfg.negation_cues, cfg.stopwords)
+    # One record per distinct text, whatever the module cache holds.
+    features = {
+        text: _sentence_features(text, *lexicons) for text in dict.fromkeys(texts)
+    }
     findings: list[ValidationFinding] = []
     for edge in graph.relation_edges:
         if edge.kind != SIMILAR:
@@ -100,9 +107,8 @@ def check_rationale_consistency(
                 )
             )
             continue
-        contra, _ = contradiction_score(text_a, text_b, *lexicons)
-        contra_rev, _ = contradiction_score(text_b, text_a, *lexicons)
-        if max(contra, contra_rev) > 0.0:
+        a, b = features[text_a], features[text_b]
+        if _contradiction(a, b)[0] > 0.0 or _contradiction(b, a)[0] > 0.0:
             findings.append(
                 ValidationFinding(
                     kind=INCONSISTENT_REASONING,
@@ -254,25 +260,27 @@ def validate_structure(graph: RdGraph) -> list[ValidationFinding]:
     )
 
 
-def finding_to_dict(finding: ValidationFinding) -> dict:
-    return {
-        "kind": finding.kind,
-        "severity": finding.severity,
-        "subjects": list(finding.subject_ids),
-        "path": [
-            {"kind": e.kind, "from": e.from_id, "to": e.to_id, "score": e.score}
-            for e in finding.path
-        ],
-        "message": finding.message,
-    }
+def _path_edge(e: RelationEdge) -> str:
+    return (
+        f'{{"from": {_q(e.from_id)}, "kind": {_q(e.kind)}, '
+        f'"score": {e.score!r}, "to": {_q(e.to_id)}}}'
+    )
 
 
 def findings_to_jsonl(findings: list[ValidationFinding]) -> str:
-    lines = [
-        json.dumps(finding_to_dict(f), sort_keys=True, ensure_ascii=False)
+    """One JSON object per finding and line, keys sorted.
+
+    The text is what ``json.dumps(..., sort_keys=True, ensure_ascii=False)``
+    gives for each finding, written directly: strings through json's own
+    encoder and floats by ``repr``.
+    """
+    return "".join(
+        f'{{"kind": {_q(f.kind)}, "message": {_q(f.message)}, '
+        f'"path": [{", ".join(map(_path_edge, f.path))}], '
+        f'"severity": {_q(f.severity)}, '
+        f'"subjects": [{", ".join(map(_q, f.subject_ids))}]}}\n'
         for f in findings
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    )
 
 
 def render_findings(findings: list[ValidationFinding]) -> str:

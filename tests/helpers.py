@@ -27,6 +27,7 @@ from rdgraph.relations import (
     RelationEdge,
     Topic,
 )
+from rdgraph.validate import ValidationFinding
 
 
 def oracle_similarity(
@@ -255,6 +256,54 @@ def reference_save(graph: RdGraph) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def finding_to_dict(finding) -> dict:
+    """A validation finding as the dict its JSON line encodes."""
+    return {
+        "kind": finding.kind,
+        "severity": finding.severity,
+        "subjects": list(finding.subject_ids),
+        "path": [
+            {"kind": e.kind, "from": e.from_id, "to": e.to_id, "score": e.score}
+            for e in finding.path
+        ],
+        "message": finding.message,
+    }
+
+
+def reference_findings_to_jsonl(findings) -> str:
+    """The ``json.dumps`` reference for ``validate.findings_to_jsonl``."""
+    lines = [
+        json.dumps(finding_to_dict(f), sort_keys=True, ensure_ascii=False)
+        for f in findings
+    ]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@st.composite
+def findings(draw):
+    """Validation findings whose strings need escaping and whose paths hold
+    zero to three edges with notable scores."""
+
+    def edge() -> RelationEdge:
+        return RelationEdge(
+            kind=draw(st.sampled_from([SIMILAR, HISTORY, CONTRADICTS])),
+            from_id=draw(_TEXTS),
+            to_id=draw(_TEXTS),
+            score=draw(_SCORES),
+        )
+
+    return [
+        ValidationFinding(
+            kind=draw(_TEXTS),
+            severity=draw(st.sampled_from(["error", "warning", "info"])),
+            subject_ids=tuple(draw(st.lists(_TEXTS, max_size=3))),
+            path=tuple(edge() for _ in range(draw(st.integers(0, 3)))),
+            message=draw(_TEXTS.filter(bool)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
 
 
 def _reference_expect(obj, key, types, path):

@@ -318,13 +318,18 @@ def _reference_fragments(text):
     for match in _BY_GERUND_RE.finditer(text):
         hits.append((match.start(), match.end(), MANNER, "by"))
     hits.sort(key=lambda h: (h[0], -(h[1] - h[0])))
-    out = []
+    accepted = []
     last_end = -1
     for start, end, role, marker in hits:
         if start < last_end:
             continue
         last_end = end
-        chunk = text[end : _reference_clause_end(text, end)]
+        accepted.append((start, end, role, marker))
+    out = []
+    for n, (start, end, role, marker) in enumerate(accepted):
+        # A span stops at the next accepted marker, so spans never overlap.
+        next_start = accepted[n + 1][0] if n + 1 < len(accepted) else len(text)
+        chunk = text[end : min(_reference_clause_end(text, end), next_start)]
         stripped = chunk.strip(" \t\n.,;:!?")
         if stripped:
             span_start = end + chunk.find(stripped)
@@ -346,6 +351,38 @@ def test_extraction_equals_the_reference_clause_scan(text, offset):
     assert [
         (f.role, f.marker, f.text, f.start - offset, f.end - offset) for f in fragments
     ] == _reference_fragments(text)
+
+
+MARKER_PIECES = [
+    "so that ", "in order to ", "such that ", "so we can ", "because ",
+    "since ", "due to ", "This way ", "by doing ", "it runs ", "we add x ",
+    "the cache ", ", ", ", we ", "; ", "(", ") ",
+]
+
+
+@given(
+    text=st.lists(st.sampled_from(MARKER_PIECES), max_size=30).map("".join),
+    offset=st.integers(0, 50),
+)
+@settings(max_examples=500)
+def test_spans_of_a_sentence_are_disjoint_and_in_order(text, offset):
+    fragments = extract_rationale(sentence(text, start=offset))
+    for fragment in fragments:
+        assert offset <= fragment.start < fragment.end <= offset + len(text)
+        assert text[fragment.start - offset : fragment.end - offset] == fragment.text
+    for before, after in zip(fragments, fragments[1:]):
+        assert before.end <= after.start
+    assert sum(len(f.text) for f in fragments) <= len(text)
+
+
+def test_repeated_markers_yield_no_more_span_bytes_than_the_sentence():
+    # Each span used to run to the clause end, over every later marker:
+    # 32 MB of span text from this 32 KB sentence.
+    text = "we add x " + "so that it runs " * 2000
+    fragments = extract_rationale(sentence(text))
+    assert len(fragments) == 2000
+    assert {f.text for f in fragments} == {"it runs"}
+    assert sum(len(f.text.encode("utf-8")) for f in fragments) <= len(text.encode("utf-8"))
 
 
 LONG_BODY = 200_000

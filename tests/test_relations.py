@@ -535,6 +535,28 @@ def test_contradiction_score_is_independent_of_the_feature_cache(config, a, b):
     assert backward == _reference_contradiction_score(b, a, *args)
 
 
+# The config's lexicons; a keyword that is also a stopword; negation cues
+# matched only by the "n't" suffix; and no keywords at all.
+_LEXICONS = st.sampled_from(
+    [
+        None,
+        (frozenset({"the", "remove"}), frozenset({"no"}), frozenset({"the", "oom"})),
+        (frozenset({"revert", "memory"}), frozenset(), frozenset({"the"})),
+        (frozenset(), frozenset({"not", "never"}), frozenset()),
+    ]
+)
+
+
+@given(_SENTENCE, _SENTENCE, _LEXICONS)
+@settings(max_examples=300)
+def test_feature_record_rule_equals_the_reference_both_ways(config, a, b, lexicons):
+    args = lexicons or (config.contradiction_keywords, config.negation_cues, config.stopwords)
+    fa, fb = relations._sentence_features(a, *args), relations._sentence_features(b, *args)
+    assert relations._contradiction(fa, fb) == _reference_contradiction_score(a, b, *args)
+    assert relations._contradiction(fb, fa) == _reference_contradiction_score(b, a, *args)
+    assert contradiction_score(a, b, *args) == _reference_contradiction_score(a, b, *args)
+
+
 def test_relation_stage_scores_only_candidate_pairs(monkeypatch, config):
     calls: collections.Counter[str] = collections.Counter()
 

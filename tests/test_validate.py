@@ -7,11 +7,11 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
-from helpers import valid_graph_parts
+from helpers import finding_to_dict, findings, reference_findings_to_jsonl, valid_graph_parts
 from rdgraph import (
     GraphError,
     SourceRef,
@@ -39,7 +39,6 @@ from rdgraph.validate import (
     MISSING_RATIONALE,
     STRUCTURAL_VIOLATION,
     ValidationFinding,
-    finding_to_dict,
     findings_to_jsonl,
     graph_documents,
 )
@@ -164,6 +163,34 @@ def test_each_rationale_is_joined_once(monkeypatch, config):
     assert len(findings) == len(edges) == 28
     # Joining at both ends of every similar edge would make 56 calls.
     assert calls == {d.id: 1 for d in decisions}
+
+
+def test_each_rationale_text_gets_one_feature_record(monkeypatch, config):
+    decisions = [make_decision(n, f"mm: add cache layer {n}") for n in range(8)]
+    spans = [
+        make_span(d.id, f"do not keep latency low {n % 3}")
+        for n, d in enumerate(decisions)
+    ]
+    edges = [
+        RelationEdge(kind=SIMILAR, from_id=a.id, to_id=b.id, score=0.9)
+        for i, a in enumerate(decisions)
+        for b in decisions[i + 1 :]
+    ]
+    members = tuple(d.id for d in decisions)
+    topic = Topic(id="t1", title="cache", member_decision_ids=members)
+    graph = build_graph(decisions, spans, [topic], edges)
+    calls = collections.Counter()
+    original = validate._sentence_features
+
+    def counting(text, *lexicons):
+        calls[text] += 1
+        return original(text, *lexicons)
+
+    monkeypatch.setattr(validate, "_sentence_features", counting)
+    findings = check_rationale_consistency(graph, config)
+    assert len(findings) == len(edges) == 28
+    # Two records per similar edge would make 56 calls over 3 distinct texts.
+    assert calls == {span.text: 1 for span in spans}
 
 
 @pytest.fixture()
@@ -514,3 +541,10 @@ def test_findings_serialize_to_json_lines(fixture_graph_d1_d4, fixture_artifacts
     assert rows == [finding_to_dict(f) for f in findings]
     for row in rows:
         assert set(row) == {"kind", "severity", "subjects", "path", "message"}
+
+
+@given(findings())
+@example([])
+@settings(max_examples=300)
+def test_findings_jsonl_writes_what_json_dumps_writes(found):
+    assert findings_to_jsonl(found) == reference_findings_to_jsonl(found)
