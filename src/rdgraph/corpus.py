@@ -20,6 +20,11 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from .config import default_config
+
+# The abbreviations a build uses unless its config says otherwise.
+DEFAULT_ABBREVIATIONS = default_config().abbreviations
+
 RECORD_SEP = "\x1e"
 FIELD_SEP = "\x1f"
 
@@ -365,7 +370,7 @@ def _segment_block(
 
 
 def segment_sentences(
-    artifact: Artifact, abbreviations: frozenset[str] = frozenset({"e.g", "i.e", "vs", "cf"})
+    artifact: Artifact, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
 ) -> list[Sentence]:
     """Deterministic rule-based sentence segmentation of an artifact.
 

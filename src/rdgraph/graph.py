@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .corpus import format_timestamp, lone_surrogate, parse_timestamp
@@ -32,13 +34,6 @@ RDG_VERSION = 1
 RATIONALE_KIND = "rationale"
 TOPIC_KIND = "topic"
 ALL_KINDS = frozenset(EDGE_KINDS) | {RATIONALE_KIND, TOPIC_KIND}
-
-_NODE_SHAPES = {
-    "decision": "box",
-    "rationale": "ellipse",
-    "topic": "folder",
-    "source": "note",
-}
 
 
 class GraphError(ValueError):
@@ -68,18 +63,51 @@ class Subgraph:
 
 @dataclass(frozen=True)
 class RdGraph:
+    """A decision graph: five records and the indexes derived from them.
+
+    Only the records are stored.  Each index is computed from them on first
+    use and kept, so a graph constructed directly answers every query as the
+    one ``build_graph`` returns.  A decision's source is the source whose id
+    is its ``artifact_id``.
+    """
+
     decisions: dict[str, Decision]
     rationales: dict[str, RationaleSpan]
     topics: dict[str, Topic]
     sources: dict[str, SourceRef]
     relation_edges: tuple[RelationEdge, ...]
-    rationale_edges: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    topic_edges: dict[str, str] = field(default_factory=dict)
-    source_edges: dict[str, str] = field(default_factory=dict)
+
+    @cached_property
+    def rationale_edges(self) -> dict[str, tuple[str, ...]]:
+        """Each decision's rationale span ids, in id order."""
+        owned: dict[str, list[str]] = {}
+        for span_id in sorted(self.rationales):
+            owned.setdefault(self.rationales[span_id].decision_id, []).append(span_id)
+        return {k: tuple(owned[k]) for k in sorted(owned)}
+
+    @cached_property
+    def topic_edges(self) -> dict[str, str]:
+        """The topic of each member decision."""
+        owner = {
+            member: topic_id
+            for topic_id in sorted(self.topics)
+            for member in self.topics[topic_id].member_decision_ids
+        }
+        return {k: owner[k] for k in sorted(owner)}
+
+    @cached_property
+    def incident_edges(self) -> dict[str, list[RelationEdge]]:
+        """Each decision's relation edges, either end, in ``relation_edges`` order."""
+        incident: dict[str, list[RelationEdge]] = {}
+        for edge in self.relation_edges:
+            incident.setdefault(edge.from_id, []).append(edge)
+            if edge.to_id != edge.from_id:
+                incident.setdefault(edge.to_id, []).append(edge)
+        return incident
 
 
-def _edge_sort_key(edge: RelationEdge) -> tuple[str, str, str]:
-    return (edge.kind, edge.from_id, edge.to_id)
+# An edge's (kind, from_id, to_id): the order of edges in files and queries.
+_edge_sort_key = attrgetter("kind", "from_id", "to_id")
 
 
 def _by_id(items: Iterable, what: str) -> dict:
@@ -127,7 +155,7 @@ def graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...], str]]:
 
     for decision_id in sorted(graph.decisions):
         decision = graph.decisions[decision_id]
-        source = graph.sources.get(graph.source_edges.get(decision_id))
+        source = graph.sources.get(decision.artifact_id)
         if source is None:
             yield (decision_id,), (
                 f"decision {decision_id!r} has no source for artifact "
@@ -187,15 +215,6 @@ def build_graph(
     rationale_map: dict[str, RationaleSpan] = _by_id(rationales, "rationale")
     topic_map: dict[str, Topic] = _by_id(topics, "topic")
 
-    rationale_edges: dict[str, list[str]] = {}
-    for span in rationale_map.values():
-        rationale_edges.setdefault(span.decision_id, []).append(span.id)
-    topic_edges = {
-        member: topic.id
-        for topic in topic_map.values()
-        for member in topic.member_decision_ids
-    }
-
     if sources is None:
         derived: dict[str, SourceRef] = {}
         for decision in decision_map.values():
@@ -225,9 +244,6 @@ def build_graph(
         topics=topic_map,
         sources=_by_id(sources, "source"),
         relation_edges=tuple(canonical),
-        rationale_edges={k: tuple(v) for k, v in sorted(rationale_edges.items())},
-        topic_edges={k: topic_edges[k] for k in sorted(topic_edges)},
-        source_edges={k: d.artifact_id for k, d in decision_map.items()},
     )
     for _, message in graph_violations(graph):
         raise GraphError(message)
@@ -244,18 +260,18 @@ def neighbors(
     """Edges of the requested kinds incident to a decision, with the peer.
 
     Similar edges are treated as bidirectional; history and contradicts
-    edges count in both directions.
+    edges count in both directions.  The pairs sort by edge kind, then peer
+    id, and equal keys keep ``relation_edges`` order.  The graph's incidence
+    index makes this cost the decision's own edges, not the graph's.
     """
     if decision_id not in graph.decisions:
         raise GraphError(f"unknown decision id {decision_id!r}")
-    found = []
-    for edge in graph.relation_edges:
-        if edge.kind not in kinds:
-            continue
-        if edge.from_id == decision_id:
-            found.append((edge, graph.decisions[edge.to_id]))
-        elif edge.to_id == decision_id:
-            found.append((edge, graph.decisions[edge.from_id]))
+    decisions = graph.decisions
+    found = [
+        (e, decisions[e.to_id if e.from_id == decision_id else e.from_id])
+        for e in graph.incident_edges.get(decision_id, ())
+        if e.kind in kinds
+    ]
     found.sort(key=lambda pair: (pair[0].kind, pair[1].id))
     return found
 
@@ -270,7 +286,9 @@ def k_hop(
 
     Decisions connect through relation edges; ``rationale`` and ``topic``
     kinds hop to the owned rationale nodes and the owning topic.  k = 0
-    yields the start node alone.
+    yields the start node alone.  The edges are those of the requested kinds
+    between reached decisions.  Each hop reads the incidence of the nodes it
+    expands, so the cost grows with the edges reached, not with the graph.
     """
     if decision_id not in graph.decisions:
         raise GraphError(f"unknown decision id {decision_id!r}")
@@ -292,14 +310,15 @@ def k_hop(
         frontier = next_frontier
 
     decision_ids = frozenset(i for kind, i in visited if kind == "decision")
+    # Each edge is listed once, from the incidence of its from end; taking
+    # the ends in id order leaves the sort little to do.
     edges = tuple(
         sorted(
             (
                 e
-                for e in graph.relation_edges
-                if e.kind in kinds
-                and e.from_id in decision_ids
-                and e.to_id in decision_ids
+                for d in sorted(decision_ids)
+                for e in graph.incident_edges.get(d, ())
+                if e.from_id == d and e.kind in kinds and e.to_id in decision_ids
             ),
             key=_edge_sort_key,
         )
@@ -317,13 +336,7 @@ def _adjacent(
 ) -> list[tuple[str, str]]:
     peers: list[tuple[str, str]] = []
     if node_kind == "decision":
-        for edge in graph.relation_edges:
-            if edge.kind not in kinds:
-                continue
-            if edge.from_id == node_id:
-                peers.append(("decision", edge.to_id))
-            elif edge.to_id == node_id:
-                peers.append(("decision", edge.from_id))
+        peers.extend(("decision", p.id) for _, p in neighbors(graph, node_id, kinds))
         if RATIONALE_KIND in kinds:
             peers.extend(
                 ("rationale", rid) for rid in graph.rationale_edges.get(node_id, ())
@@ -634,54 +647,33 @@ def _dot_escape(text: str) -> str:
 
 def export_dot(graph: RdGraph) -> str:
     """Render the graph in plain DOT, deterministic and layout-free."""
-    lines = ["digraph rdg {"]
-    for decision_id in sorted(graph.decisions):
-        decision = graph.decisions[decision_id]
-        lines.append(
-            f'  "{_dot_escape(decision_id)}" '
-            f'[label="{_dot_escape(decision.text)}" shape={_NODE_SHAPES["decision"]}];'
-        )
-    for span_id in sorted(graph.rationales):
-        span = graph.rationales[span_id]
-        lines.append(
-            f'  "{_dot_escape(span_id)}" '
-            f'[label="{_dot_escape(span.text)}" shape={_NODE_SHAPES["rationale"]}];'
-        )
-    for topic_id in sorted(graph.topics):
-        topic = graph.topics[topic_id]
-        label = topic.title or topic.id
-        lines.append(
-            f'  "{_dot_escape(topic_id)}" '
-            f'[label="{_dot_escape(label)}" shape={_NODE_SHAPES["topic"]}];'
-        )
-    for source_id in sorted(graph.sources):
-        source = graph.sources[source_id]
-        lines.append(
-            f'  "{_dot_escape(source_id)}" '
-            f'[label="{_dot_escape(source.uri)}" shape={_NODE_SHAPES["source"]}];'
-        )
-    for decision_id in sorted(graph.rationale_edges):
-        for span_id in graph.rationale_edges[decision_id]:
-            lines.append(
-                f'  "{_dot_escape(decision_id)}" -> "{_dot_escape(span_id)}" '
-                f'[label="rationale"];'
-            )
-    for decision_id in sorted(graph.topic_edges):
-        lines.append(
-            f'  "{_dot_escape(decision_id)}" -> '
-            f'"{_dot_escape(graph.topic_edges[decision_id])}" [label="topic"];'
-        )
-    for decision_id in sorted(graph.source_edges):
-        lines.append(
-            f'  "{_dot_escape(decision_id)}" -> '
-            f'"{_dot_escape(graph.source_edges[decision_id])}" [label="source"];'
-        )
-    for edge in sorted(graph.relation_edges, key=_edge_sort_key):
-        attrs = f'label="{edge.kind}"'
-        if edge.kind == SIMILAR:
-            attrs += " dir=none"
-        lines.append(
-            f'  "{_dot_escape(edge.from_id)}" -> "{_dot_escape(edge.to_id)}" [{attrs}];'
-        )
-    lines.append("}")
+
+    def node(node_id: str, label: str, shape: str) -> str:
+        label = _dot_escape(label)
+        return f'  "{_dot_escape(node_id)}" [label="{label}" shape={shape}];'
+
+    def arc(from_id: str, to_id: str, kind: str) -> str:
+        attrs = f'label="{kind}"' + (" dir=none" if kind == SIMILAR else "")
+        return f'  "{_dot_escape(from_id)}" -> "{_dot_escape(to_id)}" [{attrs}];'
+
+    decisions, spans, topics = graph.decisions, graph.rationales, graph.topics
+    lines = [
+        "digraph rdg {",
+        *(node(i, decisions[i].text, "box") for i in sorted(decisions)),
+        *(node(i, spans[i].text, "ellipse") for i in sorted(spans)),
+        *(node(i, topics[i].title or topics[i].id, "folder") for i in sorted(topics)),
+        *(node(i, graph.sources[i].uri, "note") for i in sorted(graph.sources)),
+        *(
+            arc(decision_id, span_id, RATIONALE_KIND)
+            for decision_id, span_ids in graph.rationale_edges.items()
+            for span_id in span_ids
+        ),
+        *(arc(i, topic_id, TOPIC_KIND) for i, topic_id in graph.topic_edges.items()),
+        *(arc(i, decisions[i].artifact_id, "source") for i in sorted(decisions)),
+        *(
+            arc(e.from_id, e.to_id, e.kind)
+            for e in sorted(graph.relation_edges, key=_edge_sort_key)
+        ),
+        "}",
+    ]
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .config import default_config
 from .corpus import Sentence
 from .decisions import Decision, decision_sentence_index
 
@@ -22,11 +23,8 @@ CAUSE = "cause"
 MANNER = "manner"
 ROLES = (PURPOSE, CAUSE, MANNER)
 
-DEFAULT_MARKERS: dict[str, tuple[str, ...]] = {
-    PURPOSE: ("so that", "in order to", "such that", "so we can"),
-    CAUSE: ("because", "since", "due to"),
-    MANNER: ("this way",),
-}
+# The markers a build uses unless its config says otherwise.
+DEFAULT_MARKERS: dict[str, tuple[str, ...]] = default_config().markers
 
 _BY_GERUND_RE = re.compile(r"\bby\s+(?=[a-z]+ing\b)", re.IGNORECASE)
 

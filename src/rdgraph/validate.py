@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring as _q
 
 from .config import Config, default_config
-from .graph import RdGraph, graph_violations, rationales_of
+from .graph import RdGraph, graph_violations, neighbors, rationales_of
 from .relations import (
     CONTRADICTS,
     SIMILAR,
@@ -176,17 +176,6 @@ def check_new_decision(
     documents = graph_documents(graph)
     provider = TfIdfProvider.fit([*documents.values(), candidate_text], cfg.stopwords)
     findings: list[ValidationFinding] = []
-    # Each decision's similar neighbours and contradicts edges, in edge order
-    # (a graph has no self edges, so each edge is listed once per end).
-    similar_by_id: dict[str, list[tuple[str, RelationEdge]]] = {}
-    contradicts_by_id: dict[str, list[RelationEdge]] = {}
-    for edge in graph.relation_edges:
-        if edge.kind == SIMILAR:
-            similar_by_id.setdefault(edge.from_id, []).append((edge.to_id, edge))
-            similar_by_id.setdefault(edge.to_id, []).append((edge.from_id, edge))
-        elif edge.kind == CONTRADICTS:
-            contradicts_by_id.setdefault(edge.from_id, []).append(edge)
-            contradicts_by_id.setdefault(edge.to_id, []).append(edge)
     for decision_id in sorted(graph.decisions):
         decision = graph.decisions[decision_id]
         score = provider.score(candidate_text, documents[decision_id])
@@ -208,14 +197,16 @@ def check_new_decision(
             continue
         targets: list[tuple[str, tuple[RelationEdge, ...]]] = [(decision_id, ())]
         targets.extend(
-            (other, (edge,)) for other, edge in similar_by_id.get(decision_id, ())
+            (peer.id, (edge,))
+            for edge, peer in neighbors(graph, decision_id, {SIMILAR})
         )
         for target_id, prefix in targets:
-            for edge in contradicts_by_id.get(target_id, ()):
+            # The link, the prefix and the contradicts edge must fit in k.
+            if 2 + len(prefix) > cfg.k:
+                continue
+            target = graph.decisions[target_id]
+            for edge, _ in neighbors(graph, target_id, {CONTRADICTS}):
                 path = prefix + (edge,)
-                if 1 + len(path) > cfg.k:
-                    continue
-                target = graph.decisions[target_id]
                 findings.append(
                     ValidationFinding(
                         kind=CONFLICT_WARNING,

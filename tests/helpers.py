@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rdgraph.corpus import format_timestamp, parse_timestamp
 from rdgraph.decisions import Decision
-from rdgraph.graph import GraphError, RdGraph, SourceRef, build_graph
+from rdgraph.graph import GraphError, RdGraph, SourceRef, Subgraph, build_graph
 from rdgraph.rationale import CAUSE, MANNER, PURPOSE, RationaleSpan
 from rdgraph.relations import (
     CONTRADICTS,
@@ -117,16 +117,21 @@ _EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 @st.composite
 def valid_graph_parts(draw):
-    """Decisions, rationales, topics, edges, sources for a valid graph."""
+    """Decisions, rationales, topics, edges, sources for a valid graph.
+
+    Decision ``i`` is the ``i``-th oldest; its id is drawn from a permutation,
+    so id order and time order may disagree, as they do for commit hashes.
+    """
     n = draw(st.integers(min_value=1, max_value=6))
+    labels = draw(st.permutations(range(n)))
     decisions = []
     for i in range(n):
         decisions.append(
             Decision(
-                id=f"a{i}#0",
+                id=f"a{labels[i]}#0",
                 text=draw(_TEXTS),
-                artifact_id=f"a{i}",
-                source_uri=f"git:a{i}",
+                artifact_id=f"a{labels[i]}",
+                source_uri=f"git:a{labels[i]}",
                 timestamp=_EPOCH + timedelta(days=i, seconds=draw(st.integers(0, 3600))),
                 score=draw(_SCORES),
                 author=draw(st.sampled_from(["ada", "grace", "linus"])),
@@ -256,6 +261,82 @@ def reference_save(graph: RdGraph) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def reference_neighbors(graph: RdGraph, decision_id: str, kinds) -> list:
+    """The scan-based reference for ``graph.neighbors``: every relation edge
+    is tested against the decision."""
+    if decision_id not in graph.decisions:
+        raise GraphError(f"unknown decision id {decision_id!r}")
+    found = []
+    for edge in graph.relation_edges:
+        if edge.kind not in kinds:
+            continue
+        if edge.from_id == decision_id:
+            found.append((edge, graph.decisions[edge.to_id]))
+        elif edge.to_id == decision_id:
+            found.append((edge, graph.decisions[edge.from_id]))
+    found.sort(key=lambda pair: (pair[0].kind, pair[1].id))
+    return found
+
+
+def _reference_adjacent(graph: RdGraph, node_kind: str, node_id: str, kinds) -> list:
+    peers = []
+    if node_kind == "decision":
+        for edge in graph.relation_edges:
+            if edge.kind not in kinds:
+                continue
+            if edge.from_id == node_id:
+                peers.append(("decision", edge.to_id))
+            elif edge.to_id == node_id:
+                peers.append(("decision", edge.from_id))
+        if "rationale" in kinds:
+            peers.extend(
+                ("rationale", span.id)
+                for span in graph.rationales.values()
+                if span.decision_id == node_id
+            )
+        if "topic" in kinds:
+            peers.extend(
+                ("topic", topic.id)
+                for topic in graph.topics.values()
+                if node_id in topic.member_decision_ids
+            )
+    elif node_kind == "rationale" and "rationale" in kinds:
+        peers.append(("decision", graph.rationales[node_id].decision_id))
+    elif node_kind == "topic" and "topic" in kinds:
+        peers.extend(("decision", m) for m in graph.topics[node_id].member_decision_ids)
+    return peers
+
+
+def reference_k_hop(graph: RdGraph, decision_id: str, k: int, kinds) -> Subgraph:
+    """The scan-based reference for ``graph.k_hop``: each expanded node scans
+    every relation edge, rationale and topic, and the subgraph's edges come
+    from a scan of every relation edge."""
+    start = ("decision", decision_id)
+    frontier, visited = {start}, {start}
+    for _ in range(k):
+        frontier = {
+            peer
+            for node_kind, node_id in frontier
+            for peer in _reference_adjacent(graph, node_kind, node_id, kinds)
+        } - visited
+        visited |= frontier
+    decision_ids = frozenset(i for kind, i in visited if kind == "decision")
+    edges = sorted(
+        (
+            e
+            for e in graph.relation_edges
+            if e.kind in kinds and e.from_id in decision_ids and e.to_id in decision_ids
+        ),
+        key=lambda e: (e.kind, e.from_id, e.to_id),
+    )
+    return Subgraph(
+        decision_ids=decision_ids,
+        rationale_ids=frozenset(i for kind, i in visited if kind == "rationale"),
+        topic_ids=frozenset(i for kind, i in visited if kind == "topic"),
+        edges=tuple(edges),
+    )
 
 
 def finding_to_dict(finding) -> dict:

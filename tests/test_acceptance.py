@@ -218,9 +218,6 @@ def test_criterion_7_cyclic_history_is_rejected(fixture_graph):
         topics=fixture_graph.topics,
         sources=fixture_graph.sources,
         relation_edges=fixture_graph.relation_edges + (cycle_edge,),
-        rationale_edges=fixture_graph.rationale_edges,
-        topic_edges=fixture_graph.topic_edges,
-        source_edges=fixture_graph.source_edges,
     )
     # The closing edge D1 -> D3 runs from the earlier decision to the later one.
     assert any(

@@ -13,7 +13,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
-from helpers import reference_graph_from_doc, reference_save, valid_graph_parts
+from helpers import (
+    reference_graph_from_doc,
+    reference_k_hop,
+    reference_neighbors,
+    reference_save,
+    valid_graph_parts,
+)
 from rdgraph import graph as graph_module
 from rdgraph import (
     GraphError,
@@ -50,7 +56,8 @@ def test_fixture_graph_matches_the_expected_structure(fixture_graph):
         (CONTRADICTS, D3, D2),
     }
     assert set(fixture_graph.topic_edges) == set(fixture_graph.decisions)
-    assert set(fixture_graph.source_edges) == set(fixture_graph.decisions)
+    sources = {d.artifact_id for d in fixture_graph.decisions.values()}
+    assert sources == set(fixture_graph.sources)
 
 
 def make_decision(n: int, text: str = "x") -> Decision:
@@ -546,6 +553,18 @@ def test_k_hop_is_monotone_in_k(parts, k):
     assert small.rationale_ids <= big.rationale_ids
     assert small.topic_ids <= big.topic_ids
     assert set(small.edges) <= set(big.edges)
+
+
+@given(valid_graph_parts(), st.sets(st.sampled_from(sorted(ALL_KINDS))))
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_indexed_queries_equal_the_scan_references(parts, kinds):
+    graph = build_graph(*parts)
+    for decision_id in graph.decisions:
+        found = neighbors(graph, decision_id, kinds)
+        assert found == reference_neighbors(graph, decision_id, kinds)
+        for k in range(5):
+            subgraph = k_hop(graph, decision_id, k, kinds)
+            assert subgraph == reference_k_hop(graph, decision_id, k, kinds)
 
 
 @given(valid_graph_parts())

@@ -1,17 +1,22 @@
-"""Pinned graph bytes of the benchmark corpora.
+"""Pinned graph, findings and check bytes of the benchmark corpora.
 
-Each workload of ``perfbench/gen.py`` is built at seed 101 the way the
-benchmark builds it (``rdgraph ingest`` then ``rdgraph build``, in-process),
-and the graph file's SHA-256 must be the pinned one, as must the SHA-256 of
-what ``rdgraph validate --json`` prints for that graph.  A change that moves
-a byte of a graph file or of its findings fails here; a change meant to move
-bytes (a new graph format, say) updates the pins and says why.
+Each workload of ``perfbench/gen.py`` is generated and built once per module
+at seed 101 the way the benchmark builds it (``rdgraph ingest`` then
+``rdgraph build``, in-process).  The graph file's SHA-256 must be the pinned
+one, as must the SHA-256 of what ``rdgraph validate --json`` prints for that
+graph, and a digest of what ``rdgraph check --file <proposal> --json``
+prints, with its exit code, for each of the workload's 120 proposals.  A
+change that moves a byte of a graph file, of its findings or of a check fails
+here; a change meant to move bytes (a new graph format, say) updates the pins
+and says why.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -29,13 +34,24 @@ def _gen():
     return module
 
 
-def _build(tmp_path, workload):
-    dump = tmp_path / "input.dump"
-    dump.write_text(getattr(_gen(), workload)(101).dump, encoding="utf-8")
-    artifacts, graph = tmp_path / "artifacts.jsonl", tmp_path / "graph.json"
-    assert main(["ingest", str(dump), "--format", "git", "-o", str(artifacts)]) == 0
-    assert main(["build", str(artifacts), "-o", str(graph)]) == 0
-    return graph
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """``built(workload)`` is ``(graph path, proposals)``, made once per module."""
+    cache = {}
+
+    def build(workload):
+        if workload not in cache:
+            tmp_path = tmp_path_factory.mktemp(workload)
+            generated = getattr(_gen(), workload)(101)
+            dump = tmp_path / "input.dump"
+            dump.write_text(generated.dump, encoding="utf-8")
+            artifacts, graph = tmp_path / "artifacts.jsonl", tmp_path / "graph.json"
+            assert main(["ingest", str(dump), "--format", "git", "-o", str(artifacts)]) == 0
+            assert main(["build", str(artifacts), "-o", str(graph)]) == 0
+            cache[workload] = graph, generated.proposals
+        return cache[workload]
+
+    return build
 
 
 @pytest.mark.parametrize(
@@ -45,8 +61,8 @@ def _build(tmp_path, workload):
         ("longbody", "48f31e7b83ccf8579ca752ba9c1e92e352a58cf523f0aa2733201ba6515c3529"),
     ],
 )
-def test_benchmark_graph_bytes_are_pinned(tmp_path, capsys, workload, digest):
-    graph = _build(tmp_path, workload)
+def test_benchmark_graph_bytes_are_pinned(built, capsys, workload, digest):
+    graph, _ = built(workload)
     capsys.readouterr()
     assert hashlib.sha256(graph.read_bytes()).hexdigest() == digest
 
@@ -58,10 +74,49 @@ def test_benchmark_graph_bytes_are_pinned(tmp_path, capsys, workload, digest):
         ("longbody", "8a4ae36879df100fd197ad24cf2b617ad14b6b232c67803e943d3038725e8478", 12),
     ],
 )
-def test_benchmark_findings_bytes_are_pinned(tmp_path, capsys, workload, digest, lines):
-    graph = _build(tmp_path, workload)
+def test_benchmark_findings_bytes_are_pinned(built, capsys, workload, digest, lines):
+    graph, _ = built(workload)
     capsys.readouterr()
     assert main(["validate", str(graph), "--json"]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# At the default k = 2 a check never reports a conflict via a similar
+# decision; k = 3 is the smallest budget that reaches that branch.
+@pytest.mark.parametrize(
+    "workload, config, digest, exits",
+    [
+        ("history", None,
+         "8ca6206eb764c0a9b445e96ee531e129e32d9a23487efd0a513239b089c0e769", {0: 63, 1: 57}),
+        ("history", {"k": 3},
+         "6d1b9fa89d77ec72889d677cbe77875260dd9bed70c8878807b5275347bcee52", {0: 40, 1: 80}),
+        ("longbody", None,
+         "b878b4e116ce0cad33da929f4a77f8de79d4e60d771401c8775156579d9bbdb9", {0: 67, 1: 53}),
+        ("longbody", {"k": 3},
+         "1fc99e872f6c69a9f18b761a0903e764a9c5908822fc1715653d1f92c7d4c145", {0: 64, 1: 56}),
+    ],
+    ids=["history-k2", "history-k3", "longbody-k2", "longbody-k3"],
+)
+def test_benchmark_check_bytes_are_pinned(
+    built, tmp_path, capsys, workload, config, digest, exits
+):
+    graph, proposals = built(workload)
+    capsys.readouterr()
+    options = []
+    if config is not None:
+        options = ["--config", str(tmp_path / "config.json")]
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    runs, codes = [], collections.Counter()
+    for index, proposal in enumerate(proposals):
+        path = tmp_path / f"proposal-{index:03d}.txt"
+        path.write_text(proposal.text + "\n", encoding="utf-8")
+        code = main(["check", str(graph), "--file", str(path), "--json", *options])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        codes[code] += 1
+        runs.append(f"{index} {code} {hashlib.sha256(captured.out.encode()).hexdigest()}\n")
+    assert len(runs) == 120
+    assert dict(codes) == exits
+    assert hashlib.sha256("".join(runs).encode()).hexdigest() == digest

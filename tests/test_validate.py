@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import D1, D2, D3, D4, D5
+from conftest import D1, D2, D3, D4, D5, FIXTURE_DIR
 from helpers import finding_to_dict, findings, reference_findings_to_jsonl, valid_graph_parts
 from rdgraph import (
     GraphError,
@@ -19,6 +19,8 @@ from rdgraph import (
     build_model,
     check_new_decision,
     check_rationale_consistency,
+    export_dot,
+    k_hop,
     normalized_text,
     save,
     validate_structure,
@@ -323,19 +325,31 @@ def test_validate_structure_accepts_every_pipeline_graph(fixture_graph, fixture_
     assert validate_structure(fixture_graph_d1_d4) == []
 
 
-def corrupt(graph: RdGraph, **overrides) -> RdGraph:
-    fields = dict(
-        decisions=graph.decisions,
-        rationales=graph.rationales,
-        topics=graph.topics,
-        sources=graph.sources,
-        relation_edges=graph.relation_edges,
-        rationale_edges=graph.rationale_edges,
-        topic_edges=graph.topic_edges,
-        source_edges=graph.source_edges,
+def test_a_graph_built_from_its_five_records_behaves_as_the_built_one(
+    fixture_graph, config
+):
+    built = fixture_graph
+    direct = RdGraph(
+        built.decisions, built.rationales, built.topics, built.sources,
+        built.relation_edges,
     )
-    fields.update(overrides)
-    return RdGraph(**fields)
+    assert validate_structure(direct) == []
+    consistency = check_rationale_consistency(direct, config)
+    assert consistency and consistency == check_rationale_consistency(built, config)
+    # At k = 3 the fixture proposal also conflicts via a similar decision.
+    proposal = (FIXTURE_DIR / "proposed-mrelease.txt").read_text(encoding="utf-8")
+    k3 = replace(config, k=3)
+    conflicts = check_new_decision(direct, proposal, k3)
+    assert len(conflicts) == 2 and conflicts == check_new_decision(built, proposal, k3)
+    assert export_dot(direct) == export_dot(built)
+    for decision_id in built.decisions:
+        for k in range(4):
+            assert k_hop(direct, decision_id, k) == k_hop(built, decision_id, k)
+
+
+def corrupt(graph: RdGraph, **overrides) -> RdGraph:
+    """The graph with some records replaced, its invariants unchecked."""
+    return replace(graph, **overrides)
 
 
 def rebuild(graph: RdGraph) -> RdGraph:
@@ -526,9 +540,7 @@ def test_validate_structure_reports_dangling_edge(fixture_graph):
 def test_validate_structure_reports_missing_source(fixture_graph):
     sources = dict(fixture_graph.sources)
     sources.pop(D1.split("#")[0])
-    source_edges = dict(fixture_graph.source_edges)
-    source_edges.pop(D1)
-    broken = corrupt(fixture_graph, sources=sources, source_edges=source_edges)
+    broken = corrupt(fixture_graph, sources=sources)
     findings = validate_structure(broken)
     assert any("has no source" in f.message for f in findings)
 
