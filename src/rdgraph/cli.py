@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from .config import ConfigError, load_config
 from .corpus import CorpusError, dumps_artifacts, parse_git_log, parse_jsonl
@@ -58,10 +59,6 @@ def _write(path: str | None, text: str) -> None:
         raise CorpusError(f"cannot write {path}: {exc}") from exc
 
 
-def _load_graph(path: str):
-    return load(_read(path))
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     raw = _read(args.input)
     if args.format == "git":
@@ -78,13 +75,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     artifacts = parse_jsonl(_read(args.artifacts))
     graph = build_pipeline(artifacts, config)
     _write(args.output, save(graph))
-    kinds = {"similar": 0, "history": 0, "contradicts": 0}
-    for edge in graph.relation_edges:
-        kinds[edge.kind] += 1
+    kinds = Counter(edge.kind for edge in graph.relation_edges)
     print(
         f"decisions={len(graph.decisions)} rationales={len(graph.rationales)} "
         f"topics={len(graph.topics)} similar={kinds['similar']} "
-        f"history={kinds['history']} contradicts={kinds['contradicts']}"
+        f"history={kinds['history']} contradicts={kinds['contradicts']}",
+        file=sys.stderr if args.output is None else sys.stdout,  # keep stdout a graph
     )
     return EXIT_OK
 
@@ -98,7 +94,7 @@ def _emit_findings(findings, as_json: bool) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    graph = _load_graph(args.graph)
+    graph = load(_read(args.graph))
     candidate = args.text if args.text is not None else _read(args.file)
     if not candidate.strip():
         raise CorpusError("candidate text is empty")
@@ -112,7 +108,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     # load() already rejects a graph that breaks a structural invariant.
-    graph = _load_graph(args.graph)
+    graph = load(_read(args.graph))
     findings = check_rationale_consistency(graph, config)
     _emit_findings(findings, args.json)
     if any(f.severity != "info" for f in findings):
@@ -121,13 +117,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = load(_read(args.graph))
     _write(args.output, export_dot(graph))
     return EXIT_OK
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.graph)
+    graph = load(_read(args.graph))
     if args.topic is not None:
         topic = graph.topics.get(args.topic)
         if topic is None:

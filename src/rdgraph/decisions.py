@@ -49,7 +49,6 @@ class Decision:
     timestamp: datetime
     score: float
     author: str
-    files_touched: tuple[str, ...] = ()
 
 
 def decision_id(artifact_id: str, sentence_index: int) -> str:

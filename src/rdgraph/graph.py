@@ -1,9 +1,9 @@
 """The decision/rationale graph store: typed nodes, queries, persistence.
 
-Persistence is a single JSON document (schema version ``rdg_version: 1``)
+Persistence is a single JSON document (schema version ``rdg_version: 2``)
 with top-level arrays ``decisions, rationales, topics, sources, edges``.
 Keys are emitted in alphabetical order and every array is sorted, so equal
-graphs serialize to identical bytes.
+graphs serialize to identical bytes.  Similar edges store no evidence.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from .relations import (
     Evidence,
     RelationEdge,
     Topic,
+    similar_edge,
+    similar_evidence,
 )
 
-RDG_VERSION = 1
+RDG_VERSION = 2
 
 RATIONALE_KIND = "rationale"
 TOPIC_KIND = "topic"
@@ -378,20 +380,35 @@ def _evidence(e: Evidence) -> str:
         }}"""
 
 
+def _edge_record(edge: RelationEdge) -> str:
+    record = f"""
+      "from": {_q(edge.from_id)},
+      "kind": {_q(edge.kind)},
+      "score": {_number(edge.score)},
+      "to": {_q(edge.to_id)}
+    }}"""
+    if edge.kind != SIMILAR:
+        evidence = _array(list(map(_evidence, edge.evidence)), "      ")
+        return f'{{\n      "evidence": {evidence},{record}'
+    fields = [(e.feature, e.detail, e.weight) for e in edge.evidence]
+    if fields != [similar_evidence(edge.score)]:  # never equal for a score <= 0
+        raise GraphError(f"cannot save a similar edge with other evidence: {edge}")
+    return "{" + record
+
+
 def save(graph: RdGraph) -> str:
     """Serialize to the canonical JSON graph document.
 
     The text is what ``json.dumps(doc, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives for the graph's document, written directly:
     one template per record kind with its keys in sorted order, strings
-    through json's own encoder and floats by ``repr``.  A non-finite number
-    raises GraphError, as ``allow_nan=False`` would.
+    through json's own encoder and floats by ``repr``.  A non-finite number,
+    or similar-edge evidence other than ``similar_edge``'s, raises GraphError.
     """
     decisions = [
         f"""{{
       "artifact_id": {_q(d.artifact_id)},
       "author": {_q(d.author)},
-      "files_touched": {_array(list(map(_q, d.files_touched)), "      ")},
       "id": {_q(d.id)},
       "score": {_number(d.score)},
       "source_uri": {_q(d.source_uri)},
@@ -430,16 +447,7 @@ def save(graph: RdGraph) -> str:
     }}"""
         for s in (graph.sources[i] for i in sorted(graph.sources))
     ]
-    edges = [
-        f"""{{
-      "evidence": {_array(list(map(_evidence, edge.evidence)), "      ")},
-      "from": {_q(edge.from_id)},
-      "kind": {_q(edge.kind)},
-      "score": {_number(edge.score)},
-      "to": {_q(edge.to_id)}
-    }}"""
-        for edge in sorted(graph.relation_edges, key=_edge_sort_key)
-    ]
+    edges = list(map(_edge_record, sorted(graph.relation_edges, key=_edge_sort_key)))
     return f"""{{
   "decisions": {_array(decisions, "  ")},
   "edges": {_array(edges, "  ")},
@@ -467,8 +475,8 @@ def _non_finite(token: str):
 def load(text: str) -> RdGraph:
     """Parse a graph document, decode each record, and check every invariant.
 
-    ``NaN`` and ``Infinity``, which ``json.loads`` would accept, are not JSON
-    and are rejected.
+    Similar edges get their derived evidence, so ``load(save(g)) == g``.
+    Other versions, and ``NaN`` and ``Infinity`` (not JSON), are rejected.
     """
     try:
         doc = json.loads(text, parse_constant=_non_finite)
@@ -503,34 +511,25 @@ def _graph_from_doc(doc: dict) -> RdGraph:
     """
     version = _field(doc, "rdg_version", int, "graph")
     if version != RDG_VERSION:
-        raise GraphError(f"unsupported rdg_version {version}")
-    decisions = [
-        _decision(obj, n)
-        for n, obj in enumerate(_field(doc, "decisions", list, "graph"))
-    ]
-    rationales = [
-        _rationale(obj, n)
-        for n, obj in enumerate(_field(doc, "rationales", list, "graph"))
-    ]
-    topics = [
-        _topic(obj, n) for n, obj in enumerate(_field(doc, "topics", list, "graph"))
-    ]
-    sources = [
-        _source(obj, n) for n, obj in enumerate(_field(doc, "sources", list, "graph"))
-    ]
-    edges = [
-        _edge(obj, n) for n, obj in enumerate(_field(doc, "edges", list, "graph"))
-    ]
-    return build_graph(decisions, rationales, topics, edges, sources)
+        message = f"unsupported rdg_version {version}; rebuild with `rdgraph build`"
+        raise GraphError(message)
+    # Evaluated as written: the record kinds decode, and fail, in this order.
+    return build_graph(
+        decisions=_records(doc, "decisions", _decision),
+        rationales=_records(doc, "rationales", _rationale),
+        topics=_records(doc, "topics", _topic),
+        sources=_records(doc, "sources", _source),
+        relation_edges=_records(doc, "edges", _edge),
+    )
+
+
+def _records(doc: dict, name: str, decode) -> list:
+    return [decode(obj, n) for n, obj in enumerate(_field(doc, name, list, "graph"))]
 
 
 def _decision(obj: object, n: int) -> Decision:
     if not isinstance(obj, dict):
         raise GraphError(f"decisions[{n}]: expected object")
-    if type(files := obj.get("files_touched")) is not list:
-        files = _expect(obj, "files_touched", list, f"decisions[{n}]")
-    if not all(isinstance(f, str) for f in files):
-        raise GraphError(f"decisions[{n}].files_touched: expected strings")
     if type(stamp := obj.get("timestamp")) is not str:
         stamp = _expect(obj, "timestamp", str, f"decisions[{n}]")
     try:
@@ -549,9 +548,7 @@ def _decision(obj: object, n: int) -> Decision:
         score = float(_expect(obj, "score", (int, float), f"decisions[{n}]"))
     if type(author := obj.get("author")) is not str:
         author = _expect(obj, "author", str, f"decisions[{n}]")
-    return Decision(
-        id_, text, artifact_id, source_uri, timestamp, score, author, tuple(files)
-    )
+    return Decision(id_, text, artifact_id, source_uri, timestamp, score, author)
 
 
 def _rationale(obj: object, n: int) -> RationaleSpan:
@@ -612,6 +609,19 @@ def _source(obj: object, n: int) -> SourceRef:
 def _edge(obj: object, n: int) -> RelationEdge:
     if not isinstance(obj, dict):
         raise GraphError(f"edges[{n}]: expected object")
+    if type(kind := obj.get("kind")) is not str:
+        kind = _expect(obj, "kind", str, f"edges[{n}]")
+    if type(from_id := obj.get("from")) is not str:
+        from_id = _expect(obj, "from", str, f"edges[{n}]")
+    if type(to_id := obj.get("to")) is not str:
+        to_id = _expect(obj, "to", str, f"edges[{n}]")
+    if type(score := obj.get("score")) is not float:
+        score = float(_expect(obj, "score", (int, float), f"edges[{n}]"))
+    if kind == SIMILAR:
+        try:
+            return similar_edge(from_id, to_id, score)
+        except ValueError as exc:
+            raise GraphError(f"edges[{n}].score: {exc}") from exc
     if type(records := obj.get("evidence")) is not list:
         records = _expect(obj, "evidence", list, f"edges[{n}]")
     evidence = []
@@ -630,14 +640,6 @@ def _edge(obj: object, n: int) -> RelationEdge:
             evidence.append(Evidence(feature, detail, weight))
         except ValueError as exc:
             raise GraphError(f"edges[{n}].evidence[{m}]: {exc}") from exc
-    if type(kind := obj.get("kind")) is not str:
-        kind = _expect(obj, "kind", str, f"edges[{n}]")
-    if type(from_id := obj.get("from")) is not str:
-        from_id = _expect(obj, "from", str, f"edges[{n}]")
-    if type(to_id := obj.get("to")) is not str:
-        to_id = _expect(obj, "to", str, f"edges[{n}]")
-    if type(score := obj.get("score")) is not float:
-        score = float(_expect(obj, "score", (int, float), f"edges[{n}]"))
     return RelationEdge(kind, from_id, to_id, score, tuple(evidence))
 
 

@@ -163,6 +163,17 @@ def title_topic(
     return " ".join(token for token, _ in ranked[:3])
 
 
+def similar_evidence(score: float) -> tuple[str, str, float]:
+    """The feature, detail and weight of a similar edge's one evidence record."""
+    return COSINE_SCORE, f"cosine {score:.6f}", score
+
+
+def similar_edge(from_id: str, to_id: str, score: float) -> RelationEdge:
+    """A similar edge with the evidence its score derives; ValueError if score <= 0."""
+    evidence = Evidence(*similar_evidence(score))
+    return RelationEdge(SIMILAR, from_id, to_id, score, (evidence,))
+
+
 def detect_similar(
     decisions: list[Decision],
     provider: TfIdfProvider,
@@ -177,19 +188,11 @@ def detect_similar(
     an edge, at any threshold.
     """
     ordered = sorted(decisions, key=lambda d: d.id)
-    edges = []
-    for i, j, score in provider.pairs([documents[d.id] for d in ordered]):
-        if score >= similar_threshold and score > 0.0:
-            edges.append(
-                RelationEdge(
-                    kind=SIMILAR,
-                    from_id=ordered[i].id,
-                    to_id=ordered[j].id,
-                    score=score,
-                    evidence=(Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),),
-                )
-            )
-    return edges
+    return [
+        similar_edge(ordered[i].id, ordered[j].id, score)
+        for i, j, score in provider.pairs([documents[d.id] for d in ordered])
+        if score >= similar_threshold and score > 0.0
+    ]
 
 
 def _mentions_reference(later: Artifact, earlier: Artifact) -> bool:

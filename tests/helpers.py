@@ -67,6 +67,13 @@ def oracle_similarity(
     return dot / (norm_a * norm_b)
 
 
+def derived_similar_edge(from_id: str, to_id: str, score: float) -> RelationEdge:
+    """A similar edge with the one evidence record its score derives, built
+    here as graph format v2 specifies it; raises ValueError if score <= 0."""
+    evidence = Evidence(COSINE_SCORE, f"cosine {score:.6f}", score)
+    return RelationEdge(SIMILAR, from_id, to_id, score, (evidence,))
+
+
 def reference_detect_similar(decisions, provider, similar_threshold, documents):
     """The all-pairs reference for ``relations.detect_similar``: every pair of
     the topic, in ``(i, j)`` order, is scored with ``provider.score``."""
@@ -76,17 +83,7 @@ def reference_detect_similar(decisions, provider, similar_threshold, documents):
         for b in ordered[i + 1 :]:
             score = provider.score(documents[a.id], documents[b.id])
             if score >= similar_threshold and score > 0.0:
-                edges.append(
-                    RelationEdge(
-                        kind=SIMILAR,
-                        from_id=a.id,
-                        to_id=b.id,
-                        score=score,
-                        evidence=(
-                            Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),
-                        ),
-                    )
-                )
+                edges.append(derived_similar_edge(a.id, b.id, score))
     return edges
 
 
@@ -109,6 +106,10 @@ _NOTABLE_FLOATS = st.sampled_from([5e-324, 1e-7, 1.0])
 _SCORES = st.one_of(
     _NOTABLE_FLOATS, st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 )
+# A similar edge's score is also its evidence weight, so it is positive.
+_SIMILAR_SCORES = st.one_of(
+    _NOTABLE_FLOATS, st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+)
 _WEIGHTS = st.one_of(
     _NOTABLE_FLOATS, st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
 )
@@ -118,6 +119,9 @@ _EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 @st.composite
 def valid_graph_parts(draw):
     """Decisions, rationales, topics, edges, sources for a valid graph.
+
+    Similar edges carry the evidence their score derives, as a built graph's
+    do; history and contradicts edges carry none or one drawn record.
 
     Decision ``i`` is the ``i``-th oldest; its id is drawn from a permutation,
     so id order and time order may disagree, as they do for commit hashes.
@@ -135,7 +139,6 @@ def valid_graph_parts(draw):
                 timestamp=_EPOCH + timedelta(days=i, seconds=draw(st.integers(0, 3600))),
                 score=draw(_SCORES),
                 author=draw(st.sampled_from(["ada", "grace", "linus"])),
-                files_touched=tuple(draw(st.lists(st.sampled_from(["mm/a.c", "mm/b.c"]), max_size=2))),
             )
         )
 
@@ -187,6 +190,11 @@ def valid_graph_parts(draw):
                 if (kind, from_id, to_id) in seen:
                     continue
                 seen.add((kind, from_id, to_id))
+                if kind == SIMILAR:
+                    edges.append(
+                        derived_similar_edge(from_id, to_id, draw(_SIMILAR_SCORES))
+                    )
+                    continue
                 edges.append(
                     RelationEdge(
                         kind=kind,
@@ -204,16 +212,25 @@ def valid_graph_parts(draw):
     return decisions, rationales, topics, edges, sources
 
 
+def _reference_edge_record(edge: RelationEdge) -> dict:
+    record = {"from": edge.from_id, "kind": edge.kind, "score": edge.score, "to": edge.to_id}
+    if edge.kind != SIMILAR:  # a similar edge's evidence is derived on load
+        record["evidence"] = [
+            {"detail": e.detail, "feature": e.feature, "weight": e.weight}
+            for e in edge.evidence
+        ]
+    return record
+
+
 def reference_save(graph: RdGraph) -> str:
     """The ``json.dumps`` reference for ``graph.save``: the graph's document
     as a dict, serialized with sorted keys and two-space indentation."""
     doc = {
-        "rdg_version": 1,
+        "rdg_version": 2,
         "decisions": [
             {
                 "artifact_id": d.artifact_id,
                 "author": d.author,
-                "files_touched": list(d.files_touched),
                 "id": d.id,
                 "score": d.score,
                 "source_uri": d.source_uri,
@@ -245,16 +262,7 @@ def reference_save(graph: RdGraph) -> str:
             for s in (graph.sources[i] for i in sorted(graph.sources))
         ],
         "edges": [
-            {
-                "evidence": [
-                    {"detail": e.detail, "feature": e.feature, "weight": e.weight}
-                    for e in edge.evidence
-                ],
-                "from": edge.from_id,
-                "kind": edge.kind,
-                "score": edge.score,
-                "to": edge.to_id,
-            }
+            _reference_edge_record(edge)
             for edge in sorted(
                 graph.relation_edges, key=lambda e: (e.kind, e.from_id, e.to_id)
             )
@@ -401,17 +409,14 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
     goes through ``_expect``, and errors come in the loader's field order."""
     _expect = _reference_expect
     version = _expect(doc, "rdg_version", int, "graph")
-    if version != 1:
-        raise GraphError(f"unsupported rdg_version {version}")
+    if version != 2:
+        raise GraphError(f"unsupported rdg_version {version}; rebuild with `rdgraph build`")
 
     decisions = []
     for n, obj in enumerate(_expect(doc, "decisions", list, "graph")):
         path = f"decisions[{n}]"
         if not isinstance(obj, dict):
             raise GraphError(f"{path}: expected object")
-        files = _expect(obj, "files_touched", list, path)
-        if not all(isinstance(f, str) for f in files):
-            raise GraphError(f"{path}.files_touched: expected strings")
         stamp = _expect(obj, "timestamp", str, path)
         try:
             timestamp = parse_timestamp(stamp)
@@ -426,7 +431,6 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
                 timestamp=timestamp,
                 score=float(_expect(obj, "score", (int, float), path)),
                 author=_expect(obj, "author", str, path),
-                files_touched=tuple(files),
             )
         )
 
@@ -483,6 +487,16 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
         path = f"edges[{n}]"
         if not isinstance(obj, dict):
             raise GraphError(f"{path}: expected object")
+        kind = _expect(obj, "kind", str, path)
+        from_id = _expect(obj, "from", str, path)
+        to_id = _expect(obj, "to", str, path)
+        score = float(_expect(obj, "score", (int, float), path))
+        if kind == SIMILAR:
+            try:
+                edges.append(derived_similar_edge(from_id, to_id, score))
+            except ValueError as exc:
+                raise GraphError(f"{path}.score: {exc}") from exc
+            continue
         evidence = []
         for m, ev in enumerate(_expect(obj, "evidence", list, path)):
             ev_path = f"{path}.evidence[{m}]"
@@ -495,14 +509,6 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
                 evidence.append(Evidence(feature=feature, detail=detail, weight=weight))
             except ValueError as exc:
                 raise GraphError(f"{ev_path}: {exc}") from exc
-        edges.append(
-            RelationEdge(
-                kind=_expect(obj, "kind", str, path),
-                from_id=_expect(obj, "from", str, path),
-                to_id=_expect(obj, "to", str, path),
-                score=float(_expect(obj, "score", (int, float), path)),
-                evidence=tuple(evidence),
-            )
-        )
+        edges.append(RelationEdge(kind, from_id, to_id, score, tuple(evidence)))
 
     return build_graph(decisions, rationales, topics, edges, sources)

@@ -233,7 +233,13 @@ def _run_cli(tmp_path, name: str, hash_seed: str) -> tuple[bytes, bytes]:
     # Run the rdgraph this session imported, wherever it lives: src/ in a
     # checkout or an editable install, site-packages in a regular install.
     package_root = str(pathlib.Path(rdgraph.__file__).resolve().parents[1])
-    env = {"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    # No bytecode cache in the checkout, as in run_demo of test_demos.py.
+    env = {
+        "PYTHONHASHSEED": hash_seed,
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": package_root,
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     build = subprocess.run(
         [sys.executable, "-m", "rdgraph", "build", ARTIFACTS, "-o", str(graph_path)],
         capture_output=True,

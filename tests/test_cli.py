@@ -70,6 +70,17 @@ def test_build_reports_counts(graph_file, capsys):
     assert len(graph.decisions) == 5
 
 
+def test_build_to_stdout_writes_the_graph_alone(tmp_path, capsys):
+    # `rdgraph build a.jsonl > g.json` must give a graph file: the summary
+    # goes to stderr then, and stays on stdout with -o.
+    assert main(["build", ARTIFACTS]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith("decisions=5 ")
+    graph = tmp_path / "graph.json"
+    graph.write_text(captured.out, encoding="utf-8")
+    assert main(["validate", str(graph)]) == 0
+
+
 def test_build_empty_corpus_gives_empty_graph(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -317,6 +328,44 @@ def test_graph_with_a_non_finite_number_is_an_input_error(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: graph file is not valid JSON: non-finite number {token}\n"
+
+
+def _as_v1(text: str) -> str:
+    """A graph file as format v1 wrote it: each decision has ``files_touched``
+    and each similar edge its cosine-score evidence record."""
+    doc = json.loads(text)
+    doc["rdg_version"] = 1
+    for decision in doc["decisions"]:
+        decision["files_touched"] = []
+    for edge in doc["edges"]:
+        if edge["kind"] == "similar":
+            score = edge["score"]
+            edge["evidence"] = [
+                {"detail": f"cosine {score:.6f}", "feature": "cosine-score", "weight": score}
+            ]
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{graph}", "--file", PROPOSAL],
+        ["validate", "{graph}", "--json"],
+        ["export", "{graph}", "--dot"],
+        ["query", "{graph}", "--decision", D4],
+    ],
+    ids=["check", "validate", "export", "query"],
+)
+def test_a_v1_graph_file_asks_for_a_rebuild(graph_file, tmp_path, capsys, argv):
+    old = tmp_path / "v1.json"
+    old.write_text(_as_v1(pathlib.Path(graph_file).read_text()), encoding="utf-8")
+    capsys.readouterr()
+    assert main([a.format(graph=old) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unsupported rdg_version 1; rebuild with `rdgraph build`\n"
+    )
 
 
 @pytest.mark.parametrize("hops", ["-1", "x"])

@@ -18,7 +18,9 @@ EXPECTED = {"05_validation_and_conflicts": "warning (conflict-warning):"}
 
 def run_demo(demo: pathlib.Path) -> subprocess.CompletedProcess:
     package_root = str(pathlib.Path(rdgraph.__file__).resolve().parents[1])
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root}
+    # No bytecode cache in the checkout: a later benchmark there would import
+    # it and report a set-up time that skips compiling the package.
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,

@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
@@ -33,7 +33,16 @@ from rdgraph import (
 from rdgraph.decisions import Decision
 from rdgraph.graph import ALL_KINDS, RdGraph
 from rdgraph.rationale import PURPOSE, RationaleSpan
-from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR, Evidence, RelationEdge, Topic
+from rdgraph.relations import (
+    CONTRADICTS,
+    COSINE_SCORE,
+    HISTORY,
+    SIMILAR,
+    Evidence,
+    RelationEdge,
+    Topic,
+    detect_similar,
+)
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -204,15 +213,19 @@ def test_load_rejects_truncated_file(fixture_graph):
 
 
 def test_load_rejects_wrong_version(fixture_graph):
-    text = save(fixture_graph).replace('"rdg_version": 1', '"rdg_version": 9')
-    with pytest.raises(GraphError, match="rdg_version"):
-        load(text)
+    for version in (1, 9):
+        text = save(fixture_graph).replace('"rdg_version": 2', f'"rdg_version": {version}')
+        with pytest.raises(GraphError) as info:
+            load(text)
+        assert str(info.value) == (
+            f"unsupported rdg_version {version}; rebuild with `rdgraph build`"
+        )
 
 
 def test_load_reports_schema_path():
     with pytest.raises(GraphError, match="graph"):
         load("{}")
-    doc = '{"rdg_version": 1, "decisions": [{"id": 5}], "rationales": [], "topics": [], "sources": [], "edges": []}'
+    doc = '{"rdg_version": 2, "decisions": [{"id": 5}], "rationales": [], "topics": [], "sources": [], "edges": []}'
     with pytest.raises(GraphError, match=r"decisions\[0\]"):
         load(doc)
 
@@ -302,10 +315,12 @@ def _drop(path):
         (_set(("sources", 0, "uri"), ""), False),
         (_set(("decisions", 0, "timestamp"), "yesterday"), False),
         (_set(("decisions", 0, "timestamp"), "9999-12-31T23:59:59-05:00"), False),
-        (_set(("decisions", 0, "files_touched"), [1]), False),
+        (_set(("edges", 4, "score"), 0.0), False),
         (_set(("topics", 0, "members"), "t"), False),
         (_set(("edges", 0, "score"), 10**400), False),
-        (_set(("rdg_version",), True), True),
+        (_set(("rdg_version",), True), False),
+        (_set(("edges", 4, "score"), 1), True),
+        (_set(("edges", 4, "evidence"), []), True),
         (_drop(("edges",)), False),
         (_drop(("sources", 0, "artifact_kind")), False),
         (_drop(("decisions", 0, "timestamp")), False),
@@ -316,13 +331,15 @@ def _drop(path):
         "int-decision-score", "bool-score", "bool-offset", "int-weight",
         "non-object-record", "non-object-evidence", "zero-weight",
         "negative-weight", "empty-uri", "bad-timestamp", "timestamp-overflow",
-        "non-string-file", "members-not-a-list", "int-beyond-float",
-        "bool-version", "missing-array", "missing-source-kind",
+        "zero-similar-score", "members-not-a-list", "int-beyond-float",
+        "bool-version", "int-similar-score", "similar-evidence-ignored",
+        "missing-array", "missing-source-kind",
         "missing-timestamp", "missing-evidence-feature",
     ],
 )
 def test_load_matches_the_per_field_loader(fixture_graph, mutate, loads):
     doc = json.loads(save(fixture_graph))
+    assert doc["edges"][4]["kind"] == SIMILAR  # the edge the similar cases change
     mutate(doc)
     _assert_loads_as_reference(doc)
     assert isinstance(_load_outcome(graph_module._graph_from_doc, doc), RdGraph) is loads
@@ -472,9 +489,10 @@ def test_export_dot_escapes_quotes():
 @settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_generated_graphs_round_trip(parts):
     graph = build_graph(*parts)
-    assert load(save(graph)) == graph
-    # Serialization itself is deterministic.
-    assert save(graph) == save(load(save(graph)))
+    text = save(graph)
+    assert load(text) == graph
+    # A saved file is canonical: loading and saving it gives the same bytes.
+    assert save(load(text)) == text
 
 
 @given(valid_graph_parts(), st.booleans())
@@ -489,6 +507,56 @@ def test_save_writes_what_json_dumps_writes(parts, empty_members):
         topics = {**graph.topics, first: replace(graph.topics[first], member_decision_ids=())}
         graph = replace(graph, topics=topics)
     assert save(graph) == reference_save(graph)
+
+
+class _OnePair:
+    """A stand-in provider whose join yields one pair with a given score."""
+
+    def __init__(self, score: float):
+        self.score = score
+
+    def pairs(self, texts):
+        yield 0, 1, self.score
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+def test_a_loaded_similar_edge_has_the_evidence_detect_similar_builds(score):
+    d0, d1 = make_decision(0), make_decision(1)
+    documents = {d0.id: "x", d1.id: "x"}
+    (built,) = detect_similar([d0, d1], _OnePair(score), 0.0, documents)
+    graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [built])
+    text = save(graph)
+    assert '"evidence"' not in text
+    (loaded,) = load(text).relation_edges
+    assert loaded == built
+    assert loaded.evidence == (Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.lists(
+        st.tuples(st.sampled_from([COSINE_SCORE, "keyword"]), st.booleans(), st.booleans()),
+        max_size=2,
+    ),
+)
+def test_save_refuses_a_similar_edge_with_any_other_evidence(score, records):
+    """Only the derived record can be left out of the file and rebuilt on
+    load, so any other evidence, or any at all on a zero score, is refused."""
+    evidence = tuple(
+        Evidence(
+            feature,
+            f"cosine {score:.6f}" if exact_detail else "cosine",
+            score if exact_weight and score > 0 else 0.5,
+        )
+        for feature, exact_detail, exact_weight in records
+    )
+    derived = Evidence(COSINE_SCORE, f"cosine {score:.6f}", score) if score > 0 else None
+    assume(evidence != (derived,))
+    d0, d1 = make_decision(0), make_decision(1)
+    edge = RelationEdge(SIMILAR, d0.id, d1.id, score, evidence)
+    graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
+    with pytest.raises(GraphError, match="similar edge with other evidence"):
+        save(graph)
 
 
 def _with_number(graph: RdGraph, where: str, value: float) -> RdGraph:

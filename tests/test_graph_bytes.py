@@ -57,9 +57,10 @@ def built(tmp_path_factory):
 @pytest.mark.parametrize(
     "workload, digest",
     [
-        ("history", "710db2e15ef979aa48a6a71bfd6f258149736d300d69aa72aed23c36eae47d35"),
-        ("longbody", "48f31e7b83ccf8579ca752ba9c1e92e352a58cf523f0aa2733201ba6515c3529"),
+        ("history", "6c4a11270f761cf14ab754ff5d2105e5e942e4586e2268cfeb6174234fb59150"),
+        ("longbody", "f3564ebb3bb64d234285f4176a722f79803757caf541ea707aff215fa98a68fa"),
     ],
+    ids=["history", "longbody"],
 )
 def test_benchmark_graph_bytes_are_pinned(built, capsys, workload, digest):
     graph, _ = built(workload)

@@ -30,7 +30,14 @@ from rdgraph.cli import main
 from rdgraph.decisions import Decision
 from rdgraph.graph import RdGraph, rationales_of
 from rdgraph.rationale import PURPOSE, RationaleSpan
-from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR, RelationEdge, Topic
+from rdgraph.relations import (
+    CONTRADICTS,
+    HISTORY,
+    SIMILAR,
+    RelationEdge,
+    Topic,
+    similar_edge,
+)
 from rdgraph.textsim import TfIdfProvider
 from rdgraph.validate import (
     CONFLICT_WARNING,
@@ -91,7 +98,7 @@ def pair_graph(rationale_a: str | None, rationale_b: str | None) -> RdGraph:
         spans.append(make_span(d0.id, rationale_a))
     if rationale_b is not None:
         spans.append(make_span(d1.id, rationale_b))
-    edge = RelationEdge(kind=SIMILAR, from_id=d0.id, to_id=d1.id, score=0.9)
+    edge = similar_edge(d0.id, d1.id, 0.9)  # with its evidence, so it saves
     topic = Topic(id="t1", title="cache", member_decision_ids=(d0.id, d1.id))
     return build_graph([d0, d1], spans, [topic], [edge])
 
