@@ -9,7 +9,7 @@ from .config import Config, default_config
 from .corpus import Artifact, normalized_text, segment_sentences
 from .decisions import Decision, DecisionLexicon, extract_decisions
 from .graph import RdGraph, SourceRef, build_graph
-from .rationale import RationaleSpan, attach_rationale
+from .rationale import RationaleSpan, attach_rationale, rationale_window
 from .relations import (
     HISTORY,
     REVERT_METADATA,
@@ -64,8 +64,9 @@ def build_pipeline(
             artifact, sentences, lexicon, cfg.thresholds.decision
         )
         for decision in extracted:
+            near = rationale_window(sentences, decision.id, cfg.window)
             spans_by_decision[decision.id] = attach_rationale(
-                decision, sentences, cfg.window, cfg.markers
+                decision, near, cfg.window, cfg.markers
             )
         decisions.extend(extracted)
 

@@ -71,6 +71,14 @@ def _marker_pattern(marker: str) -> re.Pattern[str]:
     return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)
 
 
+@functools.lru_cache(maxsize=64)
+def _any_marker(markers: tuple[tuple[str, ...], ...]) -> re.Pattern[str]:
+    """One pattern that matches wherever any of ``markers`` or "by <gerund>"
+    does, so a sentence without a hit costs one scan."""
+    patterns = [_marker_pattern(m).pattern for ms in markers for m in ms]
+    return re.compile("|".join(patterns + [_BY_GERUND_RE.pattern]), re.IGNORECASE)
+
+
 def _word_index(text: str) -> tuple[list[int], list[str]]:
     """The words of ``text.lower()``, each with the index in ``text`` it starts at.
 
@@ -148,6 +156,9 @@ def extract_rationale(
     """
     marker_map = markers if markers is not None else DEFAULT_MARKERS
     text = sentence.text
+    key = tuple(tuple(marker_map.get(role, ())) for role in ROLES)
+    if _any_marker(key).search(text) is None:
+        return []
     hits: list[tuple[int, int, str, str]] = []
     for role in ROLES:
         for marker in marker_map.get(role, ()):
@@ -183,6 +194,15 @@ def extract_rationale(
             )
         )
     return fragments
+
+
+def rationale_window(
+    sentences: list[Sentence], decision_id: str, window: int
+) -> list[Sentence]:
+    """The part of an artifact's sentences, in segmentation order, that
+    ``attach_rationale`` reads for a decision, so n decisions cost O(n)."""
+    own = decision_sentence_index(decision_id)
+    return sentences[max(0, own - window) : own + window + 1]
 
 
 def attach_rationale(

@@ -153,11 +153,11 @@ def title_topic(
     topic: Topic, model: TfIdfModel, texts: Mapping[str, str]
 ) -> str:
     """Top three summed tf-idf tokens over member texts, ties alphabetical."""
-    index_to_token = {i: t for t, i in model.vocabulary.items()}
+    tokens = model.tokens
     totals: dict[str, float] = {}
     for member in topic.member_decision_ids:
         for index, weight in vectorize(model, texts[member]).items():
-            token = index_to_token[index]
+            token = tokens[index]
             totals[token] = totals.get(token, 0.0) + weight
     ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
     return " ".join(token for token, _ in ranked[:3])
@@ -183,15 +183,15 @@ def detect_similar(
     """Similar edges between decisions of one topic, canonical order.
 
     The pairs come from ``provider.pairs``, an inverted-index join that
-    reaches only pairs of documents sharing a token and gives each the score
-    ``provider.score`` would; a pair sharing none scores 0 and never makes
-    an edge, at any threshold.
+    reaches only pairs of documents sharing a token, gives each the score
+    ``provider.score`` would, and yields those at or above the threshold; a
+    pair sharing none scores 0 and never makes an edge, at any threshold.
     """
     ordered = sorted(decisions, key=lambda d: d.id)
+    texts = [documents[d.id] for d in ordered]
     return [
         similar_edge(ordered[i].id, ordered[j].id, score)
-        for i, j, score in provider.pairs([documents[d.id] for d in ordered])
-        if score >= similar_threshold and score > 0.0
+        for i, j, score in provider.pairs(texts, similar_threshold)
     ]
 
 

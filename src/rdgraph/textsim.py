@@ -6,6 +6,7 @@ validation checks.  Scores are corpus-dependent and fully reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -39,6 +40,11 @@ class TfIdfModel:
     idf: tuple[float, ...]
     doc_count: int
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
+
+    @functools.cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The vocabulary inverted: ``tokens[vocabulary[t]] == t``."""
+        return tuple(sorted(self.vocabulary, key=self.vocabulary.__getitem__))
 
 
 def _fit(entries: list[Iterable[str]], stopwords: frozenset[str]) -> TfIdfModel:
@@ -154,32 +160,41 @@ class TfIdfProvider:
     def score(self, text_a: str, text_b: str) -> float:
         return _cosine(self._lookup(text_a), self._lookup(text_b))
 
-    def pairs(self, texts: Sequence[str]) -> Iterator[tuple[int, int, float]]:
+    def pairs(
+        self, texts: Sequence[str], threshold: float
+    ) -> Iterator[tuple[int, int, float]]:
         """``(i, j, score(texts[i], texts[j]))`` in ``(i, j)`` order, for each
-        ``i < j`` whose vectors share an index; every other pair scores 0.
+        ``i < j`` whose score is at least ``threshold`` and above 0.
 
         An inverted index replaces the pairwise loop: each pair sums its
         products in ascending index order from 0.0, as ``_cosine`` does, so
-        every score is the same float.
+        every score is the same float.  Every product is at least 1 (counts
+        and idf weights are), so a dot of exactly 0.0 is a pair that shares
+        no token, and every other pair scores above 0.
         """
+        if not threshold <= 1.0:
+            return  # every score is at most 1, and none reaches a NaN
         weighted = [self._lookup(text) for text in texts]
+        n = len(weighted)
         # Each postings list runs from the last text down to the first, so
         # when text i is reached, its own entry is the last one left.
         postings: dict[int, list[tuple[int, float]]] = {}
-        for j in range(len(weighted) - 1, -1, -1):
+        for j in range(n - 1, -1, -1):
             for index, weight in weighted[j][0].items():
                 postings.setdefault(index, []).append((j, weight))
         for i, (va, norm_a) in enumerate(weighted):
-            dots: dict[int, float] = {}
-            get = dots.get
+            dots = [0.0] * n
             for index, wa in sorted(va.items()):
                 later = postings[index]
                 later.pop()
                 for j, wb in later:
-                    dots[j] = get(j, 0.0) + wa * wb
-            for j in sorted(dots):
+                    dots[j] += wa * wb
+            for j in range(i + 1, n):
+                dot = dots[j]
+                if dot == 0.0:
+                    continue
                 vb, norm_b = weighted[j]
                 if norm_a == norm_b and va == vb:
                     yield i, j, 1.0
-                else:
-                    yield i, j, min(1.0, max(0.0, dots[j] / (norm_a * norm_b)))
+                elif (score := dot / (norm_a * norm_b)) >= threshold:
+                    yield i, j, min(1.0, score)

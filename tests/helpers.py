@@ -17,7 +17,20 @@ from hypothesis import strategies as st
 from rdgraph.corpus import format_timestamp, parse_timestamp
 from rdgraph.decisions import Decision
 from rdgraph.graph import GraphError, RdGraph, SourceRef, Subgraph, build_graph
-from rdgraph.rationale import CAUSE, MANNER, PURPOSE, RationaleSpan
+from rdgraph.rationale import (
+    _BY_GERUND_RE,
+    CAUSE,
+    DEFAULT_MARKERS,
+    MANNER,
+    PURPOSE,
+    ROLES,
+    RationaleSpan,
+    SpanFragment,
+    _clause_end,
+    _marker_pattern,
+    _trim,
+    _word_index,
+)
 from rdgraph.relations import (
     CONTRADICTS,
     COSINE_SCORE,
@@ -65,6 +78,47 @@ def oracle_similarity(
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+def reference_extract_rationale(sentence, markers=None):
+    """The marker scan ``rationale.extract_rationale`` runs when its
+    sentence-wide pre-scan finds a hit: every marker of every role is
+    searched on its own, with no pre-scan."""
+    marker_map = markers if markers is not None else DEFAULT_MARKERS
+    text = sentence.text
+    hits = []
+    for role in ROLES:
+        for marker in marker_map.get(role, ()):
+            for match in _marker_pattern(marker).finditer(text):
+                if marker == "this way" and match.start() != 0:
+                    continue
+                hits.append((match.start(), match.end(), role, marker))
+    if MANNER in marker_map:
+        for match in _BY_GERUND_RE.finditer(text):
+            hits.append((match.start(), match.end(), MANNER, "by"))
+    hits.sort(key=lambda h: (h[0], -(h[1] - h[0])))
+    accepted = []
+    for hit in hits:
+        if not accepted or hit[0] >= accepted[-1][1]:
+            accepted.append(hit)
+    fragments = []
+    starts, words = _word_index(text) if hits else ([], [])
+    stops = [start for start, _, _, _ in accepted[1:]] + [len(text)]
+    for (_, end, role, marker), stop in zip(accepted, stops):
+        span_text, span_start, span_end = _trim(
+            text, end, _clause_end(text, end, stop, starts, words)
+        )
+        if span_text:
+            fragments.append(
+                SpanFragment(
+                    role=role,
+                    marker=marker,
+                    text=span_text,
+                    start=sentence.start + span_start,
+                    end=sentence.start + span_end,
+                )
+            )
+    return fragments
 
 
 def derived_similar_edge(from_id: str, to_id: str, score: float) -> RelationEdge:

@@ -510,13 +510,15 @@ def test_save_writes_what_json_dumps_writes(parts, empty_members):
 
 
 class _OnePair:
-    """A stand-in provider whose join yields one pair with a given score."""
+    """A stand-in provider whose join yields one pair with a given score,
+    if it reaches the threshold."""
 
     def __init__(self, score: float):
         self.score = score
 
-    def pairs(self, texts):
-        yield 0, 1, self.score
+    def pairs(self, texts, threshold):
+        if self.score >= threshold:
+            yield 0, 1, self.score
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))

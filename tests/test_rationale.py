@@ -2,13 +2,24 @@ from __future__ import annotations
 
 import re
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdgraph import Artifact, attach_rationale, extract_rationale, normalized_text, segment_sentences
+from helpers import reference_extract_rationale
+from rdgraph import (
+    Artifact,
+    attach_rationale,
+    build_pipeline,
+    default_config,
+    extract_rationale,
+    normalized_text,
+    pipeline,
+    segment_sentences,
+)
 from rdgraph.corpus import Sentence
 from rdgraph.decisions import Decision
 from rdgraph.rationale import (
@@ -373,6 +384,99 @@ def test_spans_of_a_sentence_are_disjoint_and_in_order(text, offset):
     for before, after in zip(fragments, fragments[1:]):
         assert before.end <= after.start
     assert sum(len(f.text) for f in fragments) <= len(text)
+
+
+# Markers with regex metacharacters, one that is a word-prefix of another
+# ("so" of "so that"), "by" beside the "by <gerund>" pattern, and non-ASCII
+# ones; the same marker may be drawn for two roles.
+MARKER_POOL = [
+    "so that", "so", "because", "since", "this way", "by", "by means of",
+    "c++", "a+b", "[x]", "e.g. (so)", r"\d", "so.that", "stra\u00dfe", "\u0130t",
+]
+PRESCAN_PIECES = [
+    "so that ", "SO THAT ", "So ", "so ", "sothat ", "so.that ", "because ",
+    "BECAUSE ", "since ", "this way ", "This Way ", "THIS WAY ", "by ",
+    "by doing ", "By Running ", "BY MEANS OF ", "by means of ", "c++ ", "a+b ",
+    "[x] ", "\\d ", "7 ", "e.g. (so) ", "E.G. (SO) ", "stra\u00dfe ",
+    "STRASSE ", "\u0130t ", "it ", "\u212a ", "\u03a3 ", "we add x ", ", we ",
+    ", and it ", "; ", "(", ") ", ".", "it runs ",
+]
+marker_maps = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.sampled_from(ROLES),
+        st.one_of(
+            st.lists(st.sampled_from(MARKER_POOL), max_size=4).map(tuple),
+            st.lists(st.sampled_from(MARKER_POOL), max_size=4),
+        ),
+    ),
+)
+
+
+@given(
+    text=st.lists(st.sampled_from(PRESCAN_PIECES), max_size=20).map("".join),
+    markers=marker_maps,
+    offset=st.integers(0, 50),
+)
+@example(
+    text="We add x so that it runs, This way by doing it BY MEANS OF c++ ",
+    markers={PURPOSE: ("so", "so that"), CAUSE: ("so that",), MANNER: ("by", "this way")},
+    offset=3,
+)
+@example(text="THIS WAY it runs", markers=None, offset=0)
+@example(text="it runs this way", markers=None, offset=0)
+@example(text="\u0130t runs e.g. (so) a+b", markers={CAUSE: ("e.g. (so)", "a+b", "\u0130t")}, offset=0)
+@example(text="it runs by doing it", markers={CAUSE: ("because",)}, offset=0)
+@settings(max_examples=500)
+def test_extraction_equals_the_scan_without_a_prescan(text, markers, offset):
+    s = sentence(text, start=offset)
+    assert extract_rationale(s, markers) == reference_extract_rationale(s, markers)
+
+
+ATTACH_SENTENCES = [
+    "Use the lock as we decided to, so that it exits.",
+    "Add a cache since we opted to.",
+    "Move it as agreed to.",
+    "The cache was cold because of load.",
+    "This way the pages drain faster.",
+    "Replace it by doing less, as we chose.",
+    "Plain filler sentence.",
+]
+
+
+@given(
+    summary=st.sampled_from(["x: tidy things", "mm: add a lock so that it works"]),
+    body=st.lists(st.sampled_from(ATTACH_SENTENCES), max_size=12).map(" ".join),
+    window=st.integers(0, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_build_attaches_each_decision_as_attach_rationale_over_all_sentences(
+    summary, body, window
+):
+    config = replace(default_config(), window=window)
+    artifact = make_artifact(summary, body)
+    sentences = segment_sentences(artifact, config.abbreviations)
+    graph = build_pipeline([artifact], config)
+    for decision in graph.decisions.values():
+        expected = attach_rationale(decision, sentences, window, config.markers)
+        owned = graph.rationale_edges.get(decision.id, ())
+        assert {i: graph.rationales[i] for i in owned} == {s.id: s for s in expected}
+
+
+def test_build_hands_attach_rationale_only_the_window(monkeypatch):
+    # Passing every sentence of the artifact made n decisions cost O(n^2).
+    seen = []
+
+    def recording(decision, sentences, window, markers):
+        seen.append(len(sentences))
+        return attach_rationale(decision, sentences, window, markers)
+
+    monkeypatch.setattr(pipeline, "attach_rationale", recording)
+    body = " ".join(ATTACH_SENTENCES * 20)
+    config = default_config()
+    build_pipeline([make_artifact("mm: add a lock so that it works", body)], config)
+    assert len(seen) > 40
+    assert max(seen) == 2 * config.window + 1
 
 
 def test_repeated_markers_yield_no_more_span_bytes_than_the_sentence():

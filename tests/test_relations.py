@@ -4,6 +4,7 @@ import collections
 import math
 import random
 import re
+import time
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -39,7 +40,7 @@ from rdgraph.relations import (
     Topic,
     jaccard,
 )
-from rdgraph.textsim import TfIdfProvider
+from rdgraph.textsim import TfIdfProvider, vectorize
 from rdgraph.validate import check_new_decision, graph_documents
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -137,6 +138,48 @@ def test_empty_member_texts_give_empty_title():
     assert title_topic(topic, model, {"a0#0": ""}) == ""
 
 
+def _reference_title(topic, model, texts):
+    """``title_topic`` as it was when each call inverted the vocabulary."""
+    index_to_token = {i: t for t, i in model.vocabulary.items()}
+    totals = {}
+    for member in topic.member_decision_ids:
+        for index, weight in vectorize(model, texts[member]).items():
+            token = index_to_token[index]
+            totals[token] = totals.get(token, 0.0) + weight
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
+    return " ".join(token for token, _ in ranked[:3])
+
+
+_TITLE_TEXTS = st.lists(
+    st.sampled_from(["reap", "memory", "task", "tick", "latency", "oom", "the", "unseen"]),
+    max_size=8,
+).map(" ".join)
+
+
+@given(corpus=st.lists(_TITLE_TEXTS, min_size=1, max_size=4), members=st.lists(_TITLE_TEXTS, max_size=5))
+@settings(max_examples=200)
+def test_topic_title_equals_the_per_topic_inversion(corpus, members):
+    model = build_model(corpus, frozenset({"the"}))
+    texts = {f"a{n}#0": text for n, text in enumerate(members)}
+    topic = Topic(id="t1", title="", member_decision_ids=tuple(texts))
+    assert title_topic(topic, model, texts) == _reference_title(topic, model, texts)
+
+
+def test_titles_of_singleton_topics_take_linear_time():
+    # Inverting the whole vocabulary for each topic took 2.75 s for 1,600
+    # singleton topics of unrelated commits; one inversion serves them all.
+    n = 6_000
+    texts = {f"a{k}#0": f"w{k}a w{k}b" for k in range(n)}
+    model = build_model(texts.values())
+    started = time.perf_counter()
+    titles = [
+        title_topic(Topic(id=f"t{k}", title="", member_decision_ids=(m,)), model, texts)
+        for k, m in enumerate(texts)
+    ]
+    assert time.perf_counter() - started < 1.0
+    assert titles[7] == "w7a w7b"
+
+
 def test_identical_decision_texts_make_a_similar_edge_with_score_one(provider):
     scorer, _ = provider
     decisions = [make_decision(0, "reap the memory"), make_decision(1, "reap the memory")]
@@ -163,10 +206,14 @@ def test_no_similar_edges_below_threshold(provider):
 def test_pairs_reach_only_pairs_sharing_a_token_in_order():
     provider = TfIdfProvider.fit(["reap memory", "tune tick", "the of"], frozenset({"the", "of"}))
     texts = ["reap memory", "tune tick", "memory reap", "", "the of", "reap tick"]
-    pairs = list(provider.pairs(texts))
+    pairs = list(provider.pairs(texts, 0.0))
     assert [(i, j) for i, j, _ in pairs] == [(0, 2), (0, 5), (1, 5), (2, 5)]
     assert pairs[0][2] == 1.0  # equal vectors, whatever the word order
     assert all(score == provider.score(texts[i], texts[j]) for i, j, score in pairs)
+    # A threshold keeps the pairs that reach it, equal scores included.
+    assert list(provider.pairs(texts, 1.0)) == [(0, 2, 1.0)]
+    cut = pairs[1][2]
+    assert list(provider.pairs(texts, cut)) == [p for p in pairs if p[2] >= cut]
 
 
 _JOIN_DOCS = st.lists(

@@ -195,3 +195,36 @@ def test_fitted_provider_equals_a_provider_over_build_model(data):
 def test_fit_rejects_an_empty_corpus():
     with pytest.raises(ValueError, match="empty corpus"):
         TfIdfProvider.fit([])
+
+
+_PAIR_TEXTS = st.lists(
+    st.sampled_from(["reap", "memory", "task", "tick", "latency", "the", "of"]),
+    max_size=6,
+).map(" ".join)
+
+
+@given(
+    corpus=st.lists(_PAIR_TEXTS, min_size=1, max_size=5),
+    texts=st.lists(_PAIR_TEXTS, max_size=10),
+    repeats=st.lists(st.integers(0, 9), max_size=4),
+    threshold=st.one_of(
+        st.sampled_from([0.0, 1.0, math.nextafter(1.0, 2.0), -0.5, math.nan]),
+        st.floats(0.0, 1.0),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_pairs_equal_the_brute_force_score_loop(corpus, texts, repeats, threshold, data):
+    # Duplicates (score exactly 1.0), empty and stopword-only texts, and words
+    # the model has not seen (half the texts are left out of its corpus).
+    texts = texts + [texts[k % len(texts)] for k in repeats if texts]
+    provider = TfIdfProvider.fit(corpus + texts[::2], frozenset({"the", "of"}))
+    scores = [
+        (i, j, provider.score(texts[i], texts[j]))
+        for i in range(len(texts))
+        for j in range(i + 1, len(texts))
+    ]
+    if scores and data.draw(st.booleans()):
+        threshold = data.draw(st.sampled_from(scores))[2]  # a threshold a pair meets exactly
+    expected = [(i, j, s) for i, j, s in scores if s >= threshold and s > 0.0]
+    assert list(provider.pairs(texts, threshold)) == expected
