@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 from .corpus import Artifact, Sentence
 
@@ -38,8 +39,7 @@ class DecisionLexicon:
                 raise ValueError(f"lexicon {name} entries must be lowercase")
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """An extracted decision sentence with provenance and score."""
 
     id: str

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import format_timestamp, lone_surrogate, parse_timestamp
 from .decisions import Decision
@@ -42,17 +42,29 @@ class GraphError(ValueError):
     """Raised for inconsistent graph inputs or malformed graph files."""
 
 
-@dataclass(frozen=True)
-class SourceRef:
-    """Traceability anchor: where a decision's artifact came from."""
-
+class _SourceRefFields(NamedTuple):
     id: str
     uri: str
     artifact_kind: str
 
-    def __post_init__(self) -> None:
-        if not self.uri:
+
+class SourceRef(_SourceRefFields):
+    """Traceability anchor: where a decision's artifact came from.
+
+    An immutable named tuple.  ``SourceRef(...)``, ``SourceRef._make`` and
+    ``._replace`` all check that the uri is non-empty.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, uri: str, artifact_kind: str) -> SourceRef:
+        if not uri:
             raise ValueError("source uri must be non-empty")
+        return tuple.__new__(cls, (id, uri, artifact_kind))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> SourceRef:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -232,7 +244,7 @@ def build_graph(
 
     canonical = sorted(
         (
-            replace(edge, from_id=edge.to_id, to_id=edge.from_id)
+            edge._replace(from_id=edge.to_id, to_id=edge.from_id)
             if edge.kind == SIMILAR and edge.from_id > edge.to_id
             else edge
             for edge in relation_edges
@@ -390,8 +402,8 @@ def _edge_record(edge: RelationEdge) -> str:
     if edge.kind != SIMILAR:
         evidence = _array(list(map(_evidence, edge.evidence)), "      ")
         return f'{{\n      "evidence": {evidence},{record}'
-    fields = [(e.feature, e.detail, e.weight) for e in edge.evidence]
-    if fields != [similar_evidence(edge.score)]:  # never equal for a score <= 0
+    # An Evidence equals its field tuple; never equal for a score <= 0.
+    if edge.evidence != (similar_evidence(edge.score),):
         raise GraphError(f"cannot save a similar edge with other evidence: {edge}")
     return "{" + record
 
@@ -475,7 +487,10 @@ def _non_finite(token: str):
 def load(text: str) -> RdGraph:
     """Parse a graph document, decode each record, and check every invariant.
 
-    Similar edges get their derived evidence, so ``load(save(g)) == g``.
+    Each record becomes an immutable named tuple, compared by value:
+    ``Decision``, ``RationaleSpan``, ``Topic``, ``SourceRef``, and
+    ``RelationEdge`` with its ``Evidence``.  Similar edges get their derived
+    evidence, so ``load(save(g)) == g``.
     Other versions, and ``NaN`` and ``Infinity`` (not JSON), are rejected.
     """
     try:

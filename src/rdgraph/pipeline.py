@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from .config import Config, default_config
@@ -86,7 +85,7 @@ def build_pipeline(
     topics = cluster_topics(decisions, provider, cfg.thresholds.relatedness, contexts)
     sentence_texts = {d.id: d.text for d in decisions}
     topics = [
-        replace(topic, title=title_topic(topic, provider.model, sentence_texts))
+        topic._replace(title=title_topic(topic, provider.model, sentence_texts))
         for topic in topics
     ]
 

@@ -13,6 +13,7 @@ import functools
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import default_config
 from .corpus import Sentence
@@ -39,8 +40,7 @@ _WORD_RE = re.compile(r"[A-Za-z0-9_']+")
 _CLAUSE_STOP_RE = re.compile(r"[(),;]")
 
 
-@dataclass(frozen=True)
-class RationaleSpan:
+class RationaleSpan(NamedTuple):
     """A rationale text span tied to a decision, with provenance offsets."""
 
     id: str

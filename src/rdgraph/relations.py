@@ -15,7 +15,6 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .corpus import Artifact
@@ -51,28 +50,40 @@ _WORD_RUN_RE = re.compile(r"\w+")
 _HEX_RUN_RE = re.compile(r"[0-9a-f]{7,40}")
 
 
-@dataclass(frozen=True)
-class Evidence:
-    """One feature that contributed to an edge, with a positive, finite weight."""
-
+class _EvidenceFields(NamedTuple):
     feature: str
     detail: str
     weight: float
 
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
+
+class Evidence(_EvidenceFields):
+    """One feature that contributed to an edge, with a positive, finite weight.
+
+    An immutable named tuple, equal to its field tuple.  ``Evidence(...)``,
+    ``Evidence._make`` and ``._replace`` all check the weight.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, feature: str, detail: str, weight: float) -> Evidence:
+        if weight <= 0:
             raise ValueError("evidence weight must be positive")
-        if not math.isfinite(self.weight):
-            raise ValueError(f"evidence weight must be finite, got {self.weight!r}")
+        if not math.isfinite(weight):
+            raise ValueError(f"evidence weight must be finite, got {weight!r}")
+        return tuple.__new__(cls, (feature, detail, weight))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Evidence:
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RelationEdge:
-    """A typed decision-decision edge.
+class RelationEdge(NamedTuple):
+    """A typed decision-decision edge, an immutable named tuple.
 
     Similar edges are undirected and stored with ``from_id < to_id``;
     history and contradicts edges run from the later decision to the
-    earlier one.
+    earlier one.  Records compare by value; ``._replace`` makes a changed
+    copy.
     """
 
     kind: str
@@ -82,8 +93,7 @@ class RelationEdge:
     evidence: tuple[Evidence, ...] = ()
 
 
-@dataclass(frozen=True)
-class Topic:
+class Topic(NamedTuple):
     """A cluster of related decisions with a generated title."""
 
     id: str

@@ -12,6 +12,7 @@ import math
 import re
 from datetime import datetime, timedelta, timezone
 
+import pytest
 from hypothesis import strategies as st
 
 from rdgraph.corpus import format_timestamp, parse_timestamp
@@ -264,6 +265,30 @@ def valid_graph_parts(draw):
         for d in decisions
     ]
     return decisions, rationales, topics, edges, sources
+
+
+def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
+    """``loaded``, which is ``load(save(graph))``, equals ``graph``, and each of
+    its records has its public class (not a bare named-tuple base), refuses
+    field assignment, and hashes as the record of ``graph`` it equals and as
+    its own field tuple."""
+    assert loaded == graph
+    edge_pairs = list(zip(graph.relation_edges, loaded.relation_edges))
+    pairs = [
+        *((Decision, graph.decisions[k], loaded.decisions[k]) for k in graph.decisions),
+        *((RationaleSpan, graph.rationales[k], loaded.rationales[k]) for k in graph.rationales),
+        *((Topic, graph.topics[k], loaded.topics[k]) for k in graph.topics),
+        *((SourceRef, graph.sources[k], loaded.sources[k]) for k in graph.sources),
+        *((RelationEdge, a, b) for a, b in edge_pairs),
+        *((Evidence, x, y) for a, b in edge_pairs for x, y in zip(a.evidence, b.evidence)),
+    ]
+    for cls, original, record in pairs:
+        assert type(record) is cls
+        assert record == original and hash(record) == hash(original)
+        assert hash(record) == hash(tuple(record))
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
 
 
 def _reference_edge_record(edge: RelationEdge) -> dict:

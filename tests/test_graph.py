@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
 from helpers import (
+    assert_records_keep_their_types,
     reference_graph_from_doc,
     reference_k_hop,
     reference_neighbors,
@@ -31,7 +32,7 @@ from rdgraph import (
     save,
 )
 from rdgraph.decisions import Decision
-from rdgraph.graph import ALL_KINDS, RdGraph
+from rdgraph.graph import ALL_KINDS, RdGraph, SourceRef
 from rdgraph.rationale import PURPOSE, RationaleSpan
 from rdgraph.relations import (
     CONTRADICTS,
@@ -480,7 +481,7 @@ def test_export_dot_fixture_contains_two_contradicts_labels(fixture_graph):
 
 
 def test_export_dot_escapes_quotes():
-    d = replace(make_decision(0), text='say "hi"')
+    d = make_decision(0)._replace(text='say "hi"')
     graph = build_graph([d], [], [topic_over(d.id)], [])
     assert_valid_dot(export_dot(graph))
 
@@ -491,8 +492,38 @@ def test_generated_graphs_round_trip(parts):
     graph = build_graph(*parts)
     text = save(graph)
     assert load(text) == graph
+    assert_records_keep_their_types(graph, load(text))
     # A saved file is canonical: loading and saving it gives the same bytes.
     assert save(load(text)) == text
+
+
+# Each checked record with one field set to a value its check refuses.
+_REFUSED = [
+    (Evidence(COSINE_SCORE, "x", 0.5), "weight", 0.0, "evidence weight must be positive"),
+    (Evidence(COSINE_SCORE, "x", 0.5), "weight", -1.0, "evidence weight must be positive"),
+    (Evidence(COSINE_SCORE, "x", 0.5), "weight", -math.inf, "evidence weight must be positive"),
+    (Evidence(COSINE_SCORE, "x", 0.5), "weight", math.nan, "evidence weight must be finite, got nan"),
+    (Evidence(COSINE_SCORE, "x", 0.5), "weight", math.inf, "evidence weight must be finite, got inf"),
+    (SourceRef("a", "git:a", "commit"), "uri", "", "source uri must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("how", ["call", "make", "replace"])
+@pytest.mark.parametrize(
+    "valid, field, value, message",
+    _REFUSED,
+    ids=["zero", "negative", "-inf", "nan", "inf", "empty-uri"],
+)
+def test_checked_records_refuse_bad_values_however_built(how, valid, field, value, message):
+    values = [value if name == field else old for name, old in zip(valid._fields, valid)]
+    build = {
+        "call": lambda: type(valid)(*values),
+        "make": lambda: type(valid)._make(values),
+        "replace": lambda: valid._replace(**{field: value}),
+    }[how]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 @given(valid_graph_parts(), st.booleans())
@@ -504,7 +535,7 @@ def test_save_writes_what_json_dumps_writes(parts, empty_members):
         # No valid graph has a memberless topic, but the writer's empty-array
         # layout must match json.dumps for members as for any other array.
         first = min(graph.topics)
-        topics = {**graph.topics, first: replace(graph.topics[first], member_decision_ids=())}
+        topics = {**graph.topics, first: graph.topics[first]._replace(member_decision_ids=())}
         graph = replace(graph, topics=topics)
     assert save(graph) == reference_save(graph)
 
@@ -564,9 +595,9 @@ def test_save_refuses_a_similar_edge_with_any_other_evidence(score, records):
 def _with_number(graph: RdGraph, where: str, value: float) -> RdGraph:
     if where == "decision-score":
         first = min(graph.decisions)
-        decision = replace(graph.decisions[first], score=value)
+        decision = graph.decisions[first]._replace(score=value)
         return replace(graph, decisions={**graph.decisions, first: decision})
-    edge = replace(graph.relation_edges[0], score=value)
+    edge = graph.relation_edges[0]._replace(score=value)
     return replace(graph, relation_edges=(edge,) + graph.relation_edges[1:])
 
 

@@ -8,7 +8,7 @@ graph, and a digest of what ``rdgraph check --file <proposal> --json``
 prints, with its exit code, for each of the workload's 120 proposals.  A
 change that moves a byte of a graph file, of its findings or of a check fails
 here; a change meant to move bytes (a new graph format, say) updates the pins
-and says why.
+and says why.  Each graph must also load into the public record types.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import sys
 
 import pytest
 
+from helpers import assert_records_keep_their_types
+from rdgraph import build_pipeline, default_config, load, parse_jsonl
 from rdgraph.cli import main
 
 GEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
@@ -121,3 +123,11 @@ def test_benchmark_check_bytes_are_pinned(
     assert len(runs) == 120
     assert dict(codes) == exits
     assert hashlib.sha256("".join(runs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workload", ["history", "longbody"])
+def test_benchmark_graphs_load_into_their_record_types(built, workload):
+    graph, _ = built(workload)
+    artifacts = (graph.parent / "artifacts.jsonl").read_text(encoding="utf-8")
+    expected = build_pipeline(parse_jsonl(artifacts), default_config())
+    assert_records_keep_their_types(expected, load(graph.read_text(encoding="utf-8")))

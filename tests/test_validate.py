@@ -387,7 +387,7 @@ def test_validate_structure_reports_history_cycle(fixture_graph):
 def test_equal_timestamp_history_cycle_fails_both_entry_points():
     # Only the strict later -> earlier rule stops a cycle between equal times.
     d0 = make_decision(0, "mm: add the cache")
-    d1 = replace(make_decision(1, "mm: drop the cache"), timestamp=d0.timestamp)
+    d1 = make_decision(1, "mm: drop the cache")._replace(timestamp=d0.timestamp)
     edges = (
         RelationEdge(kind=HISTORY, from_id=d0.id, to_id=d1.id, score=1.0),
         RelationEdge(kind=HISTORY, from_id=d1.id, to_id=d0.id, score=1.0),
@@ -443,7 +443,7 @@ def plus_edge(kind: str, from_id: str, to_id: str):
 
 def first_edge(**changes):
     return lambda g: dict(
-        relation_edges=(replace(g.relation_edges[0], **changes),) + g.relation_edges[1:]
+        relation_edges=(g.relation_edges[0]._replace(**changes),) + g.relation_edges[1:]
     )
 
 
@@ -454,7 +454,7 @@ def plus_topic(*members: str):
 def without_d1_topic(graph: RdGraph) -> dict:
     ((topic_id, topic),) = graph.topics.items()
     members = tuple(m for m in topic.member_decision_ids if m != D1)
-    return dict(topics={topic_id: replace(topic, member_decision_ids=members)})
+    return dict(topics={topic_id: topic._replace(member_decision_ids=members)})
 
 
 # Each case breaks one invariant of the fixture graph; the build must refuse
