@@ -3,7 +3,8 @@
 Persistence is a single JSON document (schema version ``rdg_version: 2``)
 with top-level arrays ``decisions, rationales, topics, sources, edges``.
 Keys are emitted in alphabetical order and every array is sorted, so equal
-graphs serialize to identical bytes.  Similar edges store no evidence.
+graphs serialize to identical bytes.  Similar edges store no evidence, in
+the file or in memory: ``relations.edge_evidence`` derives it from the score.
 """
 
 from __future__ import annotations
@@ -19,17 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .corpus import format_timestamp, lone_surrogate, parse_timestamp
 from .decisions import Decision
 from .rationale import RationaleSpan
-from .relations import (
-    CONTRADICTS,
-    EDGE_KINDS,
-    HISTORY,
-    SIMILAR,
-    Evidence,
-    RelationEdge,
-    Topic,
-    similar_edge,
-    similar_evidence,
-)
+from .relations import EDGE_KINDS, SIMILAR, Evidence, RelationEdge, Topic, similar_edge
 
 RDG_VERSION = 2
 
@@ -182,37 +173,40 @@ def graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...], str]]:
             )
 
     seen: set[tuple[str, str, str]] = set()
-    for edge in graph.relation_edges:
-        subjects = (edge.from_id, edge.to_id)
-        key = (edge.kind, edge.from_id, edge.to_id)
-        if edge.kind not in EDGE_KINDS:
-            yield subjects, f"unknown edge kind {edge.kind!r}"
+    decisions = graph.decisions
+    for kind, from_id, to_id, score, evidence in graph.relation_edges:
+        if kind not in EDGE_KINDS:
+            yield (from_id, to_id), f"unknown edge kind {kind!r}"
             continue
+        key = (kind, from_id, to_id)
         if key in seen:
-            yield subjects, f"duplicate edge {key}"
+            yield (from_id, to_id), f"duplicate edge {key}"
         seen.add(key)
-        if edge.from_id == edge.to_id:
-            yield subjects, f"self edge on {edge.from_id!r}"
+        if from_id == to_id:
+            yield (from_id, to_id), f"self edge on {from_id!r}"
             continue
-        if edge.from_id not in graph.decisions or edge.to_id not in graph.decisions:
-            yield subjects, (
-                f"{edge.kind} edge {edge.from_id!r} -> {edge.to_id!r} "
-                "references a missing decision"
+        later, earlier = decisions.get(from_id), decisions.get(to_id)
+        if later is None or earlier is None:
+            yield (from_id, to_id), (
+                f"{kind} edge {from_id!r} -> {to_id!r} references a missing decision"
             )
             continue
-        if not 0.0 <= edge.score <= 1.0:
-            yield subjects, f"edge score {edge.score} outside [0, 1]"
-        if edge.kind == SIMILAR and edge.from_id > edge.to_id:
-            yield subjects, (
-                f"similar edge {edge.from_id!r} -> {edge.to_id!r} "
-                "is not in canonical order"
-            )
-        if edge.kind in (HISTORY, CONTRADICTS) and (
-            graph.decisions[edge.from_id].timestamp
-            <= graph.decisions[edge.to_id].timestamp
-        ):
-            yield subjects, (
-                f"{edge.kind} edge {edge.from_id!r} -> {edge.to_id!r} "
+        if not 0.0 <= score <= 1.0:
+            yield (from_id, to_id), f"edge score {score} outside [0, 1]"
+        if kind == SIMILAR:
+            if from_id > to_id:
+                yield (from_id, to_id), (
+                    f"similar edge {from_id!r} -> {to_id!r} is not in canonical order"
+                )
+            # The score is the derived evidence's weight; below 0 it is outside [0, 1].
+            if evidence or score == 0.0:
+                yield (from_id, to_id), (
+                    f"similar edge {from_id!r} -> {to_id!r} must store no evidence "
+                    "and have a positive score"
+                )
+        elif later.timestamp <= earlier.timestamp:
+            yield (from_id, to_id), (
+                f"{kind} edge {from_id!r} -> {to_id!r} "
                 "must run from the later decision to the earlier one"
             )
 
@@ -399,13 +393,10 @@ def _edge_record(edge: RelationEdge) -> str:
       "score": {_number(edge.score)},
       "to": {_q(edge.to_id)}
     }}"""
-    if edge.kind != SIMILAR:
-        evidence = _array(list(map(_evidence, edge.evidence)), "      ")
-        return f'{{\n      "evidence": {evidence},{record}'
-    # An Evidence equals its field tuple; never equal for a score <= 0.
-    if edge.evidence != (similar_evidence(edge.score),):
-        raise GraphError(f"cannot save a similar edge with other evidence: {edge}")
-    return "{" + record
+    if edge.kind == SIMILAR:
+        return "{" + record
+    evidence = _array(list(map(_evidence, edge.evidence)), "      ")
+    return f'{{\n      "evidence": {evidence},{record}'
 
 
 def save(graph: RdGraph) -> str:
@@ -414,8 +405,8 @@ def save(graph: RdGraph) -> str:
     The text is what ``json.dumps(doc, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives for the graph's document, written directly:
     one template per record kind with its keys in sorted order, strings
-    through json's own encoder and floats by ``repr``.  A non-finite number,
-    or similar-edge evidence other than ``similar_edge``'s, raises GraphError.
+    through json's own encoder and floats by ``repr``.  A similar edge is
+    written without evidence.  A non-finite number raises GraphError.
     """
     decisions = [
         f"""{{
@@ -489,8 +480,8 @@ def load(text: str) -> RdGraph:
 
     Each record becomes an immutable named tuple, compared by value:
     ``Decision``, ``RationaleSpan``, ``Topic``, ``SourceRef``, and
-    ``RelationEdge`` with its ``Evidence``.  Similar edges get their derived
-    evidence, so ``load(save(g)) == g``.
+    ``RelationEdge`` with its ``Evidence``.  A similar edge is built by
+    ``similar_edge`` with no evidence, as in memory, so ``load(save(g)) == g``.
     Other versions, and ``NaN`` and ``Infinity`` (not JSON), are rejected.
     """
     try:

@@ -4,8 +4,8 @@ Topic membership comes from single-link clustering over whole-artifact text
 similarity (relatedness is about shared context, not shared wording of the
 one-line decision).  Similar edges and the validation checks instead compare
 a decision's own document: its sentence plus its rationale spans.  History
-and contradicts are evidence-based; every edge carries the features that
-fired, with their weights.
+and contradicts are evidence-based; each of their edges carries the features
+that fired, with their weights.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class RelationEdge(NamedTuple):
 
     Similar edges are undirected and stored with ``from_id < to_id``;
     history and contradicts edges run from the later decision to the
-    earlier one.  Records compare by value; ``._replace`` makes a changed
-    copy.
+    earlier one.  A similar edge stores no evidence (``edge_evidence`` derives
+    it).  Records compare by value; ``._replace`` makes a changed copy.
     """
 
     kind: str
@@ -173,15 +173,20 @@ def title_topic(
     return " ".join(token for token, _ in ranked[:3])
 
 
-def similar_evidence(score: float) -> tuple[str, str, float]:
-    """The feature, detail and weight of a similar edge's one evidence record."""
-    return COSINE_SCORE, f"cosine {score:.6f}", score
-
-
 def similar_edge(from_id: str, to_id: str, score: float) -> RelationEdge:
-    """A similar edge with the evidence its score derives; ValueError if score <= 0."""
-    evidence = Evidence(*similar_evidence(score))
-    return RelationEdge(SIMILAR, from_id, to_id, score, (evidence,))
+    """A similar edge, which stores no evidence; its score is the weight of the
+    record ``edge_evidence`` derives, so it must be positive and finite."""
+    if not 0.0 < score < math.inf:
+        Evidence("", "", score)  # raises the ValueError of that weight
+    return RelationEdge(SIMILAR, from_id, to_id, score)
+
+
+def edge_evidence(edge: RelationEdge) -> tuple[Evidence, ...]:
+    """An edge's evidence: for a similar edge the one ``cosine-score`` record
+    its score derives, for any other edge the evidence it stores."""
+    if edge.kind == SIMILAR:
+        return (Evidence(COSINE_SCORE, f"cosine {edge.score:.6f}", edge.score),)
+    return edge.evidence
 
 
 def detect_similar(

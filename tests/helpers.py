@@ -11,6 +11,7 @@ import json
 import math
 import re
 from datetime import datetime, timedelta, timezone
+from typing import Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -35,11 +36,13 @@ from rdgraph.rationale import (
 from rdgraph.relations import (
     CONTRADICTS,
     COSINE_SCORE,
+    EDGE_KINDS,
     HISTORY,
     SIMILAR,
     Evidence,
     RelationEdge,
     Topic,
+    edge_evidence,
 )
 from rdgraph.validate import ValidationFinding
 
@@ -122,11 +125,17 @@ def reference_extract_rationale(sentence, markers=None):
     return fragments
 
 
+def derived_evidence(score: float) -> tuple[Evidence, ...]:
+    """The one evidence record a similar edge's score derives, built here as
+    graph format v2 specifies it; raises ValueError if score <= 0."""
+    return (Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),)
+
+
 def derived_similar_edge(from_id: str, to_id: str, score: float) -> RelationEdge:
-    """A similar edge with the one evidence record its score derives, built
-    here as graph format v2 specifies it; raises ValueError if score <= 0."""
-    evidence = Evidence(COSINE_SCORE, f"cosine {score:.6f}", score)
-    return RelationEdge(SIMILAR, from_id, to_id, score, (evidence,))
+    """A similar edge as a built or loaded graph holds it: no stored evidence,
+    and a score that ``derived_evidence`` accepts (ValueError otherwise)."""
+    derived_evidence(score)
+    return RelationEdge(SIMILAR, from_id, to_id, score)
 
 
 def reference_detect_similar(decisions, provider, similar_threshold, documents):
@@ -175,8 +184,8 @@ _EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 def valid_graph_parts(draw):
     """Decisions, rationales, topics, edges, sources for a valid graph.
 
-    Similar edges carry the evidence their score derives, as a built graph's
-    do; history and contradicts edges carry none or one drawn record.
+    Similar edges store no evidence, as a built graph's do; history and
+    contradicts edges carry none or one drawn record.
 
     Decision ``i`` is the ``i``-th oldest; its id is drawn from a permutation,
     so id order and time order may disagree, as they do for commit hashes.
@@ -269,10 +278,12 @@ def valid_graph_parts(draw):
 
 def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
     """``loaded``, which is ``load(save(graph))``, equals ``graph``, and each of
-    its records has its public class (not a bare named-tuple base), refuses
-    field assignment, and hashes as the record of ``graph`` it equals and as
-    its own field tuple."""
+    its records, and each evidence record ``edge_evidence`` gives, has its
+    public class (not a bare named-tuple base), refuses field assignment, and
+    hashes as the record of ``graph`` it equals and as its own field tuple.
+    No similar edge stores evidence."""
     assert loaded == graph
+    assert all(e.evidence == () for e in loaded.relation_edges if e.kind == SIMILAR)
     edge_pairs = list(zip(graph.relation_edges, loaded.relation_edges))
     pairs = [
         *((Decision, graph.decisions[k], loaded.decisions[k]) for k in graph.decisions),
@@ -280,7 +291,11 @@ def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
         *((Topic, graph.topics[k], loaded.topics[k]) for k in graph.topics),
         *((SourceRef, graph.sources[k], loaded.sources[k]) for k in graph.sources),
         *((RelationEdge, a, b) for a, b in edge_pairs),
-        *((Evidence, x, y) for a, b in edge_pairs for x, y in zip(a.evidence, b.evidence)),
+        *(
+            (Evidence, x, y)
+            for a, b in edge_pairs
+            for x, y in zip(edge_evidence(a), edge_evidence(b))
+        ),
     ]
     for cls, original, record in pairs:
         assert type(record) is cls
@@ -293,7 +308,7 @@ def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
 
 def _reference_edge_record(edge: RelationEdge) -> dict:
     record = {"from": edge.from_id, "kind": edge.kind, "score": edge.score, "to": edge.to_id}
-    if edge.kind != SIMILAR:  # a similar edge's evidence is derived on load
+    if edge.kind != SIMILAR:  # a similar edge's evidence is derived
         record["evidence"] = [
             {"detail": e.detail, "feature": e.feature, "weight": e.weight}
             for e in edge.evidence
@@ -348,6 +363,138 @@ def reference_save(graph: RdGraph) -> str:
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# Scores outside [0, 1], zero scores and non-finite ones, besides valid ones.
+_BROKEN_SCORES = st.one_of(
+    _SCORES, st.sampled_from([0.0, -0.0, -0.5, 1.5, math.nan, math.inf, -math.inf])
+)
+
+
+@st.composite
+def broken_graphs(draw):
+    """A ``valid_graph_parts()`` graph, constructed directly, whose edges are
+    shuffled together with copies of some of them (duplicates) and with up to
+    six drawn edges: an unknown kind, self edges, a missing end, scores
+    outside [0, 1] or zero, non-canonical similar edges, history and
+    contradicts edges in either time order, and similar edges with stored
+    evidence.  The two oldest decisions may share a timestamp."""
+    decisions, rationales, topics, edges, sources = draw(valid_graph_parts())
+    if len(decisions) > 1 and draw(st.booleans()):
+        decisions[1] = decisions[1]._replace(timestamp=decisions[0].timestamp)
+    ends = st.sampled_from([d.id for d in decisions] + ["ghost#0"])
+    evidence = st.sampled_from(
+        [(), derived_evidence(0.5), (Evidence("keyword", "x", 1.0),)]
+    )
+    drawn = draw(
+        st.lists(
+            st.builds(
+                RelationEdge,
+                st.sampled_from([SIMILAR, HISTORY, CONTRADICTS, "cites"]),
+                ends,
+                ends,
+                _BROKEN_SCORES,
+                evidence,
+            ),
+            max_size=6,
+        )
+    )
+    copies = draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else []
+    return RdGraph(
+        decisions={d.id: d for d in decisions},
+        rationales={r.id: r for r in rationales},
+        topics={t.id: t for t in topics},
+        sources={s.id: s for s in sources},
+        relation_edges=tuple(draw(st.permutations(edges + drawn + copies))),
+    )
+
+
+def reference_graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...], str]]:
+    """The reference for ``graph.graph_violations``: the same invariant pass
+    with one attribute read per edge field and a subject tuple per edge, and
+    without the similar-edge evidence check.  It yields ``(subject ids,
+    message)`` for every broken graph invariant but a similar edge's stored
+    evidence or zero score.
+
+    History edges must run from a strictly later decision to an earlier one,
+    so any history cycle breaks that rule on at least one of its edges.
+    """
+    membership: dict[str, int] = {}
+    for topic in graph.topics.values():
+        if not topic.member_decision_ids:
+            yield (topic.id,), f"topic {topic.id!r} has no members"
+        for member in topic.member_decision_ids:
+            membership[member] = membership.get(member, 0) + 1
+            if member not in graph.decisions:
+                yield (topic.id, member), (
+                    f"topic {topic.id!r} references missing decision {member!r}"
+                )
+    for decision_id in sorted(graph.decisions):
+        count = membership.get(decision_id, 0)
+        if count == 0:
+            yield (decision_id,), f"decision {decision_id!r} is without a topic"
+        elif count > 1:
+            yield (decision_id,), (
+                f"decision {decision_id!r} belongs to {count} topics; "
+                "a decision may not belong to more than one topic"
+            )
+
+    for span_id in sorted(graph.rationales):
+        span = graph.rationales[span_id]
+        if span.decision_id not in graph.decisions:
+            yield (span_id,), (
+                f"rationale {span_id!r} references missing decision "
+                f"{span.decision_id!r}"
+            )
+
+    for decision_id in sorted(graph.decisions):
+        decision = graph.decisions[decision_id]
+        source = graph.sources.get(decision.artifact_id)
+        if source is None:
+            yield (decision_id,), (
+                f"decision {decision_id!r} has no source for artifact "
+                f"{decision.artifact_id!r}"
+            )
+        elif source.uri != decision.source_uri:
+            yield (decision_id, source.id), (
+                f"decision {decision_id!r} source uri {decision.source_uri!r} "
+                f"does not match source {source.uri!r}"
+            )
+
+    seen: set[tuple[str, str, str]] = set()
+    for edge in graph.relation_edges:
+        subjects = (edge.from_id, edge.to_id)
+        key = (edge.kind, edge.from_id, edge.to_id)
+        if edge.kind not in EDGE_KINDS:
+            yield subjects, f"unknown edge kind {edge.kind!r}"
+            continue
+        if key in seen:
+            yield subjects, f"duplicate edge {key}"
+        seen.add(key)
+        if edge.from_id == edge.to_id:
+            yield subjects, f"self edge on {edge.from_id!r}"
+            continue
+        if edge.from_id not in graph.decisions or edge.to_id not in graph.decisions:
+            yield subjects, (
+                f"{edge.kind} edge {edge.from_id!r} -> {edge.to_id!r} "
+                "references a missing decision"
+            )
+            continue
+        if not 0.0 <= edge.score <= 1.0:
+            yield subjects, f"edge score {edge.score} outside [0, 1]"
+        if edge.kind == SIMILAR and edge.from_id > edge.to_id:
+            yield subjects, (
+                f"similar edge {edge.from_id!r} -> {edge.to_id!r} "
+                "is not in canonical order"
+            )
+        if edge.kind in (HISTORY, CONTRADICTS) and (
+            graph.decisions[edge.from_id].timestamp
+            <= graph.decisions[edge.to_id].timestamp
+        ):
+            yield subjects, (
+                f"{edge.kind} edge {edge.from_id!r} -> {edge.to_id!r} "
+                "must run from the later decision to the earlier one"
+            )
 
 
 def reference_neighbors(graph: RdGraph, decision_id: str, kinds) -> list:

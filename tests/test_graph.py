@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from conftest import D1, D2, D3, D4, D5
 from helpers import (
     assert_records_keep_their_types,
+    broken_graphs,
     reference_graph_from_doc,
+    reference_graph_violations,
     reference_k_hop,
     reference_neighbors,
     reference_save,
@@ -32,7 +34,7 @@ from rdgraph import (
     save,
 )
 from rdgraph.decisions import Decision
-from rdgraph.graph import ALL_KINDS, RdGraph, SourceRef
+from rdgraph.graph import ALL_KINDS, RdGraph, SourceRef, graph_violations
 from rdgraph.rationale import PURPOSE, RationaleSpan
 from rdgraph.relations import (
     CONTRADICTS,
@@ -43,7 +45,9 @@ from rdgraph.relations import (
     RelationEdge,
     Topic,
     detect_similar,
+    edge_evidence,
 )
+from rdgraph.validate import STRUCTURAL_VIOLATION, validate_structure
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -562,7 +566,11 @@ def test_a_loaded_similar_edge_has_the_evidence_detect_similar_builds(score):
     assert '"evidence"' not in text
     (loaded,) = load(text).relation_edges
     assert loaded == built
-    assert loaded.evidence == (Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),)
+    assert loaded.evidence == built.evidence == ()
+    assert edge_evidence(loaded) == (Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),)
+
+
+_SIMILAR_EDGE_REFUSED = "must store no evidence and have a positive score"
 
 
 @given(
@@ -572,9 +580,14 @@ def test_a_loaded_similar_edge_has_the_evidence_detect_similar_builds(score):
         max_size=2,
     ),
 )
-def test_save_refuses_a_similar_edge_with_any_other_evidence(score, records):
-    """Only the derived record can be left out of the file and rebuilt on
-    load, so any other evidence, or any at all on a zero score, is refused."""
+@example(0.0, [])
+@example(0.5, [(COSINE_SCORE, True, True)])
+def test_build_graph_refuses_a_similar_edge_with_stored_evidence_or_a_zero_score(
+    score, records
+):
+    """A similar edge's evidence is derived, so any stored evidence (the
+    derived record included) is refused, as is a zero score, which no
+    derived record can weigh; ``validate_structure`` reports the same edge."""
     evidence = tuple(
         Evidence(
             feature,
@@ -583,13 +596,43 @@ def test_save_refuses_a_similar_edge_with_any_other_evidence(score, records):
         )
         for feature, exact_detail, exact_weight in records
     )
-    derived = Evidence(COSINE_SCORE, f"cosine {score:.6f}", score) if score > 0 else None
-    assume(evidence != (derived,))
+    assume(evidence or score == 0.0)
     d0, d1 = make_decision(0), make_decision(1)
     edge = RelationEdge(SIMILAR, d0.id, d1.id, score, evidence)
-    graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
-    with pytest.raises(GraphError, match="similar edge with other evidence"):
-        save(graph)
+    parts = ([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
+    with pytest.raises(GraphError) as info:
+        build_graph(*parts)
+    assert str(info.value) == f"similar edge {d0.id!r} -> {d1.id!r} {_SIMILAR_EDGE_REFUSED}"
+    graph = replace(build_graph(*parts[:3], []), relation_edges=(edge,))
+    (finding,) = validate_structure(graph)
+    assert finding.kind == STRUCTURAL_VIOLATION
+    assert (finding.subject_ids, finding.message) == ((d0.id, d1.id), str(info.value))
+
+
+@given(broken_graphs())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow], deadline=None)
+def test_graph_violations_equal_the_reference_pass_plus_the_similar_edge_check(graph):
+    """``graph_violations`` yields the reference pass's ``(subjects,
+    message)`` sequence, with one more violation, in edge order, for each
+    similar edge with stored evidence or a zero score that reaches the
+    per-edge checks; so a file, whose similar edges hold neither, fails
+    ``load`` with the same first message."""
+    found = list(graph_violations(graph))
+    assert [v for v in found if not v[1].endswith(_SIMILAR_EDGE_REFUSED)] == list(
+        reference_graph_violations(graph)
+    )
+    assert [v for v in found if v[1].endswith(_SIMILAR_EDGE_REFUSED)] == [
+        (
+            (e.from_id, e.to_id),
+            f"similar edge {e.from_id!r} -> {e.to_id!r} {_SIMILAR_EDGE_REFUSED}",
+        )
+        for e in graph.relation_edges
+        if e.kind == SIMILAR
+        and e.from_id != e.to_id
+        and e.from_id in graph.decisions
+        and e.to_id in graph.decisions
+        and (e.evidence or e.score == 0.0)
+    ]
 
 
 def _with_number(graph: RdGraph, where: str, value: float) -> RdGraph:

@@ -86,6 +86,34 @@ def test_benchmark_findings_bytes_are_pinned(built, capsys, workload, digest, li
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "workload, export_digest, query_digest",
+    [
+        ("history",
+         "15682b786c13ece22b8aeedec54dc9caf8f147421a16bf1d2a0f0eb2b4ed6077",
+         "a5f34fcbe8bf2188329e099e3a1cffdd03206ba93cc55d155305b978dce95853"),
+        ("longbody",
+         "e530e51330b5477b9df1e732dca50da11ed875cf719f3699bd7cb911510cd863",
+         "5a652326b91082692a471cdcc05f7c307f5f6c5ff50a42285a868525b19053a0"),
+    ],
+    ids=["history", "longbody"],
+)
+def test_benchmark_export_and_query_bytes_are_pinned(
+    built, capsys, workload, export_digest, query_digest
+):
+    graph, _ = built(workload)
+    capsys.readouterr()
+    first = min(d["id"] for d in json.loads(graph.read_text(encoding="utf-8"))["decisions"])
+    for argv, digest in (
+        (["export", str(graph), "--dot"], export_digest),
+        (["query", str(graph), "--decision", first, "--hops", "3"], query_digest),
+    ):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
 # At the default k = 2 a check never reports a conflict via a similar
 # decision; k = 3 is the smallest budget that reaches that branch.
 @pytest.mark.parametrize(

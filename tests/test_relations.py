@@ -37,8 +37,11 @@ from rdgraph.relations import (
     SAME_AUTHOR,
     SIMILAR,
     Evidence,
+    RelationEdge,
     Topic,
+    edge_evidence,
     jaccard,
+    similar_edge,
 )
 from rdgraph.textsim import TfIdfProvider, vectorize
 from rdgraph.validate import check_new_decision, graph_documents
@@ -188,7 +191,34 @@ def test_identical_decision_texts_make_a_similar_edge_with_score_one(provider):
     assert edge.kind == SIMILAR
     assert edge.score == 1.0
     assert edge.from_id < edge.to_id
-    assert edge.evidence[0].feature == "cosine-score"
+    assert edge.evidence == ()
+    assert edge_evidence(edge)[0].feature == "cosine-score"
+
+
+def test_edge_evidence_derives_a_similar_edges_record_and_returns_any_other():
+    similar = similar_edge("a0#0", "a1#0", 0.25)
+    assert similar == RelationEdge(SIMILAR, "a0#0", "a1#0", 0.25, ())
+    assert edge_evidence(similar) == (Evidence("cosine-score", "cosine 0.250000", 0.25),)
+    stored = (Evidence(REVERT_METADATA, "x", 0.5),)
+    history = RelationEdge(HISTORY, "a1#0", "a0#0", 0.5, stored)
+    assert edge_evidence(history) is stored
+
+
+@pytest.mark.parametrize(
+    "score, message",
+    [
+        (0.0, "evidence weight must be positive"),
+        (-0.5, "evidence weight must be positive"),
+        (-math.inf, "evidence weight must be positive"),
+        (math.nan, "evidence weight must be finite, got nan"),
+        (math.inf, "evidence weight must be finite, got inf"),
+    ],
+    ids=["zero", "negative", "-inf", "nan", "inf"],
+)
+def test_similar_edge_refuses_a_score_its_evidence_could_not_weigh(score, message):
+    with pytest.raises(ValueError) as info:
+        similar_edge("a0#0", "a1#0", score)
+    assert str(info.value) == message
 
 
 def test_fixture_has_the_one_similar_edge(fixture_graph):
