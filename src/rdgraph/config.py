@@ -127,8 +127,14 @@ def _lower_set(values: Any, path: str) -> frozenset[str]:
         raise ConfigError(f"{path}: expected a list of strings")
     if not values:
         raise ConfigError(f"{path}: must not be empty")
-    out = frozenset(v.lower() for v in values)
-    return out
+    _refuse_blank(values, path)
+    return frozenset(v.lower() for v in values)
+
+
+def _refuse_blank(values: list[str], path: str) -> None:
+    # A blank entry matches everywhere: as a marker every word opens a span.
+    if any(not v.strip() for v in values):
+        raise ConfigError(f"{path}: entries must not be blank")
 
 
 def from_dict(data: Mapping[str, Any]) -> Config:
@@ -153,6 +159,7 @@ def from_dict(data: Mapping[str, Any]) -> Config:
         entries = lex["markers"][role]
         if not isinstance(entries, list) or not all(isinstance(m, str) for m in entries):
             raise ConfigError(f"lexicons.markers.{role}: expected a list of strings")
+        _refuse_blank(entries, f"lexicons.markers.{role}")
         markers[role] = tuple(m.lower() for m in entries)
     return Config(
         thresholds=Thresholds(**{k: float(thresholds[k]) for k in _THRESHOLD_KEYS}),

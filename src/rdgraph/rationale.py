@@ -5,6 +5,11 @@ A span runs from the token after a matched marker to the end of the clause
 new finite clause) or to the next marker, whichever comes first.  Purpose
 and cause markers match anywhere in a sentence; "this way" only counts
 sentence-initially, and manner also matches the pattern "by <gerund>".
+
+A sentence is scanned once, left to right, by one pattern that matches any
+marker.  Where several markers match at one place the longest wins, and a
+marker never matches where it would overlap its own earlier match, even one
+that lost to another marker.
 """
 
 from __future__ import annotations
@@ -72,11 +77,20 @@ def _marker_pattern(marker: str) -> re.Pattern[str]:
 
 
 @functools.lru_cache(maxsize=64)
-def _any_marker(markers: tuple[tuple[str, ...], ...]) -> re.Pattern[str]:
-    """One pattern that matches wherever any of ``markers`` or "by <gerund>"
-    does, so a sentence without a hit costs one scan."""
-    patterns = [_marker_pattern(m).pattern for ms in markers for m in ms]
-    return re.compile("|".join(patterns + [_BY_GERUND_RE.pattern]), re.IGNORECASE)
+def _any_marker(
+    markers: tuple[tuple[str, ...], ...], by_gerund: bool
+) -> tuple[re.Pattern[str], tuple[tuple[re.Pattern[str], str, str], ...]]:
+    """One pattern that matches wherever any of ``markers`` (one tuple per
+    role) or, if ``by_gerund``, "by <gerund>" does, and its alternatives as
+    ``(pattern, role, marker)`` in the order that breaks ties."""
+    alternatives = [
+        (_marker_pattern(m), role, m) for role, ms in zip(ROLES, markers) for m in ms
+    ]
+    if by_gerund:
+        alternatives.append((_BY_GERUND_RE, MANNER, "by"))
+    # With no alternative the pattern must match nowhere, not everywhere.
+    combined = "|".join(p.pattern for p, _, _ in alternatives) or "(?!)"
+    return re.compile(combined, re.IGNORECASE), tuple(alternatives)
 
 
 def _word_index(text: str) -> tuple[list[int], list[str]]:
@@ -148,35 +162,56 @@ def extract_rationale(
 ) -> list[SpanFragment]:
     """All marker-derived span fragments of one sentence, leftmost first.
 
-    Overlapping marker matches are resolved leftmost-longest.  A span ends at
-    its clause end or at the start of the next accepted marker, whichever
-    comes first, so each marker keeps its role and the spans of a sentence
-    are disjoint and in order.  Offsets are absolute (into the artifact's
-    normalized text).
+    One left-to-right scan accepts marker hits leftmost-longest: at the
+    leftmost place where a marker matches, the longest match wins (of equally
+    long ones, the first in role and marker order, "by <gerund>" last), and
+    the scan goes on from its end.  A marker matches only where its own
+    ``finditer`` would, so never where it overlaps its own earlier match,
+    even one that lost.  A span ends at its clause end or at the start of the
+    next accepted marker, whichever comes first, so each marker keeps its
+    role and the spans of a sentence are disjoint and in order.  Offsets are
+    absolute (into the artifact's normalized text).
     """
     marker_map = markers if markers is not None else DEFAULT_MARKERS
     text = sentence.text
     key = tuple(tuple(marker_map.get(role, ())) for role in ROLES)
-    if _any_marker(key).search(text) is None:
+    any_marker, alternatives = _any_marker(key, MANNER in marker_map)
+    if (candidate := any_marker.search(text)) is None:
         return []
-    hits: list[tuple[int, int, str, str]] = []
-    for role in ROLES:
-        for marker in marker_map.get(role, ()):
-            pattern = _marker_pattern(marker)
-            for match in pattern.finditer(text):
-                if marker == "this way" and match.start() != 0:
-                    continue
-                hits.append((match.start(), match.end(), role, marker))
-    if MANNER in marker_map:
-        for match in _BY_GERUND_RE.finditer(text):
-            hits.append((match.start(), match.end(), MANNER, "by"))
-    hits.sort(key=lambda h: (h[0], -(h[1] - h[0])))
+    # cursors[n]: where alternative n's own finditer would search next.
+    cursors = [0] * len(alternatives)
     accepted: list[tuple[int, int, str, str]] = []
-    for hit in hits:
-        if not accepted or hit[0] >= accepted[-1][1]:
-            accepted.append(hit)
+    pos = 0
+    while candidate is not None:
+        at = candidate.start()
+        best = None
+        for n, (pattern, role, marker) in enumerate(alternatives):
+            if cursors[n] > at or (hit := pattern.match(text, at)) is None:
+                continue
+            # Nothing matched from pos to at, but the scan skipped the inside
+            # of accepted hits, where this marker may have matched.
+            while cursors[n] < pos and (
+                skipped := pattern.search(text, cursors[n])
+            ).start() < at:
+                cursors[n] = max(skipped.end(), skipped.start() + 1)
+            if cursors[n] > at:
+                continue
+            cursors[n] = max(hit.end(), at + 1)
+            if marker == "this way" and at != 0:
+                continue
+            # Of equally long hits the first wins, but of empty ones the last:
+            # every empty hit is accepted, and only the last keeps a span.
+            if best is None or hit.end() > best[1] or hit.end() == best[1] == at:
+                best = (at, hit.end(), role, marker)
+        pos = at + 1
+        if best is not None:
+            accepted.append(best)
+            pos = max(pos, best[1])
+        # search() clamps pos to len(text), where a blank marker matches again.
+        candidate = any_marker.search(text, pos) if pos <= len(text) else None
     fragments: list[SpanFragment] = []
-    starts, words = _word_index(text) if hits else ([], [])
+    # _clause_end reads the words only after a comma.
+    starts, words = _word_index(text) if accepted and "," in text else ([], [])
     stops = [start for start, _, _, _ in accepted[1:]] + [len(text)]
     for (_, end, role, marker), stop in zip(accepted, stops):
         span_text, span_start, span_end = _trim(

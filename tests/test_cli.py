@@ -116,6 +116,28 @@ def test_boolean_config_number_is_an_input_error(graph_d1_d4_file, tmp_path, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Each blank entry used to build a wrong graph with exit 0: a blank purpose
+# marker made every word a span, a blank cue phrase made a decision of every
+# sentence, and a blank negative cue made none.
+@pytest.mark.parametrize(
+    "config, path",
+    [
+        ('{"lexicons": {"markers": {"purpose": ["", "so that"]}}}', "lexicons.markers.purpose"),
+        ('{"lexicons": {"markers": {"manner": ["this way", " \\t"]}}}', "lexicons.markers.manner"),
+        ('{"lexicons": {"cue_phrases": ["", "agreed to"]}}', "lexicons.cue_phrases"),
+        ('{"lexicons": {"negative_cues": [" "]}}', "lexicons.negative_cues"),
+        ('{"lexicons": {"stopwords": ["a", "\\n"]}}', "lexicons.stopwords"),
+    ],
+    ids=["marker-empty", "marker-whitespace", "cue-phrase", "negative-cue", "stopword"],
+)
+def test_blank_lexicon_entry_is_an_input_error(tmp_path, capsys, config, path):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(config)
+    capsys.readouterr()
+    assert main(["build", ARTIFACTS, "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: entries must not be blank\n"
+
+
 def test_build_unknown_config_key_is_an_input_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"surprise": true}')

@@ -387,11 +387,14 @@ def test_spans_of_a_sentence_are_disjoint_and_in_order(text, offset):
 
 
 # Markers with regex metacharacters, one that is a word-prefix of another
-# ("so" of "so that"), "by" beside the "by <gerund>" pattern, and non-ASCII
-# ones; the same marker may be drawn for two roles.
+# ("so" of "so that"), "by" beside the "by <gerund>" pattern, non-ASCII ones,
+# ones that overlap their own next match ("so so", "a.a") and one in capitals,
+# which only a library call can pass (the config lowers markers); the same
+# marker may be drawn for two roles.
 MARKER_POOL = [
     "so that", "so", "because", "since", "this way", "by", "by means of",
     "c++", "a+b", "[x]", "e.g. (so)", r"\d", "so.that", "stra\u00dfe", "\u0130t",
+    "so so", "a.a", "So That",
 ]
 PRESCAN_PIECES = [
     "so that ", "SO THAT ", "So ", "so ", "sothat ", "so.that ", "because ",
@@ -399,7 +402,7 @@ PRESCAN_PIECES = [
     "by doing ", "By Running ", "BY MEANS OF ", "by means of ", "c++ ", "a+b ",
     "[x] ", "\\d ", "7 ", "e.g. (so) ", "E.G. (SO) ", "stra\u00dfe ",
     "STRASSE ", "\u0130t ", "it ", "\u212a ", "\u03a3 ", "we add x ", ", we ",
-    ", and it ", "; ", "(", ") ", ".", "it runs ",
+    ", and it ", "; ", "(", ") ", ".", "it runs ", "so so so ", "a.a.a ",
 ]
 marker_maps = st.one_of(
     st.none(),
@@ -427,6 +430,12 @@ marker_maps = st.one_of(
 @example(text="it runs this way", markers=None, offset=0)
 @example(text="\u0130t runs e.g. (so) a+b", markers={CAUSE: ("e.g. (so)", "a+b", "\u0130t")}, offset=0)
 @example(text="it runs by doing it", markers={CAUSE: ("because",)}, offset=0)
+# "so so" matches at 2, inside the accepted "x so", so its own next match
+# starts at 8 and finds none: one purpose span, "so so" at 5-10.
+@example(text="x so so so", markers={PURPOSE: ("x so",), CAUSE: ("so so",)}, offset=0)
+# A blank marker matches, empty, at every word boundary, and the last of the
+# empty hits at one place keeps the span.
+@example(text="it runs, so we add x", markers={PURPOSE: ("",), CAUSE: ("", "so")}, offset=2)
 @settings(max_examples=500)
 def test_extraction_equals_the_scan_without_a_prescan(text, markers, offset):
     s = sentence(text, start=offset)
@@ -500,8 +509,13 @@ LONG_BODY = 200_000
         "so that x" + ", " * (LONG_BODY // 2),
         "so that x" + "," * LONG_BODY + " w",
         "a." * (LONG_BODY // 2),
+        "this way " * (LONG_BODY // 9),
+        "this way so that " * (LONG_BODY // 17),
     ],
-    ids=["abbreviations", "clauses", "comma-space-run", "comma-run", "dotted-word"],
+    ids=[
+        "abbreviations", "clauses", "comma-space-run", "comma-run", "dotted-word",
+        "refused-markers", "refused-and-accepted-markers",
+    ],
 )
 def test_long_body_segments_and_extracts_in_linear_time(body):
     # The quadratic scans took minutes on each of these 200 KB bodies.
