@@ -8,23 +8,21 @@ from pathlib import Path
 
 from rdgraph import default_config, extract_decisions, parse_git_log, segment_sentences
 from rdgraph.decisions import is_summary_sentence, score_decision
-from rdgraph.pipeline import lexicon_from_config
 from rdgraph.rationale import attach_rationale
 
 config = default_config()
-lexicon = lexicon_from_config(config)
 dump = Path("fixtures/oom/oom-commits.dump").read_text(encoding="utf-8")
 
 for artifact in parse_git_log(dump):
     sentences = segment_sentences(artifact, config.abbreviations)
     print(artifact.summary)
     for sentence in sentences:
-        score = score_decision(sentence, lexicon, is_summary_sentence(artifact, sentence))
+        score = score_decision(sentence, config, is_summary_sentence(artifact, sentence))
         tag = "decision" if score >= config.thresholds.decision else "        "
         preview = sentence.text.replace("\n", " ")[:64]
         print(f"  {score:.2f} {tag} {preview}")
 
-    decisions = extract_decisions(artifact, sentences, lexicon, config.thresholds.decision)
+    decisions = extract_decisions(artifact, sentences, config, config.thresholds.decision)
     for decision in decisions:
         # The decision's own sentence is searched first; without a marker
         # there, up to `window` neighboring sentences are scanned.

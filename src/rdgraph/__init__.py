@@ -17,7 +17,7 @@ from .corpus import (
     parse_jsonl,
     segment_sentences,
 )
-from .decisions import Decision, DecisionLexicon, extract_decisions, score_decision
+from .decisions import Decision, extract_decisions, score_decision
 from .graph import (
     GraphError,
     RdGraph,
@@ -30,7 +30,7 @@ from .graph import (
     neighbors,
     save,
 )
-from .pipeline import build_pipeline, lexicon_from_config
+from .pipeline import build_pipeline
 from .rationale import RationaleSpan, attach_rationale, extract_rationale
 from .relations import (
     Evidence,
@@ -65,7 +65,6 @@ __all__ = [
     "ConfigError",
     "CorpusError",
     "Decision",
-    "DecisionLexicon",
     "Evidence",
     "GraphError",
     "RationaleSpan",
@@ -95,7 +94,6 @@ __all__ = [
     "extract_rationale",
     "export_dot",
     "k_hop",
-    "lexicon_from_config",
     "load",
     "load_config",
     "neighbors",

@@ -80,7 +80,7 @@ DEFAULTS: dict[str, Any] = {
 _THRESHOLD_KEYS = (
     "decision", "relatedness", "similar", "history", "consistency", "duplicate",
 )
-_MARKER_ROLES = ("purpose", "cause", "manner")
+MARKER_ROLES = ("purpose", "cause", "manner")
 
 
 @dataclass(frozen=True)
@@ -122,19 +122,21 @@ def _merge(base: Any, override: Any, path: str) -> Any:
     return override
 
 
-def _lower_set(values: Any, path: str) -> frozenset[str]:
+def _entries(values: Any, path: str) -> list[str]:
+    """A lexicon's entries, lowercased."""
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ConfigError(f"{path}: expected a list of strings")
-    if not values:
-        raise ConfigError(f"{path}: must not be empty")
-    _refuse_blank(values, path)
-    return frozenset(v.lower() for v in values)
-
-
-def _refuse_blank(values: list[str], path: str) -> None:
     # A blank entry matches everywhere: as a marker every word opens a span.
     if any(not v.strip() for v in values):
         raise ConfigError(f"{path}: entries must not be blank")
+    return [v.lower() for v in values]
+
+
+def _lower_set(values: Any, path: str) -> frozenset[str]:
+    entries = _entries(values, path)
+    if not entries:
+        raise ConfigError(f"{path}: must not be empty")
+    return frozenset(entries)
 
 
 def from_dict(data: Mapping[str, Any]) -> Config:
@@ -154,13 +156,15 @@ def from_dict(data: Mapping[str, Any]) -> Config:
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise ConfigError(f"{key}: must be an integer >= 0")
     lex = data["lexicons"]
-    markers: dict[str, tuple[str, ...]] = {}
-    for role in _MARKER_ROLES:
-        entries = lex["markers"][role]
-        if not isinstance(entries, list) or not all(isinstance(m, str) for m in entries):
-            raise ConfigError(f"lexicons.markers.{role}: expected a list of strings")
-        _refuse_blank(entries, f"lexicons.markers.{role}")
-        markers[role] = tuple(m.lower() for m in entries)
+    # A marker's pattern joins its words with \s+, so collapsing its inner
+    # whitespace keeps what it matches and gives "this way" one spelling.
+    markers = {
+        role: tuple(
+            " ".join(m.split())
+            for m in _entries(lex["markers"][role], f"lexicons.markers.{role}")
+        )
+        for role in MARKER_ROLES
+    }
     return Config(
         thresholds=Thresholds(**{k: float(thresholds[k]) for k in _THRESHOLD_KEYS}),
         window=data["window"],

@@ -7,36 +7,22 @@ The scorer is additive and clamped to [0, 1]:
 * +0.4 when a cue phrase occurs anywhere as whole words,
 * +0.3 when a non-summary sentence opens with an action verb in base form,
 * -0.5 when a negative cue occurs as whole words.
+
+The verbs and cues are the ``Config``'s ``action_verbs``, ``cue_phrases``
+and ``negative_cues``, which ``config.from_dict`` has checked and lowered.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
 
+from .config import Config
 from .corpus import Artifact, Sentence
 
 SUBSYSTEM_PREFIX_RE = re.compile(r"^[a-z0-9_, \-]+:\s*")
 _FIRST_WORD_RE = re.compile(r"[a-z0-9_]+")
-
-
-@dataclass(frozen=True)
-class DecisionLexicon:
-    """Lowercase verb/phrase sets driving the scorer."""
-
-    action_verbs: frozenset[str]
-    cue_phrases: frozenset[str]
-    negative_cues: frozenset[str]
-
-    def __post_init__(self) -> None:
-        for name in ("action_verbs", "cue_phrases", "negative_cues"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"lexicon {name} must not be empty")
-            if any(v != v.lower() for v in values):
-                raise ValueError(f"lexicon {name} entries must be lowercase")
 
 
 class Decision(NamedTuple):
@@ -89,19 +75,17 @@ def _has_cue(text: str, cues: frozenset[str]) -> bool:
     return False
 
 
-def score_decision(
-    sentence: Sentence, lexicon: DecisionLexicon, is_summary: bool
-) -> float:
+def score_decision(sentence: Sentence, config: Config, is_summary: bool) -> float:
     """Deterministic decision score for one sentence, clamped to [0, 1]."""
     lower = sentence.text.lower()
     score = 0.0
-    if is_summary and _opens_with_verb(strip_subsystem_prefix(lower), lexicon.action_verbs):
+    if is_summary and _opens_with_verb(strip_subsystem_prefix(lower), config.action_verbs):
         score += 0.6
-    if _has_cue(lower, lexicon.cue_phrases):
+    if _has_cue(lower, config.cue_phrases):
         score += 0.4
-    if not is_summary and _opens_with_verb(lower, lexicon.action_verbs):
+    if not is_summary and _opens_with_verb(lower, config.action_verbs):
         score += 0.3
-    if _has_cue(lower, lexicon.negative_cues):
+    if _has_cue(lower, config.negative_cues):
         score -= 0.5
     return min(1.0, max(0.0, score))
 
@@ -113,7 +97,7 @@ def is_summary_sentence(artifact: Artifact, sentence: Sentence) -> bool:
 def extract_decisions(
     artifact: Artifact,
     sentences: list[Sentence],
-    lexicon: DecisionLexicon,
+    config: Config,
     threshold: float,
 ) -> list[Decision]:
     """One decision per sentence whose score reaches the threshold."""
@@ -122,7 +106,7 @@ def extract_decisions(
     decisions = []
     for sentence in sentences:
         score = score_decision(
-            sentence, lexicon, is_summary_sentence(artifact, sentence)
+            sentence, config, is_summary_sentence(artifact, sentence)
         )
         if score >= threshold:
             decisions.append(

@@ -1,4 +1,7 @@
-"""End-to-end assembly: artifacts in, fully checked decision graph out."""
+"""End-to-end assembly: artifacts in, fully checked decision graph out.
+
+Each stage reads its lexicons and thresholds from the one ``Config``.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +9,7 @@ from typing import Iterable
 
 from .config import Config, default_config
 from .corpus import Artifact, normalized_text, segment_sentences
-from .decisions import Decision, DecisionLexicon, extract_decisions
+from .decisions import Decision, extract_decisions
 from .graph import RdGraph, SourceRef, build_graph
 from .rationale import RationaleSpan, attach_rationale, rationale_window
 from .relations import (
@@ -24,14 +27,6 @@ from .relations import (
 from .textsim import TfIdfProvider
 
 
-def lexicon_from_config(config: Config) -> DecisionLexicon:
-    return DecisionLexicon(
-        action_verbs=config.action_verbs,
-        cue_phrases=config.cue_phrases,
-        negative_cues=config.negative_cues,
-    )
-
-
 def build_pipeline(
     artifacts: Iterable[Artifact], config: Config | None = None
 ) -> RdGraph:
@@ -43,25 +38,21 @@ def build_pipeline(
     time-ordered pairs of a topic that ``candidate_pairs`` finds through its
     indices (id prefixes, summaries, contradiction tokens and, at low
     history thresholds, authors): every pair that can carry such an edge.
+    With no decisions, for example with no artifacts, the graph is empty.
     """
     cfg = config if config is not None else default_config()
     artifact_list = list(artifacts)
     ids = [a.id for a in artifact_list]
     if len(set(ids)) != len(ids):
         raise ValueError("artifact ids must be unique")
-    if not artifact_list:
-        return build_graph([], [], [], [], [])
 
-    lexicon = lexicon_from_config(cfg)
     artifacts_by_id = {a.id: a for a in artifact_list}
 
     decisions: list[Decision] = []
     spans_by_decision: dict[str, list[RationaleSpan]] = {}
     for artifact in artifact_list:
         sentences = segment_sentences(artifact, cfg.abbreviations)
-        extracted = extract_decisions(
-            artifact, sentences, lexicon, cfg.thresholds.decision
-        )
+        extracted = extract_decisions(artifact, sentences, cfg, cfg.thresholds.decision)
         for decision in extracted:
             near = rationale_window(sentences, decision.id, cfg.window)
             spans_by_decision[decision.id] = attach_rationale(

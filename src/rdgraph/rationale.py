@@ -20,14 +20,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .config import default_config
+from .config import MARKER_ROLES, default_config
 from .corpus import Sentence
 from .decisions import Decision, decision_sentence_index
 
-PURPOSE = "purpose"
-CAUSE = "cause"
-MANNER = "manner"
-ROLES = (PURPOSE, CAUSE, MANNER)
+ROLES = MARKER_ROLES
+PURPOSE, CAUSE, MANNER = ROLES
 
 # The markers a build uses unless its config says otherwise.
 DEFAULT_MARKERS: dict[str, tuple[str, ...]] = default_config().markers

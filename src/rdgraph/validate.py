@@ -195,15 +195,14 @@ def check_new_decision(
             continue
         if score < cfg.thresholds.similar:
             continue
-        targets: list[tuple[str, tuple[RelationEdge, ...]]] = [(decision_id, ())]
-        targets.extend(
-            (peer.id, (edge,))
-            for edge, peer in neighbors(graph, decision_id, {SIMILAR})
-        )
+        # The link, the similar prefix and the contradicts edge must fit in k.
+        targets = [(decision_id, ())] if cfg.k >= 2 else []
+        if cfg.k >= 3:
+            targets.extend(
+                (peer.id, (edge,))
+                for edge, peer in neighbors(graph, decision_id, {SIMILAR})
+            )
         for target_id, prefix in targets:
-            # The link, the prefix and the contradicts edge must fit in k.
-            if 2 + len(prefix) > cfg.k:
-                continue
             target = graph.decisions[target_id]
             for edge, _ in neighbors(graph, target_id, {CONTRADICTS}):
                 path = prefix + (edge,)

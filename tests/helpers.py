@@ -85,9 +85,9 @@ def oracle_similarity(
 
 
 def reference_extract_rationale(sentence, markers=None):
-    """The marker scan ``rationale.extract_rationale`` runs when its
-    sentence-wide pre-scan finds a hit: every marker of every role is
-    searched on its own, with no pre-scan."""
+    """What ``rationale.extract_rationale`` returns, found without its
+    combined pattern: every marker of every role is searched on its own,
+    and the hits are sorted and accepted leftmost-longest."""
     marker_map = markers if markers is not None else DEFAULT_MARKERS
     text = sentence.text
     hits = []

@@ -138,6 +138,14 @@ def test_blank_lexicon_entry_is_an_input_error(tmp_path, capsys, config, path):
     assert capsys.readouterr().err == f"error: {path}: entries must not be blank\n"
 
 
+def test_empty_scorer_lexicon_is_an_input_error(tmp_path, capsys):
+    config_file = tmp_path / "config.json"
+    config_file.write_text('{"lexicons": {"action_verbs": []}}')
+    capsys.readouterr()
+    assert main(["build", ARTIFACTS, "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err == "error: lexicons.action_verbs: must not be empty\n"
+
+
 def test_build_unknown_config_key_is_an_input_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"surprise": true}')

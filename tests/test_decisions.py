@@ -10,79 +10,73 @@ from hypothesis import strategies as st
 from conftest import D1, D2, D3, D4, D5
 from rdgraph import (
     Artifact,
-    DecisionLexicon,
     extract_decisions,
+    load_config,
     score_decision,
     segment_sentences,
 )
 from rdgraph.corpus import Sentence
-from rdgraph.pipeline import lexicon_from_config
-
-
-@pytest.fixture(scope="module")
-def lexicon(config):
-    return lexicon_from_config(config)
 
 
 def sentence(text: str, index: int = 0) -> Sentence:
     return Sentence(artifact_id="a1", index=index, start=0, end=len(text), text=text)
 
 
-def test_summary_with_action_verb_scores_point_six(lexicon):
+def test_summary_with_action_verb_scores_point_six(config):
     assert score_decision(
-        sentence("mm, oom: introduce oom reaper"), lexicon, is_summary=True
+        sentence("mm, oom: introduce oom reaper"), config, is_summary=True
     ) >= 0.6
 
 
-def test_give_summary_counts_as_a_decision(lexicon):
+def test_give_summary_counts_as_a_decision(config):
     # "give" is in the default verb list, so summary evidence alone suffices.
     assert score_decision(
-        sentence("oom: give the dying task a higher priority"), lexicon, is_summary=True
+        sentence("oom: give the dying task a higher priority"), config, is_summary=True
     ) >= 0.6
 
 
-def test_plain_statement_scores_zero(lexicon):
-    assert score_decision(sentence("The weather is nice."), lexicon, is_summary=False) == 0.0
+def test_plain_statement_scores_zero(config):
+    assert score_decision(sentence("The weather is nice."), config, is_summary=False) == 0.0
 
 
-def test_non_summary_verb_scores_point_three(lexicon):
+def test_non_summary_verb_scores_point_three(config):
     assert score_decision(
-        sentence("Add a dedicated kernel thread."), lexicon, is_summary=False
+        sentence("Add a dedicated kernel thread."), config, is_summary=False
     ) == pytest.approx(0.3)
 
 
-def test_cue_phrase_adds_point_four(lexicon):
+def test_cue_phrase_adds_point_four(config):
     assert score_decision(
-        sentence("After review we decided to keep the lock."), lexicon, is_summary=False
+        sentence("After review we decided to keep the lock."), config, is_summary=False
     ) == pytest.approx(0.4)
 
 
-def test_negative_cue_subtracts(lexicon):
+def test_negative_cue_subtracts(config):
     assert score_decision(
-        sentence("remove the reaper?"), lexicon, is_summary=True
+        sentence("remove the reaper?"), config, is_summary=True
     ) == pytest.approx(0.1)
 
 
-def test_negative_cues_match_whole_words_only(lexicon):
+def test_negative_cues_match_whole_words_only(config):
     # "mastodon" contains "todo"; it must score like any other client name.
     mastodon = score_decision(
-        sentence("net: add mastodon client cache"), lexicon, is_summary=True
+        sentence("net: add mastodon client cache"), config, is_summary=True
     )
     matrix = score_decision(
-        sentence("net: add matrix client cache"), lexicon, is_summary=True
+        sentence("net: add matrix client cache"), config, is_summary=True
     )
     assert mastodon == matrix == pytest.approx(0.6)
     assert score_decision(
-        sentence("net: add a client cache, todo"), lexicon, is_summary=True
+        sentence("net: add a client cache, todo"), config, is_summary=True
     ) == pytest.approx(0.1)
 
 
-def test_cue_phrases_match_whole_words_only(lexicon):
+def test_cue_phrases_match_whole_words_only(config):
     assert score_decision(
-        sentence("We stayed undecided to the end."), lexicon, is_summary=False
+        sentence("We stayed undecided to the end."), config, is_summary=False
     ) == 0.0
     assert score_decision(
-        sentence("We decided to the end."), lexicon, is_summary=False
+        sentence("We decided to the end."), config, is_summary=False
     ) == pytest.approx(0.4)
 
 
@@ -92,18 +86,18 @@ def test_cue_phrases_match_whole_words_only(lexicon):
     ).map("".join)
 )
 @settings(max_examples=200, deadline=None)
-def test_word_cue_matches_exactly_the_whole_words(lexicon, tail):
+def test_word_cue_matches_exactly_the_whole_words(config, tail):
     text = "add " + tail
     negative = "todo" in re.findall(r"\w+", text.lower()) or "?" in text
     expected = 0.1 if negative else 0.6
-    assert score_decision(sentence(text), lexicon, is_summary=True) == pytest.approx(
+    assert score_decision(sentence(text), config, is_summary=True) == pytest.approx(
         expected
     )
 
 
-def test_score_is_clamped_to_unit_interval(lexicon):
+def test_score_is_clamped_to_unit_interval(config):
     score = score_decision(
-        sentence("oom: remove the thing we decided to keep"), lexicon, is_summary=True
+        sentence("oom: remove the thing we decided to keep"), config, is_summary=True
     )
     assert score == 1.0
 
@@ -120,37 +114,37 @@ def make_artifact(summary: str, body: str = "") -> Artifact:
     )
 
 
-def test_extract_finds_the_reaper_decision(fixture_artifacts, lexicon, config):
+def test_extract_finds_the_reaper_decision(fixture_artifacts, config):
     artifact = fixture_artifacts[3]
     sentences = segment_sentences(artifact, config.abbreviations)
-    decisions = extract_decisions(artifact, sentences, lexicon, config.thresholds.decision)
+    decisions = extract_decisions(artifact, sentences, config, config.thresholds.decision)
     assert [d.text for d in decisions] == ["mm, oom: introduce oom reaper"]
     assert decisions[0].source_uri == artifact.uri
     assert decisions[0].timestamp == artifact.timestamp
     assert decisions[0].score >= config.thresholds.decision
 
 
-def test_extract_no_qualifying_sentence_gives_empty_list(lexicon):
+def test_extract_no_qualifying_sentence_gives_empty_list(config):
     artifact = make_artifact("notes about the weather", "It was nice. Nothing happened.")
     sentences = segment_sentences(artifact)
-    assert extract_decisions(artifact, sentences, lexicon, 0.5) == []
+    assert extract_decisions(artifact, sentences, config, 0.5) == []
 
 
-def test_extract_threshold_zero_takes_every_sentence(lexicon):
+def test_extract_threshold_zero_takes_every_sentence(config):
     artifact = make_artifact("notes", "One sentence. Two sentences.")
     sentences = segment_sentences(artifact)
-    decisions = extract_decisions(artifact, sentences, lexicon, 0.0)
+    decisions = extract_decisions(artifact, sentences, config, 0.0)
     assert len(decisions) == len(sentences)
 
 
 def test_default_scorer_on_fixture_extracts_exactly_the_five_summaries(
-    fixture_artifacts, lexicon, config
+    fixture_artifacts, config
 ):
     extracted = []
     for artifact in fixture_artifacts:
         sentences = segment_sentences(artifact, config.abbreviations)
         extracted.extend(
-            extract_decisions(artifact, sentences, lexicon, config.thresholds.decision)
+            extract_decisions(artifact, sentences, config, config.thresholds.decision)
         )
     assert [d.id for d in extracted] == [D1, D2, D3, D4, D5]
     assert [d.text for d in extracted] == [
@@ -162,31 +156,29 @@ def test_default_scorer_on_fixture_extracts_exactly_the_five_summaries(
     ]
 
 
-def test_decision_ids_encode_artifact_and_sentence(lexicon):
+def test_decision_ids_encode_artifact_and_sentence(config):
     artifact = make_artifact("x: add a lock", "Remove the old lock. Use the new one.")
     sentences = segment_sentences(artifact)
-    decisions = extract_decisions(artifact, sentences, lexicon, 0.0)
+    decisions = extract_decisions(artifact, sentences, config, 0.0)
     assert len({d.id for d in decisions}) == len(decisions)
     assert decisions[0].id == "a1#0"
 
 
-def test_sentences_must_belong_to_artifact(lexicon):
+def test_sentences_must_belong_to_artifact(config):
     artifact = make_artifact("x: fix")
     alien = Sentence(artifact_id="other", index=0, start=0, end=3, text="foo")
     with pytest.raises(ValueError, match="belong"):
-        extract_decisions(artifact, [alien], lexicon, 0.5)
+        extract_decisions(artifact, [alien], config, 0.5)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"action_verbs": frozenset(), "cue_phrases": frozenset({"x"}), "negative_cues": frozenset({"y"})},
-        {"action_verbs": frozenset({"Add"}), "cue_phrases": frozenset({"x"}), "negative_cues": frozenset({"y"})},
-    ],
-)
-def test_lexicon_rejects_empty_or_uppercase_sets(kwargs):
-    with pytest.raises(ValueError):
-        DecisionLexicon(**kwargs)
+def test_config_lowers_the_scorer_lexicons(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"lexicons": {"action_verbs": ["Add"]}}')
+    config = load_config(str(path))
+    assert config.action_verbs == frozenset({"add"})
+    assert score_decision(
+        sentence("x: add a lock"), config, is_summary=True
+    ) == pytest.approx(0.6)
 
 
 @given(
@@ -200,10 +192,10 @@ def test_lexicon_rejects_empty_or_uppercase_sets(kwargs):
     high=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
 )
 @settings(max_examples=100)
-def test_lowering_the_threshold_never_removes_a_decision(lexicon, body, low, high):
+def test_lowering_the_threshold_never_removes_a_decision(config, body, low, high):
     low, high = min(low, high), max(low, high)
     artifact = make_artifact("x: add a lock", body)
     sentences = segment_sentences(artifact)
-    strict = {d.id for d in extract_decisions(artifact, sentences, lexicon, high)}
-    loose = {d.id for d in extract_decisions(artifact, sentences, lexicon, low)}
+    strict = {d.id for d in extract_decisions(artifact, sentences, config, high)}
+    loose = {d.id for d in extract_decisions(artifact, sentences, config, low)}
     assert strict <= loose

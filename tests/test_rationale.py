@@ -16,6 +16,7 @@ from rdgraph import (
     build_pipeline,
     default_config,
     extract_rationale,
+    load_config,
     normalized_text,
     pipeline,
     segment_sentences,
@@ -93,6 +94,20 @@ def test_clause_ends_at_semicolon():
 
 def test_this_way_only_counts_sentence_initially():
     assert extract_rationale(sentence("We keep it this way for now.")) == []
+
+
+@pytest.mark.parametrize("spelling", ["This  way", "this\\tway"])
+def test_config_gives_this_way_one_spelling(tmp_path, spelling):
+    path = tmp_path / "config.json"
+    path.write_text('{"lexicons": {"markers": {"manner": ["%s"]}}}' % spelling)
+    markers = load_config(str(path)).markers
+    assert markers[MANNER] == ("this way",)
+    inside = sentence("We keep it this way for the cache to stay warm.")
+    assert extract_rationale(inside, markers) == []
+    opening = extract_rationale(sentence("This way the cache stays warm."), markers)
+    assert [(f.role, f.marker, f.text) for f in opening] == [
+        (MANNER, "this way", "the cache stays warm")
+    ]
 
 
 def test_by_gerund_manner_pattern():

@@ -315,6 +315,20 @@ def test_larger_hop_budget_reaches_the_second_revert(
     assert all(len(f.path) <= 1 for f in near if f.kind == CONFLICT_WARNING)
 
 
+def test_conflict_warnings_grow_with_the_hop_budget_up_to_three(
+    fixture_graph_d1_d4, config
+):
+    candidate = (FIXTURE_DIR / "proposed-mrelease.txt").read_text(encoding="utf-8")
+    counts = [
+        sum(
+            f.kind == CONFLICT_WARNING
+            for f in check_new_decision(fixture_graph_d1_d4, candidate, replace(config, k=k))
+        )
+        for k in range(5)
+    ]
+    assert counts == [0, 0, 1, 2, 2]
+
+
 def test_findings_sort_by_severity_then_subjects():
     findings = [
         ValidationFinding("consistent-pair", "info", ("b#0",), (), "info thing"),
