@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .config import default_config
 
@@ -32,10 +33,14 @@ ARTIFACT_KINDS = ("commit", "mail", "other")
 
 _TRAILER_RE = re.compile(r"^[A-Z][A-Za-z-]*: .+$")
 _WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz.")
-# Where segmentation has to look: parentheses and sentence terminators.
-_SEGMENT_STOP_RE = re.compile(r"[().!?]")
-_TERMINATORS_RE = re.compile(r"[.!?]+")
-_SPACES_RE = re.compile(r"\s*")
+# Where segmentation has to look: each parenthesis, and each run of sentence
+# terminators that whitespace and then a character that may be uppercase
+# follow (A-Z or any non-ASCII character, a superset of str.isupper).  Group
+# 1 is that whitespace.  A run is matched only from its first terminator, so
+# a long run that ends nowhere costs one attempt, not one per terminator.
+_SEGMENT_STOP_RE = re.compile(
+    r"[().!?](?:(?<=[()])|(?<![.!?].)[.!?]*(?=(\s+)[A-Z\u0080-\U0010ffff]))"
+)
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 _JSONL_REQUIRED = ("id", "uri", "author", "timestamp", "summary", "body")
@@ -60,8 +65,7 @@ class Artifact:
     kind: str = "other"
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """A sentence of an artifact, with offsets into its normalized text."""
 
     artifact_id: str
@@ -334,8 +338,7 @@ def _segment_block(
     spans: list[tuple[int, int]] = []
     start = 0
     depth = 0
-    i = 0
-    while (stop := _SEGMENT_STOP_RE.search(text, i)) is not None:
+    for stop in _SEGMENT_STOP_RE.finditer(text):
         i = stop.start()
         ch = text[i]
         if ch == "(":
@@ -343,20 +346,14 @@ def _segment_block(
         elif ch == ")":
             depth = max(0, depth - 1)
         elif depth == 0:
-            after = _TERMINATORS_RE.match(text, i).end()
-            k = _SPACES_RE.match(text, after).end()
-            # A split needs whitespace, then an uppercase letter, so none
-            # happens at the end of the text or before a closing parenthesis.
-            if (
-                after < k < len(text)
-                and text[k].isupper()
-                and not (ch == "." and _is_abbreviation(text, i, abbreviations, longest))
+            # A split needs whitespace, then an uppercase letter; group 1 ends
+            # at the possible capital the pattern found, so text[k] exists.
+            k = stop.end(1)
+            if text[k].isupper() and not (
+                ch == "." and _is_abbreviation(text, i, abbreviations, longest)
             ):
-                spans.append((start, after))
+                spans.append((start, stop.end()))
                 start = k
-            i = k
-            continue
-        i += 1
     if start < len(text):
         spans.append((start, len(text)))
     out = []
@@ -407,15 +404,7 @@ def segment_sentences(
                     longest,
                 )
             )
-    sentences = []
-    for index, (start, end) in enumerate(bounds):
-        sentences.append(
-            Sentence(
-                artifact_id=artifact.id,
-                index=index,
-                start=start,
-                end=end,
-                text=text[start:end],
-            )
-        )
-    return sentences
+    return [
+        Sentence(artifact.id, index, start, end, text[start:end])
+        for index, (start, end) in enumerate(bounds)
+    ]

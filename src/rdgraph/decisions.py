@@ -55,9 +55,10 @@ def strip_subsystem_prefix(text: str) -> str:
     return SUBSYSTEM_PREFIX_RE.sub("", text, count=1)
 
 
-def _opens_with_verb(text: str, verbs: frozenset[str]) -> bool:
-    match = _FIRST_WORD_RE.search(text.lower())
-    return bool(match) and match.group(0) in verbs and match.start() == 0
+def _opens_with_verb(lower: str, verbs: frozenset[str]) -> bool:
+    """Whether the lowered text ``lower`` starts with a word in ``verbs``."""
+    match = _FIRST_WORD_RE.match(lower)
+    return match is not None and match.group() in verbs
 
 
 def _has_cue(text: str, cues: frozenset[str]) -> bool:

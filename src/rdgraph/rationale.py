@@ -77,17 +77,22 @@ def _marker_pattern(marker: str) -> re.Pattern[str]:
 @functools.lru_cache(maxsize=64)
 def _any_marker(
     markers: tuple[tuple[str, ...], ...], by_gerund: bool
-) -> tuple[re.Pattern[str], tuple[tuple[re.Pattern[str], str, str], ...]]:
+) -> tuple[re.Pattern[str], tuple[tuple[re.Pattern[str], str, str, bool], ...]]:
     """One pattern that matches wherever any of ``markers`` (one tuple per
     role) or, if ``by_gerund``, "by <gerund>" does, and its alternatives as
-    ``(pattern, role, marker)`` in the order that breaks ties."""
+    ``(pattern, role, marker, initial_only)`` in the order that breaks ties.
+
+    ``initial_only`` marks "this way", which counts only sentence-initially,
+    in any case and spacing, since its pattern ignores both."""
     alternatives = [
-        (_marker_pattern(m), role, m) for role, ms in zip(ROLES, markers) for m in ms
+        (_marker_pattern(m), role, m, " ".join(m.lower().split()) == "this way")
+        for role, ms in zip(ROLES, markers)
+        for m in ms
     ]
     if by_gerund:
-        alternatives.append((_BY_GERUND_RE, MANNER, "by"))
+        alternatives.append((_BY_GERUND_RE, MANNER, "by", False))
     # With no alternative the pattern must match nowhere, not everywhere.
-    combined = "|".join(p.pattern for p, _, _ in alternatives) or "(?!)"
+    combined = "|".join(p.pattern for p, _, _, _ in alternatives) or "(?!)"
     return re.compile(combined, re.IGNORECASE), tuple(alternatives)
 
 
@@ -183,7 +188,7 @@ def extract_rationale(
     while candidate is not None:
         at = candidate.start()
         best = None
-        for n, (pattern, role, marker) in enumerate(alternatives):
+        for n, (pattern, role, marker, initial_only) in enumerate(alternatives):
             if cursors[n] > at or (hit := pattern.match(text, at)) is None:
                 continue
             # Nothing matched from pos to at, but the scan skipped the inside
@@ -195,7 +200,7 @@ def extract_rationale(
             if cursors[n] > at:
                 continue
             cursors[n] = max(hit.end(), at + 1)
-            if marker == "this way" and at != 0:
+            if initial_only and at != 0:
                 continue
             # Of equally long hits the first wins, but of empty ones the last:
             # every empty hit is accepted, and only the last keeps a span.

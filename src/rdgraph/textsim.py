@@ -15,6 +15,11 @@ from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
+# str.translate table: each ASCII character stays if _TOKEN_RE can match it,
+# and becomes a space otherwise.
+_SEPARATORS = "".join(
+    c if _TOKEN_RE.fullmatch(c) else " " for c in map(chr, range(128))
+)
 
 DEFAULT_STOPWORDS = frozenset()
 
@@ -22,9 +27,16 @@ DEFAULT_STOPWORDS = frozenset()
 def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
     """Lowercase tokens split on non-alphanumerics (keeping ``_``).
 
-    Single-character tokens and stopwords are dropped; no stemming.
+    Single-character tokens and stopwords are dropped; no stemming.  The
+    tokens are ``_TOKEN_RE.findall(text.lower())``, found by mapping every
+    other character to a space and splitting.  No non-ASCII character is a
+    token character, so a lowered non-ASCII text has each of them replaced
+    by ``?`` first.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
+    lowered = text.lower()
+    if not lowered.isascii():
+        lowered = lowered.encode("ascii", "replace").decode()
+    tokens = lowered.translate(_SEPARATORS).split()
     return [t for t in tokens if len(t) > 1 and t not in stopwords]
 
 
@@ -69,14 +81,20 @@ def build_model(
     return _fit([set(tokenize(doc, stopwords)) for doc in docs], stopwords)
 
 
+def _vector(model: TfIdfModel, counts: Counter[str]) -> dict[int, float]:
+    """Sparse tf·idf vector of token counts; unseen tokens are ignored."""
+    vocabulary, idf = model.vocabulary, model.idf
+    vector = {}
+    for token, count in counts.items():
+        index = vocabulary.get(token)
+        if index is not None:
+            vector[index] = count * idf[index]
+    return vector
+
+
 def vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
     """Sparse tf·idf vector (raw counts times idf); unseen tokens are ignored."""
-    counts: dict[int, int] = {}
-    for token in tokenize(text, model.stopwords):
-        index = model.vocabulary.get(token)
-        if index is not None:
-            counts[index] = counts.get(index, 0) + 1
-    return {i: c * model.idf[i] for i, c in counts.items()}
+    return _vector(model, Counter(tokenize(text, model.stopwords)))
 
 
 # A sparse tf·idf vector together with its L2 norm.
@@ -142,13 +160,8 @@ class TfIdfProvider:
                 counts[doc] = Counter(tokenize(doc, stopwords))
             entries.append(counts[doc])
         provider = cls(_fit(entries, stopwords))
-        vocabulary, idf = provider.model.vocabulary, provider.model.idf
         for doc, doc_counts in counts.items():
-            vector = {}
-            for token, count in doc_counts.items():
-                index = vocabulary[token]
-                vector[index] = count * idf[index]
-            provider._memo[doc] = _with_norm(vector)
+            provider._memo[doc] = _with_norm(_vector(provider.model, doc_counts))
         return provider
 
     def _lookup(self, text: str) -> _Weighted:

@@ -44,6 +44,7 @@ from rdgraph.relations import (
     Topic,
     edge_evidence,
 )
+from rdgraph.textsim import TfIdfModel, tokenize
 from rdgraph.validate import ValidationFinding
 
 
@@ -84,6 +85,17 @@ def oracle_similarity(
     return dot / (norm_a * norm_b)
 
 
+def reference_vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
+    """What ``textsim.vectorize`` returns, counted by a loop over the tokens,
+    which is how ``vectorize`` counted before it used a ``Counter``."""
+    counts: dict[int, int] = {}
+    for token in tokenize(text, model.stopwords):
+        index = model.vocabulary.get(token)
+        if index is not None:
+            counts[index] = counts.get(index, 0) + 1
+    return {i: c * model.idf[i] for i, c in counts.items()}
+
+
 def reference_extract_rationale(sentence, markers=None):
     """What ``rationale.extract_rationale`` returns, found without its
     combined pattern: every marker of every role is searched on its own,
@@ -93,8 +105,9 @@ def reference_extract_rationale(sentence, markers=None):
     hits = []
     for role in ROLES:
         for marker in marker_map.get(role, ()):
+            this_way = " ".join(marker.lower().split()) == "this way"
             for match in _marker_pattern(marker).finditer(text):
-                if marker == "this way" and match.start() != 0:
+                if this_way and match.start() != 0:
                     continue
                 hits.append((match.start(), match.end(), role, marker))
     if MANNER in marker_map:

@@ -4,7 +4,7 @@ import re
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdgraph import (
@@ -357,8 +357,11 @@ def _reference_bounds(artifact, abbreviations):
 
 
 # Pieces that exercise every branch of the segmenter, including non-ASCII
-# letters whose lower case holds an ASCII letter ("\u0130", the Kelvin sign).
-SEGMENT_PIECES = list("\n.!?(),;' \taAbBeEgGiIsSvVxX\u0130\u212a") + [
+# letters whose lower case holds an ASCII letter ("\u0130", the Kelvin sign),
+# non-ASCII and control whitespace, and a titlecase letter that is not upper.
+SEGMENT_PIECES = list(
+    "\n.!?(),;' \taAbBeEgGiIsSvVxX\u0130\u212a\u00a0\u3000\x1c\u01c5"
+) + [
     "e.g", "i.e", "vs", "cf", "e.g.", "i.e.", "vs.", "cf.", "\n\n", ". A", ". a",
 ]
 segment_texts = st.lists(st.sampled_from(SEGMENT_PIECES), max_size=40).map("".join)
@@ -371,6 +374,11 @@ abbreviation_sets = st.one_of(
 
 
 @given(summary=segment_texts, body=segment_texts, abbreviations=abbreviation_sets)
+# The whitespace after the dot ends in a character that may be uppercase, but
+# it is whitespace too, so no letter follows the dot and no split happens.
+@example(summary="", body="A b. \u00a0", abbreviations=frozenset())
+# A split may follow a run of terminators and a run of mixed whitespace.
+@example(summary="", body="A b?!. \t\u3000C d.", abbreviations=frozenset())
 @settings(max_examples=500)
 def test_segmentation_equals_the_reference_segmenter(summary, body, abbreviations):
     artifact = make_artifact(summary.replace("\n", " ").strip(), body)

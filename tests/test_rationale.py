@@ -96,6 +96,18 @@ def test_this_way_only_counts_sentence_initially():
     assert extract_rationale(sentence("We keep it this way for now.")) == []
 
 
+@pytest.mark.parametrize("spelling", ["this way", "This way", "this  way"])
+def test_a_passed_this_way_marker_counts_only_sentence_initially(spelling):
+    markers = {MANNER: (spelling,)}
+    inside = sentence("We keep it this way for the cache to stay warm.")
+    assert extract_rationale(inside, markers) == []
+    assert reference_extract_rationale(inside, markers) == []
+    opening = extract_rationale(sentence("This way the cache stays warm."), markers)
+    assert [(f.role, f.marker, f.text) for f in opening] == [
+        (MANNER, spelling, "the cache stays warm")
+    ]
+
+
 @pytest.mark.parametrize("spelling", ["This  way", "this\\tway"])
 def test_config_gives_this_way_one_spelling(tmp_path, spelling):
     path = tmp_path / "config.json"
@@ -409,7 +421,7 @@ def test_spans_of_a_sentence_are_disjoint_and_in_order(text, offset):
 MARKER_POOL = [
     "so that", "so", "because", "since", "this way", "by", "by means of",
     "c++", "a+b", "[x]", "e.g. (so)", r"\d", "so.that", "stra\u00dfe", "\u0130t",
-    "so so", "a.a", "So That",
+    "so so", "a.a", "So That", "This  Way", "this\tway",
 ]
 PRESCAN_PIECES = [
     "so that ", "SO THAT ", "So ", "so ", "sothat ", "so.that ", "because ",
@@ -418,6 +430,7 @@ PRESCAN_PIECES = [
     "[x] ", "\\d ", "7 ", "e.g. (so) ", "E.G. (SO) ", "stra\u00dfe ",
     "STRASSE ", "\u0130t ", "it ", "\u212a ", "\u03a3 ", "we add x ", ", we ",
     ", and it ", "; ", "(", ") ", ".", "it runs ", "so so so ", "a.a.a ",
+    "this  way ",
 ]
 marker_maps = st.one_of(
     st.none(),
@@ -524,11 +537,13 @@ LONG_BODY = 200_000
         "so that x" + ", " * (LONG_BODY // 2),
         "so that x" + "," * LONG_BODY + " w",
         "a." * (LONG_BODY // 2),
+        "a" + "." * LONG_BODY + "x",
         "this way " * (LONG_BODY // 9),
         "this way so that " * (LONG_BODY // 17),
     ],
     ids=[
         "abbreviations", "clauses", "comma-space-run", "comma-run", "dotted-word",
+        "terminator-run",
         "refused-markers", "refused-and-accepted-markers",
     ],
 )

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_similarity
+from helpers import oracle_similarity, reference_vectorize
 from rdgraph import build_model, default_config, similarity, tokenize
 from rdgraph.textsim import TfIdfProvider, vectorize
 
@@ -40,6 +41,37 @@ def test_tokenize_keeps_underscore_tokens():
 
 def test_tokenize_drops_single_characters():
     assert tokenize("a b cd") == ["cd"]
+
+
+@given(text=st.text(), stopwords=st.sampled_from([frozenset(), frozenset({"the", "ab"})]))
+@example(text="\u212a", stopwords=frozenset())  # Kelvin sign: lowers to ASCII "k"
+@example(text="\u212aa", stopwords=frozenset())
+@example(text="\u0130x", stopwords=frozenset())  # lowers to "i" + a combining dot
+@example(text="\ud800ab", stopwords=frozenset())  # a lone surrogate
+@example(text="a\x1cb", stopwords=frozenset())  # whitespace to str.split
+@example(text="ab\x1ccd", stopwords=frozenset())
+@example(text="a\u00a0b", stopwords=frozenset())
+@example(text="\u00df", stopwords=frozenset())  # lowers to itself, upper is "SS"
+@settings(max_examples=500)
+def test_tokenize_equals_the_token_regex(text, stopwords):
+    tokens = re.findall(r"[a-z0-9_]+", text.lower())
+    expected = [t for t in tokens if len(t) > 1 and t not in stopwords]
+    assert tokenize(text, stopwords) == expected
+
+
+@given(
+    docs=st.lists(st.text(alphabet="ab \u212a_.", max_size=12), min_size=1, max_size=4),
+    texts=st.lists(st.text(max_size=30) | st.text(alphabet="ab \u212a_.", max_size=12), max_size=4),
+    stopwords=st.sampled_from([frozenset(), frozenset({"ab"})]),
+)
+@settings(max_examples=200)
+def test_vectorize_equals_the_per_token_count_loop(docs, texts, stopwords):
+    model = build_model(docs, stopwords)
+    for text in docs + texts:
+        got = vectorize(model, text)
+        expected = reference_vectorize(model, text)
+        assert got == expected
+        assert list(got) == list(expected)
 
 
 def test_build_model_single_doc_idf_is_one():
