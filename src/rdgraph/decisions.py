@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from datetime import datetime
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .config import Config
 from .corpus import Artifact, Sentence
@@ -61,7 +61,7 @@ def _opens_with_verb(lower: str, verbs: frozenset[str]) -> bool:
     return match is not None and match.group() in verbs
 
 
-def _has_cue(text: str, cues: frozenset[str]) -> bool:
+def _has_cue(text: str, cues: Iterable[str]) -> bool:
     """Whether a cue occurs as whole words: ``todo`` is not in ``mastodon``.
 
     A word boundary is required only at a cue end that is a word character,
@@ -76,19 +76,25 @@ def _has_cue(text: str, cues: frozenset[str]) -> bool:
     return False
 
 
-def score_decision(sentence: Sentence, config: Config, is_summary: bool) -> float:
-    """Deterministic decision score for one sentence, clamped to [0, 1]."""
-    lower = sentence.text.lower()
+def _score(
+    lower: str, is_summary: bool, config: Config, cues: Iterable[str], negs: Iterable[str]
+) -> float:
     score = 0.0
     if is_summary and _opens_with_verb(strip_subsystem_prefix(lower), config.action_verbs):
         score += 0.6
-    if _has_cue(lower, config.cue_phrases):
+    if _has_cue(lower, cues):
         score += 0.4
     if not is_summary and _opens_with_verb(lower, config.action_verbs):
         score += 0.3
-    if _has_cue(lower, config.negative_cues):
+    if _has_cue(lower, negs):
         score -= 0.5
     return min(1.0, max(0.0, score))
+
+
+def score_decision(sentence: Sentence, config: Config, is_summary: bool) -> float:
+    """Deterministic decision score for one sentence, clamped to [0, 1]."""
+    cues, negs = config.cue_phrases, config.negative_cues
+    return _score(sentence.text.lower(), is_summary, config, cues, negs)
 
 
 def is_summary_sentence(artifact: Artifact, sentence: Sentence) -> bool:
@@ -104,11 +110,16 @@ def extract_decisions(
     """One decision per sentence whose score reaches the threshold."""
     if any(s.artifact_id != artifact.id for s in sentences):
         raise ValueError("sentences do not belong to the given artifact")
+    cues, negs = config.cue_phrases, config.negative_cues
+    joined = " ".join(s.text for s in sentences).lower()
+    if joined.isascii():
+        # Each sentence lowers to a slice of joined: a cue not in it is in none.
+        cues = [cue for cue in cues if cue in joined]
+        negs = [cue for cue in negs if cue in joined]
     decisions = []
     for sentence in sentences:
-        score = score_decision(
-            sentence, config, is_summary_sentence(artifact, sentence)
-        )
+        is_summary = is_summary_sentence(artifact, sentence)
+        score = _score(sentence.text.lower(), is_summary, config, cues, negs)
         if score >= threshold:
             decisions.append(
                 Decision(

@@ -9,14 +9,15 @@ sentence-initially, and manner also matches the pattern "by <gerund>".
 A sentence is scanned once, left to right, by one pattern that matches any
 marker.  Where several markers match at one place the longest wins, and a
 marker never matches where it would overlap its own earlier match, even one
-that lost to another marker.
+that lost to another marker.  One more pass, over the lowered sentence, finds
+the clause ends of all its spans.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,15 +33,22 @@ DEFAULT_MARKERS: dict[str, tuple[str, ...]] = default_config().markers
 
 _BY_GERUND_RE = re.compile(r"\bby\s+(?=[a-z]+ing\b)", re.IGNORECASE)
 
-# Words that, right after a comma, signal a new finite clause.
-_SUBJECT_WORDS = frozenset(
-    {"it", "we", "they", "he", "she", "i", "you", "this", "that", "there",
-     "the", "a", "an"}
+# Words that, right after a comma, signal a new finite clause, alone or after
+# a coordinator.  A word is a run of ``[a-z0-9_']`` in the lowered sentence.
+_SUBJECT_WORDS = "it|we|they|he|she|i|you|this|that|there|the|a|an"
+_COORDINATORS = "and|but|or|so|yet|nor"
+_NON_WORD = r"[^a-z0-9_',]"
+_STARTS_CLAUSE = (
+    rf"(?={_NON_WORD}*(?:(?:{_COORDINATORS})[^a-z0-9_']+)?"
+    rf"(?:{_SUBJECT_WORDS})(?![a-z0-9_']))"
 )
-_COORDINATORS = frozenset({"and", "but", "or", "so", "yet", "nor"})
-
-_WORD_RE = re.compile(r"[A-Za-z0-9_']+")
-_CLAUSE_STOP_RE = re.compile(r"[(),;]")
+# Where a clause can end, in the lowered sentence: a parenthesis or semicolon;
+# a chain of commas with no word between them, which share the next words; or
+# a lone comma that a clause follows.  Other commas never match.  The commas of
+# a match start a clause if it has a group (``lastindex`` is set).
+_CLAUSE_RE = re.compile(
+    rf"[();]|,(?:{_NON_WORD}*,)+({_STARTS_CLAUSE})?|,({_STARTS_CLAUSE})"
+)
 
 
 class RationaleSpan(NamedTuple):
@@ -74,13 +82,18 @@ def _marker_pattern(marker: str) -> re.Pattern[str]:
     return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)
 
 
+_Alternative = tuple[re.Pattern[str], str, str, bool]
+
+
 @functools.lru_cache(maxsize=64)
 def _any_marker(
     markers: tuple[tuple[str, ...], ...], by_gerund: bool
-) -> tuple[re.Pattern[str], tuple[tuple[re.Pattern[str], str, str, bool], ...]]:
+) -> tuple[re.Pattern[str], re.Pattern[str] | None, tuple[_Alternative, ...]]:
     """One pattern that matches wherever any of ``markers`` (one tuple per
-    role) or, if ``by_gerund``, "by <gerund>" does, and its alternatives as
-    ``(pattern, role, marker, initial_only)`` in the order that breaks ties.
+    role) or, if ``by_gerund``, "by <gerund>" does; the same alternation
+    without ``IGNORECASE`` for lowered ASCII text, if every marker is ASCII;
+    and its alternatives as ``(pattern, role, marker, initial_only)`` in the
+    order that breaks ties.
 
     ``initial_only`` marks "this way", which counts only sentence-initially,
     in any case and spacing, since its pattern ignores both."""
@@ -93,62 +106,12 @@ def _any_marker(
         alternatives.append((_BY_GERUND_RE, MANNER, "by", False))
     # With no alternative the pattern must match nowhere, not everywhere.
     combined = "|".join(p.pattern for p, _, _, _ in alternatives) or "(?!)"
-    return re.compile(combined, re.IGNORECASE), tuple(alternatives)
-
-
-def _word_index(text: str) -> tuple[list[int], list[str]]:
-    """The words of ``text.lower()``, each with the index in ``text`` it starts at.
-
-    ``str.lower`` can change lengths (``"\u0130"`` becomes ``"i\u0307"``), so a
-    non-ASCII text is lowered one character at a time to keep the offsets.
-    Only the final sigma is lowered by context, and neither of its forms is a
-    word character, so the words are those of lowering the text as a whole.
-    """
-    if text.isascii():
-        lowered, origin = text.lower(), None
-    else:
-        pieces = [ch.lower() for ch in text]
-        lowered = "".join(pieces)
-        origin = [index for index, piece in enumerate(pieces) for _ in piece]
-    starts: list[int] = []
-    words: list[str] = []
-    for match in _WORD_RE.finditer(lowered):
-        starts.append(match.start() if origin is None else origin[match.start()])
-        words.append(match.group())
-    return starts, words
-
-
-def _clause_end(
-    text: str, start: int, stop: int, starts: list[int], words: list[str]
-) -> int:
-    """Scan from start to the clause boundary, or to ``stop`` if none comes
-    first; offsets are sentence-local.
-
-    ``starts``/``words`` are :func:`_word_index` of ``text``, so the two words
-    after a comma are a binary search away instead of a scan of the rest.
-    """
-    i = start
-    depth = 0
-    while (boundary := _CLAUSE_STOP_RE.search(text, i, stop)) is not None:
-        i = boundary.start()
-        ch = text[i]
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        elif depth == 0 and ch == ";":
-            return i
-        elif depth == 0 and ch == ",":
-            k = bisect_right(starts, i)
-            if k < len(words):
-                first = words[k]
-                second = words[k + 1] if k + 1 < len(words) else ""
-                if first in _SUBJECT_WORDS:
-                    return i
-                if first in _COORDINATORS and second in _SUBJECT_WORDS:
-                    return i
-        i += 1
-    return stop
+    # For ASCII, matching lowered text is matching with IGNORECASE (which lets
+    # "s" match "\u017f"), and several times faster.  re.escape leaves letters
+    # alone, so lowering the source lowers only the markers.
+    ascii_markers = all(m.isascii() for ms in markers for m in ms)
+    lowered = re.compile(combined.lower()) if ascii_markers else None
+    return re.compile(combined, re.IGNORECASE), lowered, tuple(alternatives)
 
 
 def _trim(text: str, start: int, end: int) -> tuple[str, int, int]:
@@ -178,8 +141,13 @@ def extract_rationale(
     marker_map = markers if markers is not None else DEFAULT_MARKERS
     text = sentence.text
     key = tuple(tuple(marker_map.get(role, ())) for role in ROLES)
-    any_marker, alternatives = _any_marker(key, MANNER in marker_map)
-    if (candidate := any_marker.search(text)) is None:
+    any_marker, lowered_marker, alternatives = _any_marker(key, MANNER in marker_map)
+    scanned = text
+    if text.isascii():
+        lowered, origin = text.lower(), None
+        if lowered_marker is not None:
+            any_marker, scanned = lowered_marker, lowered
+    if (candidate := any_marker.search(scanned)) is None:
         return []
     # cursors[n]: where alternative n's own finditer would search next.
     cursors = [0] * len(alternatives)
@@ -211,15 +179,45 @@ def extract_rationale(
             accepted.append(best)
             pos = max(pos, best[1])
         # search() clamps pos to len(text), where a blank marker matches again.
-        candidate = any_marker.search(text, pos) if pos <= len(text) else None
+        candidate = any_marker.search(scanned, pos) if pos <= len(text) else None
+    if not accepted:
+        return []
+    first = accepted[0][1]
+    if not text.isascii():
+        # str.lower can change lengths ("\u0130" becomes "i\u0307"), so each
+        # character is lowered alone and origin maps back.  Only the final
+        # sigma lowers by context, and neither of its forms is a word.
+        pieces = [ch.lower() for ch in text]
+        lowered = "".join(pieces)
+        origin = [index for index, piece in enumerate(pieces) for _ in piece]
+        first = bisect_left(origin, first)
+    # (index, char, starts_clause) of each "();," that can end a clause.  The
+    # spans are disjoint and in order, so one pass serves them all; it is not
+    # bounded by a span's stop, since the words after a comma may lie past it.
+    marks = (
+        (at if origin is None else origin[at], ch, m.lastindex is not None)
+        for m in _CLAUSE_RE.finditer(lowered, first)
+        for at, ch in enumerate(m.group(), m.start())
+        if ch in "();,"
+    )
+    mark = next(marks, None)
     fragments: list[SpanFragment] = []
-    # _clause_end reads the words only after a comma.
-    starts, words = _word_index(text) if accepted and "," in text else ([], [])
     stops = [start for start, _, _, _ in accepted[1:]] + [len(text)]
     for (_, end, role, marker), stop in zip(accepted, stops):
-        span_text, span_start, span_end = _trim(
-            text, end, _clause_end(text, end, stop, starts, words)
-        )
+        clause_end, depth = stop, 0
+        while mark is not None and mark[0] < stop:
+            at, ch, starts_clause = mark
+            mark = next(marks, None)
+            if at < end:
+                continue
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth = max(0, depth - 1)
+            elif depth == 0 and (ch == ";" or starts_clause):
+                clause_end = at
+                break
+        span_text, span_start, span_end = _trim(text, end, clause_end)
         if not span_text:
             continue
         fragments.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
@@ -28,10 +29,8 @@ from rdgraph.rationale import (
     ROLES,
     RationaleSpan,
     SpanFragment,
-    _clause_end,
     _marker_pattern,
     _trim,
-    _word_index,
 )
 from rdgraph.relations import (
     CONTRADICTS,
@@ -94,6 +93,72 @@ def reference_vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
         if index is not None:
             counts[index] = counts.get(index, 0) + 1
     return {i: c * model.idf[i] for i, c in counts.items()}
+
+
+# The clause scan of the package before it moved to one pattern pass over the
+# lowered sentence, kept here so that the oracle shares none of its code.
+_SUBJECT_WORDS = frozenset(
+    {"it", "we", "they", "he", "she", "i", "you", "this", "that", "there",
+     "the", "a", "an"}
+)
+_COORDINATORS = frozenset({"and", "but", "or", "so", "yet", "nor"})
+_WORD_RE = re.compile(r"[A-Za-z0-9_']+")
+_CLAUSE_STOP_RE = re.compile(r"[(),;]")
+
+
+def _word_index(text: str) -> tuple[list[int], list[str]]:
+    """The words of ``text.lower()``, each with the index in ``text`` it starts at.
+
+    ``str.lower`` can change lengths (``"\u0130"`` becomes ``"i\u0307"``), so a
+    non-ASCII text is lowered one character at a time to keep the offsets.
+    Only the final sigma is lowered by context, and neither of its forms is a
+    word character, so the words are those of lowering the text as a whole.
+    """
+    if text.isascii():
+        lowered, origin = text.lower(), None
+    else:
+        pieces = [ch.lower() for ch in text]
+        lowered = "".join(pieces)
+        origin = [index for index, piece in enumerate(pieces) for _ in piece]
+    starts: list[int] = []
+    words: list[str] = []
+    for match in _WORD_RE.finditer(lowered):
+        starts.append(match.start() if origin is None else origin[match.start()])
+        words.append(match.group())
+    return starts, words
+
+
+def _clause_end(
+    text: str, start: int, stop: int, starts: list[int], words: list[str]
+) -> int:
+    """Scan from start to the clause boundary, or to ``stop`` if none comes
+    first; offsets are sentence-local.
+
+    ``starts``/``words`` are :func:`_word_index` of ``text``, so the two words
+    after a comma are a binary search away instead of a scan of the rest.
+    """
+    i = start
+    depth = 0
+    while (boundary := _CLAUSE_STOP_RE.search(text, i, stop)) is not None:
+        i = boundary.start()
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        elif depth == 0 and ch == ";":
+            return i
+        elif depth == 0 and ch == ",":
+            k = bisect_right(starts, i)
+            if k < len(words):
+                first = words[k]
+                second = words[k + 1] if k + 1 < len(words) else ""
+                if first in _SUBJECT_WORDS:
+                    return i
+                if first in _COORDINATORS and second in _SUBJECT_WORDS:
+                    return i
+        i += 1
+    return stop
 
 
 def reference_extract_rationale(sentence, markers=None):

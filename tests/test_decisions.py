@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from conftest import D1, D2, D3, D4, D5
 from rdgraph import (
     Artifact,
+    default_config,
     extract_decisions,
     load_config,
     score_decision,
     segment_sentences,
 )
 from rdgraph.corpus import Sentence
+from rdgraph.decisions import decision_sentence_index, is_summary_sentence
 
 
 def sentence(text: str, index: int = 0) -> Sentence:
@@ -199,3 +201,36 @@ def test_lowering_the_threshold_never_removes_a_decision(config, body, low, high
     strict = {d.id for d in extract_decisions(artifact, sentences, config, high)}
     loose = {d.id for d in extract_decisions(artifact, sentences, config, low)}
     assert strict <= loose
+
+
+# Every default cue and negative cue, cues in capitals, words that hold a cue
+# but not as whole words, and non-ASCII text, whose lowering can change
+# lengths ("\u0130") or match nothing ASCII ("\u017f" is a long s).
+_DEFAULTS = default_config()
+SCORER_PIECES = sorted(_DEFAULTS.cue_phrases | _DEFAULTS.negative_cues) + [
+    "DECIDED TO", "TODO", "We Chose", "Should We", "add", "Remove ", "use ",
+    "mastodon", "undecided to", "\u0130", "\u017f", "\u03a3", "x", " ", ", ",
+    ". ", ". The ", "\n\n",
+]
+
+
+@given(
+    summary=st.lists(st.sampled_from(SCORER_PIECES), max_size=6).map("".join),
+    body=st.lists(st.sampled_from(SCORER_PIECES), max_size=24).map("".join),
+    threshold=st.sampled_from([0.0, 0.3, 0.4, 0.6, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_extract_decisions_keeps_each_sentence_that_score_decision_keeps(
+    config, summary, body, threshold
+):
+    # extract_decisions tests only the cues that occur in its artifact.
+    artifact = make_artifact(summary, body)
+    sentences = segment_sentences(artifact, config.abbreviations)
+    scores = [
+        (s.index, score_decision(s, config, is_summary_sentence(artifact, s)))
+        for s in sentences
+    ]
+    decisions = extract_decisions(artifact, sentences, config, threshold)
+    assert [(decision_sentence_index(d.id), d.score) for d in decisions] == [
+        (index, score) for index, score in scores if score >= threshold
+    ]

@@ -378,11 +378,22 @@ def _reference_fragments(text):
 CLAUSE_PIECES = list("\n.!?(),;' aAiIkKtTwW\u0130\u212a") + [
     "so that ", "because ", "This way ", "by doing ", " it", " the", " and",
     " so", ", we", ", and it", ", \u0130t", ", \u212ait", "\u03a3",
+    ",", ",,", ",(", ", (", " nor", " yet we",
 ]
 clause_texts = st.lists(st.sampled_from(CLAUSE_PIECES), max_size=40).map("".join)
 
 
 @given(text=clause_texts, offset=st.integers(0, 50))
+# The commas of a chain share the words after its last comma, so the first
+# comma of the chain ends the clause.
+@example(text="so that x,,we", offset=0)
+@example(text="so that x,(,we", offset=0)
+@example(text="so that x, and,, we", offset=0)
+# A chain that crosses ")": its first comma is at depth 1, its second ends
+# the clause.
+@example(text="so that (x,), we", offset=0)
+# A comma at depth 1 is no boundary, although a clause follows it; ";" is.
+@example(text="so that (x, ) ; we", offset=0)
 @settings(max_examples=500)
 def test_extraction_equals_the_reference_clause_scan(text, offset):
     fragments = extract_rationale(sentence(text, start=offset))
@@ -430,7 +441,7 @@ PRESCAN_PIECES = [
     "[x] ", "\\d ", "7 ", "e.g. (so) ", "E.G. (SO) ", "stra\u00dfe ",
     "STRASSE ", "\u0130t ", "it ", "\u212a ", "\u03a3 ", "we add x ", ", we ",
     ", and it ", "; ", "(", ") ", ".", "it runs ", "so so so ", "a.a.a ",
-    "this  way ",
+    "this  way ", "becau\u017fe ",
 ]
 marker_maps = st.one_of(
     st.none(),
@@ -458,6 +469,8 @@ marker_maps = st.one_of(
 @example(text="it runs this way", markers=None, offset=0)
 @example(text="\u0130t runs e.g. (so) a+b", markers={CAUSE: ("e.g. (so)", "a+b", "\u0130t")}, offset=0)
 @example(text="it runs by doing it", markers={CAUSE: ("because",)}, offset=0)
+# Under IGNORECASE "s" matches the long s "\u017f", which lowering keeps.
+@example(text="it runs becau\u017fe x", markers=None, offset=0)
 # "so so" matches at 2, inside the accepted "x so", so its own next match
 # starts at 8 and finds none: one purpose span, "so so" at 5-10.
 @example(text="x so so so", markers={PURPOSE: ("x so",), CAUSE: ("so so",)}, offset=0)
@@ -540,11 +553,14 @@ LONG_BODY = 200_000
         "a" + "." * LONG_BODY + "x",
         "this way " * (LONG_BODY // 9),
         "this way so that " * (LONG_BODY // 17),
+        "so that x" + ", (" * (LONG_BODY // 3),
+        "so that x, and" + ",," * (LONG_BODY // 2) + " we",
     ],
     ids=[
         "abbreviations", "clauses", "comma-space-run", "comma-run", "dotted-word",
         "terminator-run",
         "refused-markers", "refused-and-accepted-markers",
+        "comma-paren-run", "coordinator-comma-run",
     ],
 )
 def test_long_body_segments_and_extracts_in_linear_time(body):
