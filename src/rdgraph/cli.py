@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import cache
 
 from .config import ConfigError, load_config
 from .corpus import CorpusError, dumps_artifacts, parse_git_log, parse_jsonl
@@ -148,7 +149,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it holds no command function."""
     parser = argparse.ArgumentParser(
         prog="rdgraph",
         description=(
@@ -162,13 +165,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("input")
     p_ingest.add_argument("--format", choices=("git", "jsonl"), required=True)
     p_ingest.add_argument("-o", "--output", default=None)
-    p_ingest.set_defaults(func=cmd_ingest)
 
     p_build = sub.add_parser("build", help="build the decision graph")
     p_build.add_argument("artifacts", help="artifact file (JSON lines)")
     p_build.add_argument("-o", "--output", default=None)
     p_build.add_argument("--config", default=None)
-    p_build.set_defaults(func=cmd_build)
 
     p_check = sub.add_parser("check", help="check a proposed decision for conflicts")
     p_check.add_argument("graph")
@@ -177,19 +178,16 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--file", default=None)
     p_check.add_argument("--json", action="store_true")
     p_check.add_argument("--config", default=None)
-    p_check.set_defaults(func=cmd_check)
 
     p_validate = sub.add_parser("validate", help="check graph consistency")
     p_validate.add_argument("graph")
     p_validate.add_argument("--json", action="store_true")
     p_validate.add_argument("--config", default=None)
-    p_validate.set_defaults(func=cmd_validate)
 
     p_export = sub.add_parser("export", help="export the graph")
     p_export.add_argument("graph")
     p_export.add_argument("--dot", action="store_true", required=True)
     p_export.add_argument("-o", "--output", default=None)
-    p_export.set_defaults(func=cmd_export)
 
     p_query = sub.add_parser("query", help="list a topic or a decision's surroundings")
     p_query.add_argument("graph")
@@ -197,19 +195,18 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--topic", default=None)
     group.add_argument("--decision", default=None)
     p_query.add_argument("--hops", type=_hop_count, default=1)
-    p_query.set_defaults(func=cmd_query)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # Looked up per call, so a rebound ``cmd_<name>`` is the one that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (CorpusError, ConfigError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -9,8 +9,10 @@ the file or in memory: ``relations.edge_evidence`` derives it from the score.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -134,7 +136,12 @@ def graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...], str]]:
     for topic in graph.topics.values():
         if not topic.member_decision_ids:
             yield (topic.id,), f"topic {topic.id!r} has no members"
-        for member in topic.member_decision_ids:
+        for member, times in Counter(topic.member_decision_ids).items():
+            if times > 1:
+                yield (topic.id, member), (
+                    f"topic {topic.id!r} lists decision {member!r} {times} times; "
+                    "a topic lists each member once"
+                )
             membership[member] = membership.get(member, 0) + 1
             if member not in graph.decisions:
                 yield (topic.id, member), (
@@ -493,10 +500,16 @@ def load(text: str) -> RdGraph:
     where = lone_surrogate(text, doc, "graph")
     if where is not None:
         raise GraphError(f"{where} holds an unpaired surrogate escape")
+    # The records hold no cycles: the cyclic collector pauses while they are built.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _graph_from_doc(doc)
     except OverflowError as exc:  # an integer score or weight beyond float range
         raise GraphError(f"graph file: number out of range: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _field(obj: dict, key: str, types: type, path: str):
@@ -624,6 +637,8 @@ def _edge(obj: object, n: int) -> RelationEdge:
     if type(score := obj.get("score")) is not float:
         score = float(_expect(obj, "score", (int, float), f"edges[{n}]"))
     if kind == SIMILAR:
+        if 0.0 < score < math.inf:  # what similar_edge builds, without its checks
+            return tuple.__new__(RelationEdge, (SIMILAR, from_id, to_id, score, ()))
         try:
             return similar_edge(from_id, to_id, score)
         except ValueError as exc:

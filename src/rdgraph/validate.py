@@ -7,8 +7,8 @@ and serialize to JSON lines for CI consumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _q
+from typing import Iterable, NamedTuple
 
 from .config import Config, default_config
 from .graph import RdGraph, graph_violations, neighbors, rationales_of
@@ -33,21 +33,30 @@ MISSING_RATIONALE = "missing-rationale"
 _SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 
 
-@dataclass(frozen=True)
-class ValidationFinding:
-    """One report entry with an explanation path of graph edges."""
-
+class _FindingFields(NamedTuple):
     kind: str
     severity: str
     subject_ids: tuple[str, ...]
     path: tuple[RelationEdge, ...]
     message: str
 
-    def __post_init__(self) -> None:
-        if not self.message:
+
+class ValidationFinding(_FindingFields):
+    """One report entry with an explanation path of graph edges: an immutable
+    named tuple whose message and severity are checked however it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind, severity, subject_ids, path, message) -> ValidationFinding:
+        if not message:
             raise ValueError("finding message must be non-empty")
-        if self.severity not in _SEVERITY_RANK:
-            raise ValueError(f"unknown severity {self.severity!r}")
+        if severity not in _SEVERITY_RANK:
+            raise ValueError(f"unknown severity {severity!r}")
+        return tuple.__new__(cls, (kind, severity, subject_ids, path, message))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ValidationFinding:
+        return cls(*iterable)
 
 
 def _sorted_findings(findings: list[ValidationFinding]) -> list[ValidationFinding]:
@@ -87,13 +96,12 @@ def check_rationale_consistency(
     for edge in graph.relation_edges:
         if edge.kind != SIMILAR:
             continue
-        subjects = tuple(sorted((edge.from_id, edge.to_id)))
-        text_a = rationales[edge.from_id]
-        text_b = rationales[edge.to_id]
+        from_id, to_id = edge.from_id, edge.to_id
+        subjects = (from_id, to_id) if from_id <= to_id else (to_id, from_id)
+        text_a = rationales[from_id]
+        text_b = rationales[to_id]
         if not text_a or not text_b:
-            missing = [
-                d for d, t in ((edge.from_id, text_a), (edge.to_id, text_b)) if not t
-            ]
+            missing = [d for d, t in ((from_id, text_a), (to_id, text_b)) if not t]
             findings.append(
                 ValidationFinding(
                     kind=MISSING_RATIONALE,

@@ -11,6 +11,7 @@ import json
 import math
 import re
 from bisect import bisect_right
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
@@ -456,10 +457,15 @@ def broken_graphs(draw):
     six drawn edges: an unknown kind, self edges, a missing end, scores
     outside [0, 1] or zero, non-canonical similar edges, history and
     contradicts edges in either time order, and similar edges with stored
-    evidence.  The two oldest decisions may share a timestamp."""
+    evidence.  The two oldest decisions may share a timestamp, and a topic
+    may list one of its members again."""
     decisions, rationales, topics, edges, sources = draw(valid_graph_parts())
     if len(decisions) > 1 and draw(st.booleans()):
         decisions[1] = decisions[1]._replace(timestamp=decisions[0].timestamp)
+    if topics and draw(st.booleans()):
+        members = topics[0].member_decision_ids
+        again = draw(st.lists(st.sampled_from(members), min_size=1, max_size=2))
+        topics[0] = topics[0]._replace(member_decision_ids=members + tuple(again))
     ends = st.sampled_from([d.id for d in decisions] + ["ghost#0"])
     evidence = st.sampled_from(
         [(), derived_evidence(0.5), (Evidence("keyword", "x", 1.0),)]
@@ -501,7 +507,12 @@ def reference_graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...]
     for topic in graph.topics.values():
         if not topic.member_decision_ids:
             yield (topic.id,), f"topic {topic.id!r} has no members"
-        for member in topic.member_decision_ids:
+        for member, times in Counter(topic.member_decision_ids).items():
+            if times > 1:
+                yield (topic.id, member), (
+                    f"topic {topic.id!r} lists decision {member!r} {times} times; "
+                    "a topic lists each member once"
+                )
             membership[member] = membership.get(member, 0) + 1
             if member not in graph.decisions:
                 yield (topic.id, member), (

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import D3, D4, FIXTURE_DIR
-from rdgraph import load, save
+from rdgraph import cli, load, save
 from rdgraph.cli import main
 
 DUMP = str(FIXTURE_DIR / "oom-commits.dump")
@@ -411,6 +412,48 @@ def test_query_zero_hops_shows_the_decision_alone(graph_file, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"decision {D4}:")
     assert "reaches" not in out
+
+
+def _captured(run, argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _freshly_imported_main():
+    """``main`` of a new copy of ``rdgraph.cli``, whose parser is not built yet."""
+    spec = importlib.util.find_spec("rdgraph.cli")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_the_parser_built_once_keeps_no_state_between_calls(graph_d1_d4_file, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    calls = [
+        ["check", graph_d1_d4_file],
+        ["query", graph_d1_d4_file, "--decision", D4, "--hops", "-1"],
+        ["check", graph_d1_d4_file, "--text", pathlib.Path(PROPOSAL).read_text()],
+        ["validate", graph_d1_d4_file],
+    ]
+    in_one_process = [_captured(main, argv) for argv in calls]
+    assert [code for code, _, _ in in_one_process] == [2, 2, 1, 0]
+    for argv, outcome in zip(calls, in_one_process):
+        assert outcome == _captured(_freshly_imported_main(), argv)
+
+
+def test_main_calls_the_command_function_bound_at_call_time(graph_file, monkeypatch):
+    seen = []
+
+    def cmd_check(args):
+        seen.append(args.text)
+        return 0
+
+    main(["check", graph_file, "--text", "warm the parser up"])
+    monkeypatch.setattr(cli, "cmd_check", cmd_check)
+    assert main(["check", graph_file, "--text", "rebound"]) == 0
+    assert seen == ["rebound"]
 
 
 # Splice junk into a valid input; the junk favours what JSON and the git dump

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
 import re
@@ -46,6 +47,7 @@ from rdgraph.relations import (
     Topic,
     detect_similar,
     edge_evidence,
+    similar_edge,
 )
 from rdgraph.validate import STRUCTURAL_VIOLATION, validate_structure
 
@@ -118,6 +120,39 @@ def test_decision_in_two_topics_is_rejected():
     ]
     with pytest.raises(GraphError, match="more than one topic"):
         build_graph([d], [], topics, [])
+
+
+def _duplicate_member_message(topic_id: str, member: str, times: int) -> str:
+    return (
+        f"topic {topic_id!r} lists decision {member!r} {times} times; "
+        "a topic lists each member once"
+    )
+
+
+def _edited(text: str, mutate) -> str:
+    doc = json.loads(text)
+    mutate(doc)
+    return json.dumps(doc)
+
+
+def _first_topic_lists_its_first_member_twice(doc):
+    members = doc["topics"][0]["members"]
+    members.append(members[0])
+
+
+def test_a_topic_listing_a_decision_twice_reports_a_duplicate_member(fixture_graph):
+    d0, d1 = make_decision(0), make_decision(1)
+    with pytest.raises(GraphError) as info:
+        build_graph([d0, d1], [], [topic_over(d0.id, d1.id, d0.id)], [])
+    assert str(info.value) == _duplicate_member_message("t1", d0.id, 2)
+    # A loaded file reports the same, not a decision in two topics.
+    text = _edited(save(fixture_graph), _first_topic_lists_its_first_member_twice)
+    (topic,) = fixture_graph.topics.values()
+    with pytest.raises(GraphError) as info:
+        load(text)
+    assert str(info.value) == _duplicate_member_message(
+        topic.id, topic.member_decision_ids[0], 2
+    )
 
 
 def test_decision_without_topic_is_rejected():
@@ -633,6 +668,73 @@ def test_graph_violations_equal_the_reference_pass_plus_the_similar_edge_check(g
         and e.to_id in graph.decisions
         and (e.evidence or e.score == 0.0)
     ]
+
+
+def _zero_first_similar_score(doc):
+    next(e for e in doc["edges"] if e["kind"] == SIMILAR)["score"] = 0.0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "corrupt, error",
+    [
+        (lambda text: text, None),
+        (lambda text: text[: len(text) // 2], "not valid JSON"),
+        (lambda text: text.replace('"rdg_version": 2', '"rdg_version": 1'), "rdg_version 1"),
+        (lambda text: _edited(text, _zero_first_similar_score), "score: evidence weight"),
+        (lambda text: _edited(text, _first_topic_lists_its_first_member_twice), "2 times"),
+    ],
+    ids=["good", "bad-json", "v1", "bad-similar-score", "broken-invariant"],
+)
+def test_load_leaves_the_collector_as_it_found_it(fixture_graph, corrupt, error, enabled):
+    text = corrupt(save(fixture_graph))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert load(text) == fixture_graph
+        else:
+            with pytest.raises(GraphError, match=error):
+                load(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(10**30), 10**30).map(str),
+        st.sampled_from(["0", "0.0", "-0.0", "1", "1e999", "-1e999", "5e-324", "-5e-324"]),
+    )
+)
+@example("2.2250738585072014e-308")
+def test_a_similar_score_decodes_as_similar_edge_builds_it(token):
+    """Whatever the score token, the loader gives the record ``similar_edge``
+    builds from its float, or that call's error at ``edges[0].score``."""
+    d0, d1 = make_decision(0), make_decision(1)
+    edge = similar_edge(d0.id, d1.id, 0.5)
+    graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
+    text = save(graph).replace('"score": 0.5', f'"score": {token}')
+    value = json.loads(token)
+    record = {"from": d0.id, "kind": SIMILAR, "score": value, "to": d1.id}
+    try:
+        expected = similar_edge(d0.id, d1.id, float(value))
+    except ValueError as exc:
+        message = f"edges[0].score: {exc}"
+        for decode in (lambda: graph_module._edge(record, 0), lambda: load(text)):
+            with pytest.raises(GraphError) as info:
+                decode()
+            assert str(info.value) == message
+        return
+    decoded = graph_module._edge(record, 0)
+    assert type(decoded) is RelationEdge
+    assert repr(decoded) == repr(expected)
+    if expected.score <= 1.0:
+        assert load(text).relation_edges == (expected,)
+    else:
+        with pytest.raises(GraphError, match=r"outside \[0, 1\]"):
+            load(text)
 
 
 def _with_number(graph: RdGraph, where: str, value: float) -> RdGraph:
