@@ -358,11 +358,10 @@ def _segment_block(
         spans.append((start, len(text)))
     out = []
     for s, e in spans:
-        chunk = text[s:e]
-        lead = len(chunk) - len(chunk.lstrip())
-        trail = len(chunk) - len(chunk.rstrip())
-        if s + lead < e - trail:
-            out.append((base + s + lead, base + e - trail))
+        if text[s].isspace() or text[e - 1].isspace():  # strip's own test
+            s, e = e - len(text[s:e].lstrip()), s + len(text[s:e].rstrip())
+        if s < e:
+            out.append((base + s, base + e))
     return out
 
 

@@ -10,12 +10,16 @@ The scorer is additive and clamped to [0, 1]:
 
 The verbs and cues are the ``Config``'s ``action_verbs``, ``cue_phrases``
 and ``negative_cues``, which ``config.from_dict`` has checked and lowered.
+Without a cue only the summary scores above 0.3: above that, an ASCII artifact
+scores only its cue sentences and summary (sentence 0), others every sentence.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from datetime import datetime
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .config import Config
@@ -23,6 +27,7 @@ from .corpus import Artifact, Sentence
 
 SUBSYSTEM_PREFIX_RE = re.compile(r"^[a-z0-9_, \-]+:\s*")
 _FIRST_WORD_RE = re.compile(r"[a-z0-9_]+")
+_NO_CUE_BOUND = min(1.0, max(0.0, 0.0 + 0.3))  # _score's floats: a verb, no cue
 
 
 class Decision(NamedTuple):
@@ -107,12 +112,23 @@ def extract_decisions(
     config: Config,
     threshold: float,
 ) -> list[Decision]:
-    """One decision per sentence whose score reaches the threshold."""
+    """One decision per sentence whose score reaches the threshold; all are
+    scored but, above ``_NO_CUE_BOUND`` in ASCII, only summary and cue ones."""
     if any(s.artifact_id != artifact.id for s in sentences):
         raise ValueError("sentences do not belong to the given artifact")
     cues, negs = config.cue_phrases, config.negative_cues
     joined = " ".join(s.text for s in sentences).lower()
-    if joined.isascii():
+    if sentences and joined.isascii() and threshold > _NO_CUE_BOUND:
+        # A sentence lowers to a slice of joined; its cues start inside it.
+        picked = {0} if is_summary_sentence(artifact, sentences[0]) else set()
+        starts: list[int] = []
+        for cue in cues:
+            at = -1
+            while (at := joined.find(cue, at + 1)) >= 0:
+                starts = starts or [0, *accumulate(len(s.text) + 1 for s in sentences)]
+                picked.add(bisect_right(starts, at) - 1)
+        sentences = [sentences[i] for i in sorted(picked)]
+    elif joined.isascii():
         # Each sentence lowers to a slice of joined: a cue not in it is in none.
         cues = [cue for cue in cues if cue in joined]
         negs = [cue for cue in negs if cue in joined]

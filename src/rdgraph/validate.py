@@ -178,7 +178,8 @@ def check_new_decision(
     ``thresholds.similar`` spends one hop of ``config.k``.  From that decision
     the walk takes at most one similar edge and then one contradicts edge:
     k >= 2 reaches the decision's own contradicts edges, k >= 3 adds those of
-    its similar neighbors, and a larger k reaches nothing more.
+    its similar neighbors, and a larger k reaches nothing more.  A candidate
+    scoring at least 0.999 also gets a duplicate finding and still walks.
     """
     cfg = config if config is not None else default_config()
     documents = graph_documents(graph)
@@ -200,7 +201,6 @@ def check_new_decision(
                     ),
                 )
             )
-            continue
         if score < cfg.thresholds.similar:
             continue
         # The link, the similar prefix and the contradicts edge must fit in k.

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import math
 import re
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
@@ -16,6 +17,8 @@ from rdgraph import (
     score_decision,
     segment_sentences,
 )
+from rdgraph import decisions as decisions_module
+from rdgraph.config import DEFAULTS, from_dict
 from rdgraph.corpus import Sentence
 from rdgraph.decisions import decision_sentence_index, is_summary_sentence
 
@@ -203,34 +206,91 @@ def test_lowering_the_threshold_never_removes_a_decision(config, body, low, high
     assert strict <= loose
 
 
-# Every default cue and negative cue, cues in capitals, words that hold a cue
-# but not as whole words, and non-ASCII text, whose lowering can change
-# lengths ("\u0130") or match nothing ASCII ("\u017f" is a long s).
+# A second lexicon whose cues hold punctuation, can overlap themselves ("na
+# na" occurs twice in "na na na") and leave ASCII ("wir w\u00e4hlten").
+_PUNCTUATED = from_dict(
+    {
+        **DEFAULTS,
+        "lexicons": {
+            **DEFAULTS["lexicons"],
+            "cue_phrases": ["e.g.", "-->", "na na", "wir w\u00e4hlten", "Agreed To"],
+            "negative_cues": ["?!", "todo"],
+        },
+    }
+)
+
+# Every cue and negative cue of both lexicons, cues in capitals, words that
+# hold a cue but not as whole words, halves of a cue that a paragraph break
+# can part, and non-ASCII text, whose lowering can change lengths ("\u0130")
+# or match nothing ASCII ("\u017f" is a long s).
 _DEFAULTS = default_config()
-SCORER_PIECES = sorted(_DEFAULTS.cue_phrases | _DEFAULTS.negative_cues) + [
+SCORER_PIECES = sorted(
+    _DEFAULTS.cue_phrases
+    | _DEFAULTS.negative_cues
+    | _PUNCTUATED.cue_phrases
+    | _PUNCTUATED.negative_cues
+) + [
     "DECIDED TO", "TODO", "We Chose", "Should We", "add", "Remove ", "use ",
     "mastodon", "undecided to", "\u0130", "\u017f", "\u03a3", "x", " ", ", ",
-    ". ", ". The ", "\n\n",
+    ". ", ". The ", "\n\n", "agreed", "to", "na ", "Wir W\u00e4hlten",
 ]
+# The largest threshold at which pruning is off, and the smallest at which it
+# is on: a sentence that holds no cue and opens with a verb scores 0.3.
+THRESHOLDS = [0.0, 0.3, math.nextafter(0.3, 1.0), 0.4, 0.5, 0.6, 0.7, 1.0]
 
 
 @given(
+    lexicon=st.sampled_from([_DEFAULTS, _PUNCTUATED]),
     summary=st.lists(st.sampled_from(SCORER_PIECES), max_size=6).map("".join),
     body=st.lists(st.sampled_from(SCORER_PIECES), max_size=24).map("".join),
-    threshold=st.sampled_from([0.0, 0.3, 0.4, 0.6, 1.0]),
+    threshold=st.sampled_from(THRESHOLDS),
 )
-@settings(max_examples=300, deadline=None)
+# A cue that a paragraph break splits, repeated cues, overlapping ones, a
+# non-ASCII artifact, a cue that overlaps one that a paragraph break splits,
+# and a summary whose lowering grows by 20 characters ("\u0130" lowers to two).
+@example(_DEFAULTS, "x: add a lock", "We agreed\n\nto punt. Use it.", 0.5)
+@example(_DEFAULTS, "notes", "We decided to go. Decided to stay, decided to wait.", 0.5)
+@example(_PUNCTUATED, "use na na na", "Na na na na. So na na?! Add -->, e.g. here.", 0.4)
+@example(_PUNCTUATED, "remove it", "Wir w\u00e4hlten es. Add it.", 0.7)
+@example(_PUNCTUATED, "notes", "Add na\n\nna na", 0.4)
+@example(_DEFAULTS, "notes " + "\u0130" * 20, "Use it, we decided to. The end.", 0.5)
+@settings(max_examples=400, deadline=None)
 def test_extract_decisions_keeps_each_sentence_that_score_decision_keeps(
-    config, summary, body, threshold
+    lexicon, summary, body, threshold
 ):
-    # extract_decisions tests only the cues that occur in its artifact.
+    # extract_decisions scores only the sentences that can reach a threshold
+    # above 0.3, and tests only the cues that occur in its artifact.
     artifact = make_artifact(summary, body)
-    sentences = segment_sentences(artifact, config.abbreviations)
+    sentences = segment_sentences(artifact, lexicon.abbreviations)
     scores = [
-        (s.index, score_decision(s, config, is_summary_sentence(artifact, s)))
+        (s.index, score_decision(s, lexicon, is_summary_sentence(artifact, s)))
         for s in sentences
     ]
-    decisions = extract_decisions(artifact, sentences, config, threshold)
+    decisions = extract_decisions(artifact, sentences, lexicon, threshold)
     assert [(decision_sentence_index(d.id), d.score) for d in decisions] == [
         (index, score) for index, score in scores if score >= threshold
     ]
+    assert all(d.text == sentences[decision_sentence_index(d.id)].text for d in decisions)
+
+
+def test_a_threshold_above_point_three_scores_only_the_summary_and_cue_sentences(
+    monkeypatch, config
+):
+    calls = []
+    real = decisions_module._score
+    monkeypatch.setattr(
+        decisions_module, "_score", lambda *args: calls.append(args) or real(*args)
+    )
+    filler = " ".join(f"The weather on day {n} was nice." for n in range(60))
+    artifact = make_artifact("x: add a lock", filler + " Use it, as we decided to.")
+    sentences = segment_sentences(artifact, config.abbreviations)
+    assert len(sentences) == 62 and artifact.body.isascii()
+
+    def scored(threshold: float) -> int:
+        calls.clear()
+        decisions = extract_decisions(artifact, sentences, config, threshold)
+        assert [decision_sentence_index(d.id) for d in decisions] == [0, 61]
+        return len(calls)
+
+    assert scored(config.thresholds.decision) <= 2
+    assert scored(0.3) == 62

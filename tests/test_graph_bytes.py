@@ -5,8 +5,9 @@ at seed 101 the way the benchmark builds it (``rdgraph ingest`` then
 ``rdgraph build``, in-process).  The graph file's SHA-256 must be the pinned
 one, as must the SHA-256 of what ``rdgraph validate --json`` prints for that
 graph, and a digest of what ``rdgraph check --file <proposal> --json``
-prints, with its exit code, for each of the workload's 120 proposals.  A
-change that moves a byte of a graph file, of its findings or of a check fails
+prints, with its exit code, for each of the workload's 120 proposals (each
+check runs once per module), and so must the number of proposals of each
+planted label that get a conflict warning.  A change that moves a byte of a graph file, of its findings or of a check fails
 here; a change meant to move bytes (a new graph format, say) updates the pins
 and says why.  Each graph must also load into the public record types.
 """
@@ -14,8 +15,10 @@ and says why.  Each graph must also load into the public record types.
 from __future__ import annotations
 
 import collections
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import pathlib
 import sys
@@ -25,6 +28,7 @@ import pytest
 from helpers import assert_records_keep_their_types
 from rdgraph import build_pipeline, default_config, load, parse_jsonl
 from rdgraph.cli import main
+from rdgraph.validate import CONFLICT_WARNING
 
 GEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
 
@@ -114,6 +118,39 @@ def test_benchmark_export_and_query_bytes_are_pinned(
         assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.fixture(scope="module")
+def checked(built, tmp_path_factory):
+    """``checked(workload, config)`` runs ``rdgraph check --json`` on each proposal.
+
+    It gives ``[(proposal, exit code, stdout), ...]``, made once per module
+    for each config (``None`` for the defaults).
+    """
+    cache = {}
+
+    def check(workload, config):
+        key = workload, json.dumps(config)
+        if key not in cache:
+            graph, proposals = built(workload)
+            tmp_path = tmp_path_factory.mktemp(f"check-{workload}")
+            options = []
+            if config is not None:
+                options = ["--config", str(tmp_path / "config.json")]
+                (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+            runs = []
+            for index, proposal in enumerate(proposals):
+                path = tmp_path / f"proposal-{index:03d}.txt"
+                path.write_text(proposal.text + "\n", encoding="utf-8")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["check", str(graph), "--file", str(path), "--json", *options])
+                assert err.getvalue() == ""
+                runs.append((proposal, code, out.getvalue()))
+            cache[key] = runs
+        return cache[key]
+
+    return check
+
+
 # At the default k = 2 a check never reports a conflict via a similar
 # decision; k = 3 is the smallest budget that reaches that branch.
 @pytest.mark.parametrize(
@@ -130,27 +167,42 @@ def test_benchmark_export_and_query_bytes_are_pinned(
     ],
     ids=["history-k2", "history-k3", "longbody-k2", "longbody-k3"],
 )
-def test_benchmark_check_bytes_are_pinned(
-    built, tmp_path, capsys, workload, config, digest, exits
-):
-    graph, proposals = built(workload)
-    capsys.readouterr()
-    options = []
-    if config is not None:
-        options = ["--config", str(tmp_path / "config.json")]
-        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    runs, codes = [], collections.Counter()
-    for index, proposal in enumerate(proposals):
-        path = tmp_path / f"proposal-{index:03d}.txt"
-        path.write_text(proposal.text + "\n", encoding="utf-8")
-        code = main(["check", str(graph), "--file", str(path), "--json", *options])
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        codes[code] += 1
-        runs.append(f"{index} {code} {hashlib.sha256(captured.out.encode()).hexdigest()}\n")
+def test_benchmark_check_bytes_are_pinned(checked, workload, config, digest, exits):
+    checks = checked(workload, config)
+    runs = [
+        f"{index} {code} {hashlib.sha256(out.encode()).hexdigest()}\n"
+        for index, (_, code, out) in enumerate(checks)
+    ]
     assert len(runs) == 120
-    assert dict(codes) == exits
+    assert dict(collections.Counter(code for _, code, _ in checks)) == exits
     assert hashlib.sha256("".join(runs).encode()).hexdigest() == digest
+
+
+# How many of the 40 proposals of each label get a conflict warning (exit
+# code 1): every rewording of a reverted decision, some rewordings of a live
+# one, and no novel proposal.  A change to how check links or walks states
+# how it moves these counts.
+@pytest.mark.parametrize(
+    "workload, config, warned",
+    [
+        ("history", None, {"warn": 40, "live": 17, "clean": 0}),
+        ("history", {"k": 3}, {"warn": 40, "live": 40, "clean": 0}),
+        ("longbody", None, {"warn": 40, "live": 13, "clean": 0}),
+        ("longbody", {"k": 3}, {"warn": 40, "live": 16, "clean": 0}),
+    ],
+    ids=["history-k2", "history-k3", "longbody-k2", "longbody-k3"],
+)
+def test_benchmark_proposals_that_warn_per_label_are_pinned(
+    checked, workload, config, warned
+):
+    runs = checked(workload, config)
+    labels = collections.Counter(proposal.label for proposal, _, _ in runs)
+    assert labels == {"warn": 40, "live": 40, "clean": 40}
+    counts = collections.Counter({label: 0 for label in warned})
+    for proposal, code, out in runs:
+        assert code == (CONFLICT_WARNING in out)
+        counts[proposal.label] += code
+    assert dict(counts) == warned
 
 
 @pytest.mark.parametrize("workload", ["history", "longbody"])

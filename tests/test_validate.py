@@ -269,6 +269,25 @@ def test_candidate_identical_to_a_decision_is_a_duplicate(fixture_graph, config)
     assert duplicates[0].subject_ids == (D4,)
 
 
+def test_verbatim_resubmission_of_a_reverted_decision_warns_about_its_revert(
+    fixture_graph, config
+):
+    # D3 reverts D1 (and D2); resubmitting D1's own document is a duplicate of
+    # D1 and still links to it, so D1's contradicts edge warns directly.
+    candidate = graph_documents(fixture_graph)[D1]
+    findings = check_new_decision(fixture_graph, candidate, config)
+    assert [
+        (f.kind, f.subject_ids, [(e.kind, e.from_id, e.to_id) for e in f.path])
+        for f in findings
+    ] == [
+        (CONFLICT_WARNING, (D2, D3), [(CONTRADICTS, D3, D2)]),
+        (DUPLICATE_RATIONALE, (D1,), []),
+        (CONFLICT_WARNING, (D1, D3), [(CONTRADICTS, D3, D1)]),
+    ]
+    assert f"candidate resembles {D1} " in findings[2].message
+    assert "similarity 1.00" in findings[2].message
+
+
 def test_check_new_decision_does_not_mutate_the_graph(fixture_graph, config):
     before = save(fixture_graph)
     candidate = "oom: raise the dying task priority again"
