@@ -7,8 +7,10 @@ deep-merged over the defaults, so partial overrides are fine.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Mapping
 
 
@@ -101,7 +103,7 @@ class Config:
     action_verbs: frozenset[str]
     cue_phrases: frozenset[str]
     negative_cues: frozenset[str]
-    markers: dict[str, tuple[str, ...]]
+    markers: Mapping[str, tuple[str, ...]]  # read-only
     contradiction_keywords: frozenset[str]
     negation_cues: frozenset[str]
     stopwords: frozenset[str]
@@ -158,13 +160,13 @@ def from_dict(data: Mapping[str, Any]) -> Config:
     lex = data["lexicons"]
     # A marker's pattern joins its words with \s+, so collapsing its inner
     # whitespace keeps what it matches and gives "this way" one spelling.
-    markers = {
+    markers = MappingProxyType({
         role: tuple(
             " ".join(m.split())
             for m in _entries(lex["markers"][role], f"lexicons.markers.{role}")
         )
         for role in MARKER_ROLES
-    }
+    })
     return Config(
         thresholds=Thresholds(**{k: float(thresholds[k]) for k in _THRESHOLD_KEYS}),
         window=data["window"],
@@ -182,7 +184,9 @@ def from_dict(data: Mapping[str, Any]) -> Config:
     )
 
 
+@functools.cache
 def default_config() -> Config:
+    """``from_dict(DEFAULTS)``, built once per process and shared."""
     return from_dict(DEFAULTS)
 
 

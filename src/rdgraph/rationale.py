@@ -19,7 +19,7 @@ import functools
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .config import MARKER_ROLES, default_config
 from .corpus import Sentence
@@ -29,7 +29,7 @@ ROLES = MARKER_ROLES
 PURPOSE, CAUSE, MANNER = ROLES
 
 # The markers a build uses unless its config says otherwise.
-DEFAULT_MARKERS: dict[str, tuple[str, ...]] = default_config().markers
+DEFAULT_MARKERS: Mapping[str, tuple[str, ...]] = default_config().markers
 
 _BY_GERUND_RE = re.compile(r"\bby\s+(?=[a-z]+ing\b)", re.IGNORECASE)
 
@@ -124,7 +124,7 @@ def _trim(text: str, start: int, end: int) -> tuple[str, int, int]:
 
 
 def extract_rationale(
-    sentence: Sentence, markers: dict[str, tuple[str, ...]] | None = None
+    sentence: Sentence, markers: Mapping[str, tuple[str, ...]] | None = None
 ) -> list[SpanFragment]:
     """All marker-derived span fragments of one sentence, leftmost first.
 
@@ -245,7 +245,7 @@ def attach_rationale(
     decision: Decision,
     sentences: list[Sentence],
     window: int = 2,
-    markers: dict[str, tuple[str, ...]] | None = None,
+    markers: Mapping[str, tuple[str, ...]] | None = None,
 ) -> list[RationaleSpan]:
     """Rationale spans for a decision, searching a bounded sentence window.
 

@@ -280,7 +280,9 @@ def detect_history(
         evidence.append(
             Evidence(SAME_AUTHOR, later.author, _HISTORY_WEIGHTS[SAME_AUTHOR])
         )
-    total = sum(e.weight for e in evidence)
+    total = 0.0
+    for e in evidence:  # left to right, as before Python 3.12's compensated sum()
+        total += e.weight
     if not evidence or total < history_threshold:
         return None
     return RelationEdge(

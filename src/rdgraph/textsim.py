@@ -11,7 +11,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
@@ -102,7 +102,11 @@ _Weighted = tuple[dict[int, float], float]
 
 
 def _with_norm(vector: dict[int, float]) -> _Weighted:
-    return vector, math.sqrt(sum(w * w for _, w in sorted(vector.items())))
+    # Left to right with +=: float sum() is compensated from Python 3.12 on.
+    total = 0.0
+    for _, w in sorted(vector.items()):
+        total += w * w
+    return vector, math.sqrt(total)
 
 
 def _weighted(model: TfIdfModel, text: str) -> _Weighted:
@@ -135,13 +139,16 @@ def similarity(model: TfIdfModel, text_a: str, text_b: str) -> float:
 class TfIdfProvider:
     """Scores two texts symmetrically into [0, 1] under a fixed TfIdfModel.
 
-    Each distinct text is vectorized once per provider: its vector and norm
-    are kept for the provider's lifetime, which is one command.
+    Each distinct text is vectorized at most once per provider, when it is
+    first scored, and kept for the provider's lifetime (one command).
+    ``matches`` skips the fitted texts a score bound keeps below a threshold.
     """
 
     def __init__(self, model: TfIdfModel):
         self.model = model
         self._memo: dict[str, _Weighted] = {}
+        # Token counts of fitted texts not vectorized yet.
+        self._counts: dict[str, Counter[str]] = {}
 
     @classmethod
     def fit(
@@ -149,9 +156,9 @@ class TfIdfProvider:
     ) -> TfIdfProvider:
         """A provider over ``build_model(docs, stopwords)``, tokenizing each text once.
 
-        Each distinct corpus text's token counts give both its share of the
-        document frequencies (once per corpus entry, duplicates included)
-        and its vector, which the provider keeps from the start.
+        Each distinct corpus text's token counts give its share of the
+        document frequencies (once per corpus entry, duplicates included),
+        and are kept until that text's vector is first needed.
         """
         counts: dict[str, Counter[str]] = {}
         entries = []
@@ -160,18 +167,43 @@ class TfIdfProvider:
                 counts[doc] = Counter(tokenize(doc, stopwords))
             entries.append(counts[doc])
         provider = cls(_fit(entries, stopwords))
-        for doc, doc_counts in counts.items():
-            provider._memo[doc] = _with_norm(_vector(provider.model, doc_counts))
+        provider._counts = counts
         return provider
 
     def _lookup(self, text: str) -> _Weighted:
         entry = self._memo.get(text)
         if entry is None:
-            entry = self._memo[text] = _weighted(self.model, text)
+            counts = self._counts.pop(text, None)
+            if counts is None:
+                counts = Counter(tokenize(text, self.model.stopwords))
+            entry = self._memo[text] = _with_norm(_vector(self.model, counts))
         return entry
 
     def score(self, text_a: str, text_b: str) -> float:
         return _cosine(self._lookup(text_a), self._lookup(text_b))
+
+    def matches(
+        self, query: str, texts: Sequence[str], threshold: float
+    ) -> Iterator[tuple[int, float]]:
+        """``(i, score(query, texts[i]))`` in index order, for every ``i`` whose
+        score may reach ``threshold``.
+
+        A fitted text not vectorized yet is skipped, unvectorized, when its
+        Cauchy-Schwarz bound ``‖q on the text's tokens‖ / ‖q‖`` (``q`` the
+        query's vector) is below ``threshold`` by a relative 1e-9, far above
+        the rounding of either side on any Python version.
+        """
+        model = self.model
+        counts = self._counts.get(query) or Counter(tokenize(query, model.stopwords))
+        names = [t for t in counts if t in model.vocabulary]
+        squares = [(counts[t] * model.idf[model.vocabulary[t]]) ** 2 for t in names]
+        floor = (max(threshold, 0.0) * (1.0 - 1e-9) * self._lookup(query)[1]) ** 2
+        for i, text in enumerate(texts):
+            held = self._counts.get(text)
+            if held is None or (
+                sum(compress(squares, map(held.__contains__, names))) >= floor
+            ):
+                yield i, self.score(query, text)
 
     def pairs(
         self, texts: Sequence[str], threshold: float

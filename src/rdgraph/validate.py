@@ -180,14 +180,19 @@ def check_new_decision(
     k >= 2 reaches the decision's own contradicts edges, k >= 3 adds those of
     its similar neighbors, and a larger k reaches nothing more.  A candidate
     scoring at least 0.999 also gets a duplicate finding and still walks.
+    Only the decisions that ``TfIdfProvider.matches`` cannot rule out below
+    both thresholds are vectorized and scored; the others could neither link
+    nor be duplicates.
     """
     cfg = config if config is not None else default_config()
     documents = graph_documents(graph)
-    provider = TfIdfProvider.fit([*documents.values(), candidate_text], cfg.stopwords)
+    ids, texts = list(documents), list(documents.values())
+    provider = TfIdfProvider.fit([*texts, candidate_text], cfg.stopwords)
     findings: list[ValidationFinding] = []
-    for decision_id in sorted(graph.decisions):
+    reach = min(cfg.thresholds.similar, 0.999)
+    for index, score in provider.matches(candidate_text, texts, reach):
+        decision_id = ids[index]
         decision = graph.decisions[decision_id]
-        score = provider.score(candidate_text, documents[decision_id])
         if score >= 0.999:
             findings.append(
                 ValidationFinding(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import D3, D4, FIXTURE_DIR
 from rdgraph import cli, load, save
 from rdgraph.cli import main
+from rdgraph.config import DEFAULTS, default_config, from_dict, load_config
 
 DUMP = str(FIXTURE_DIR / "oom-commits.dump")
 ARTIFACTS = str(FIXTURE_DIR / "artifacts.jsonl")
@@ -115,6 +116,15 @@ def test_boolean_config_number_is_an_input_error(graph_d1_d4_file, tmp_path, cap
     capsys.readouterr()
     assert main(["check", graph_d1_d4_file, "--file", PROPOSAL, "--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_default_config_is_parsed_once_and_read_only():
+    shared = load_config(None)
+    assert shared is default_config()
+    assert shared == from_dict(DEFAULTS)
+    with pytest.raises(TypeError):
+        shared.markers["purpose"] = ("so that",)
+    assert shared.markers["purpose"] == tuple(DEFAULTS["lexicons"]["markers"]["purpose"])
 
 
 # Each blank entry used to build a wrong graph with exit 0: a blank purpose

@@ -26,7 +26,7 @@ import sys
 import pytest
 
 from helpers import assert_records_keep_their_types
-from rdgraph import build_pipeline, default_config, load, parse_jsonl
+from rdgraph import build_pipeline, default_config, load, parse_jsonl, textsim
 from rdgraph.cli import main
 from rdgraph.validate import CONFLICT_WARNING
 
@@ -149,6 +149,25 @@ def checked(built, tmp_path_factory):
         return cache[key]
 
     return check
+
+
+def test_clean_checks_vectorize_only_the_candidate(built, tmp_path, monkeypatch):
+    # A held-out proposal shares no token with any decision, so the score
+    # bound rules every decision out before its vector is built.
+    graph, proposals = built("history")
+    vector = textsim._vector
+    built_vectors = []
+    monkeypatch.setattr(
+        textsim, "_vector", lambda *args: built_vectors.append(1) or vector(*args)
+    )
+    for index, proposal in enumerate(proposals):
+        if proposal.label != "clean":
+            continue
+        path = tmp_path / f"proposal-{index:03d}.txt"
+        path.write_text(proposal.text + "\n", encoding="utf-8")
+        built_vectors.clear()
+        assert main(["check", str(graph), "--file", str(path), "--json"]) == 0
+        assert len(built_vectors) == 1
 
 
 # At the default k = 2 a check never reports a conflict via a similar

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_similarity, reference_vectorize
-from rdgraph import build_model, default_config, similarity, tokenize
-from rdgraph.textsim import TfIdfProvider, vectorize
+from rdgraph import build_model, default_config, similarity, textsim, tokenize
+from rdgraph.textsim import TfIdfProvider, _with_norm, vectorize
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +260,64 @@ def test_pairs_equal_the_brute_force_score_loop(corpus, texts, repeats, threshol
         threshold = data.draw(st.sampled_from(scores))[2]  # a threshold a pair meets exactly
     expected = [(i, j, s) for i, j, s in scores if s >= threshold and s > 0.0]
     assert list(provider.pairs(texts, threshold)) == expected
+
+
+def test_norm_sums_squares_left_to_right():
+    # 1 + 2**-54 rounds back to 1 at each step, while a compensated sum (the
+    # float sum() of Python 3.12 on) keeps the eight small squares.
+    vector = {0: 1.0, **{k: 2.0**-27 for k in range(1, 9)}}
+    total = 0.0
+    for _, w in sorted(vector.items()):
+        total += w * w
+    assert math.fsum(w * w for w in vector.values()) != total
+    assert _with_norm(vector) == (vector, math.sqrt(total))
+
+
+@given(
+    corpus=st.lists(_PAIR_TEXTS, min_size=1, max_size=6),
+    outside=st.lists(_PAIR_TEXTS, max_size=3),
+    repeats=st.lists(st.integers(0, 9), max_size=3),
+    query=st.one_of(_PAIR_TEXTS, st.just("reap latency")),
+    placement=st.sampled_from(["fitted", "in corpus", "outside"]),
+    threshold=st.sampled_from([0.0, 0.25, 0.999, 1.0, -0.5, math.nan]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_matches_keeps_every_text_the_score_loop_finds(
+    corpus, outside, repeats, query, placement, threshold, data
+):
+    # Empty, stopword-only and duplicate texts, texts outside the fitted
+    # corpus, and a query that is a corpus text (scoring exactly 1.0 against
+    # itself), a fitted text of its own, or unseen by the fit.
+    if placement == "in corpus":
+        query = data.draw(st.sampled_from(corpus))
+    texts = corpus + outside
+    texts += [texts[k % len(texts)] for k in repeats]
+    fitted = corpus + [query] if placement == "fitted" else corpus
+    stopwords = frozenset({"the", "of"})
+    reference = TfIdfProvider.fit(fitted, stopwords)
+    scores = [reference.score(query, text) for text in texts]
+    if data.draw(st.booleans()):
+        # Just at, below and above a score some text gets.
+        score = data.draw(st.sampled_from(scores))
+        step = data.draw(st.sampled_from([None, 0.0, 2.0]))
+        threshold = score if step is None else math.nextafter(score, step)
+    found = list(TfIdfProvider.fit(fitted, stopwords).matches(query, texts, threshold))
+    assert [i for i, _ in found] == sorted({i for i, _ in found})
+    assert all(score == scores[i] for i, score in found)
+    kept = {i for i, _ in found}
+    assert {i for i, score in enumerate(scores) if score >= threshold} <= kept
+
+
+def test_matches_vectorizes_only_the_texts_the_bound_keeps(monkeypatch):
+    provider = TfIdfProvider.fit(["reap memory early", "tune the tick", "reap task"])
+    built, vector = [], textsim._vector
+    monkeypatch.setattr(
+        textsim, "_vector", lambda model, counts: built.append(sorted(counts)) or vector(model, counts)
+    )
+    assert list(provider.matches("reap memory early", ["tune the tick", "reap task"], 0.9)) == []
+    assert built == [["early", "memory", "reap"]]  # the query's own vector
+    assert list(provider.matches("reap memory early", ["reap task"], 0.0)) == [
+        (0, provider.score("reap memory early", "reap task"))
+    ]
+    assert built[1:] == [["reap", "task"]]
