@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 
 class ConfigError(ValueError):
@@ -85,8 +84,7 @@ _THRESHOLD_KEYS = (
 MARKER_ROLES = ("purpose", "cause", "manner")
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     decision: float
     relatedness: float
     similar: float
@@ -95,8 +93,7 @@ class Thresholds:
     duplicate: float
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     thresholds: Thresholds
     window: int
     k: int

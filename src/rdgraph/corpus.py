@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .config import default_config
 
@@ -35,11 +35,12 @@ _TRAILER_RE = re.compile(r"^[A-Z][A-Za-z-]*: .+$")
 _WORD_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz.")
 # Where segmentation has to look: each parenthesis, and each run of sentence
 # terminators that whitespace and then a character that may be uppercase
-# follow (A-Z or any non-ASCII character, a superset of str.isupper).  Group
-# 1 is that whitespace.  A run is matched only from its first terminator, so
-# a long run that ends nowhere costs one attempt, not one per terminator.
+# follow (A-Z or any non-ASCII character, a superset of str.isupper, written as
+# the rest of ASCII excluded: a range up to U+10FFFF compiles 10x slower).
+# Group 1 is that whitespace.  A run is matched only from its first terminator,
+# so a long run that ends nowhere costs one attempt, not one per terminator.
 _SEGMENT_STOP_RE = re.compile(
-    r"[().!?](?:(?<=[()])|(?<![.!?].)[.!?]*(?=(\s+)[A-Z\u0080-\U0010ffff]))"
+    r"[().!?](?:(?<=[()])|(?<![.!?].)[.!?]*(?=(\s+)[^\x00-@\[-\x7f]))"
 )
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
@@ -51,8 +52,7 @@ class CorpusError(ValueError):
     """Raised when an input dump or artifact file cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     """One ingested text unit (commit, mail, ...) with normalized body."""
 
     id: str
@@ -61,7 +61,7 @@ class Artifact:
     timestamp: datetime
     summary: str
     body: str
-    trailers: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    trailers: Mapping[str, tuple[str, ...]] = MappingProxyType({})
     kind: str = "other"
 
 

@@ -13,7 +13,6 @@ import gc
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring
 from operator import attrgetter
@@ -60,29 +59,31 @@ class SourceRef(_SourceRefFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Subgraph:
+class Subgraph(NamedTuple):
     decision_ids: frozenset[str]
     rationale_ids: frozenset[str]
     topic_ids: frozenset[str]
     edges: tuple[RelationEdge, ...]
 
 
-@dataclass(frozen=True)
-class RdGraph:
-    """A decision graph: five records and the indexes derived from them.
-
-    Only the records are stored.  Each index is computed from them on first
-    use and kept, so a graph constructed directly answers every query as the
-    one ``build_graph`` returns.  A decision's source is the source whose id
-    is its ``artifact_id``.
-    """
-
+class _GraphRecords(NamedTuple):
     decisions: dict[str, Decision]
     rationales: dict[str, RationaleSpan]
     topics: dict[str, Topic]
     sources: dict[str, SourceRef]
     relation_edges: tuple[RelationEdge, ...]
+
+
+class RdGraph(_GraphRecords):
+    """A decision graph: five records and the indexes derived from them.
+
+    Only the records are stored.  Each index is computed from them on first
+    use and kept, so a graph constructed directly answers every query as the
+    one ``build_graph`` returns; ``._replace`` gives a graph that derives
+    its own.  A decision's source is the source whose id is its
+    ``artifact_id``.  The class has no ``__slots__``: the indexes live in
+    its ``__dict__``.
+    """
 
     @cached_property
     def rationale_edges(self) -> dict[str, tuple[str, ...]]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .config import MARKER_ROLES, default_config
@@ -65,8 +64,7 @@ class RationaleSpan(NamedTuple):
     same_sentence: bool
 
 
-@dataclass(frozen=True)
-class SpanFragment:
+class SpanFragment(NamedTuple):
     """A marker hit inside one sentence, before decision attachment."""
 
     role: str

@@ -10,9 +10,8 @@ import functools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 # str.translate table: each ASCII character stays if _TOKEN_RE can match it,
@@ -40,18 +39,20 @@ def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[s
     return [t for t in tokens if len(t) > 1 and t not in stopwords]
 
 
-@dataclass(frozen=True)
-class TfIdfModel:
-    """Vocabulary, smoothed idf weights, and the document count behind them.
-
-    idf(t) = ln((doc_count + 1) / (df(t) + 1)) + 1, which is strictly
-    positive for every vocabulary token.
-    """
-
+class _ModelFields(NamedTuple):
     vocabulary: dict[str, int]
     idf: tuple[float, ...]
     doc_count: int
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
+
+
+class TfIdfModel(_ModelFields):
+    """Vocabulary, smoothed idf weights, and the document count behind them.
+
+    idf(t) = ln((doc_count + 1) / (df(t) + 1)) + 1, which is strictly
+    positive for every vocabulary token.  No ``__slots__``: the cached
+    ``tokens`` lives in the ``__dict__``.
+    """
 
     @functools.cached_property
     def tokens(self) -> tuple[str, ...]:

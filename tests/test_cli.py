@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
 import os
 import pathlib
+import pkgutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import D3, D4, FIXTURE_DIR
+import rdgraph
 from rdgraph import cli, load, save
 from rdgraph.cli import main
 from rdgraph.config import DEFAULTS, default_config, from_dict, load_config
@@ -125,6 +130,28 @@ def test_default_config_is_parsed_once_and_read_only():
     with pytest.raises(TypeError):
         shared.markers["purpose"] = ("so that",)
     assert shared.markers["purpose"] == tuple(DEFAULTS["lexicons"]["markers"]["purpose"])
+
+
+def test_start_up_generates_no_code():
+    """No rdgraph class is a dataclass, so a fresh interpreter that imports
+    the CLI loads neither ``dataclasses`` nor ``inspect``."""
+    for info in pkgutil.iter_modules(rdgraph.__path__):
+        if info.name != "__main__":  # importing it runs the CLI
+            module = importlib.import_module(f"rdgraph.{info.name}")
+            for value in vars(module).values():
+                assert not (isinstance(value, type) and dataclasses.is_dataclass(value)), value
+    src = str(pathlib.Path(rdgraph.__file__).parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    probe = "import sys, rdgraph.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: a .pth file that site runs may load inspect itself.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 # Each blank entry used to build a wrong graph with exit 0: a blank purpose

@@ -16,6 +16,7 @@ from rdgraph import (
     parse_jsonl,
     segment_sentences,
 )
+from rdgraph.corpus import _SEGMENT_STOP_RE
 
 RS = "\x1e"
 FS = "\x1f"
@@ -203,6 +204,19 @@ def test_segment_paragraph_break_always_ends_sentence():
 def test_segment_no_split_before_lowercase():
     sentences = segment_sentences(make_artifact("s: fix", "See mm/oom_kill.c for details."))
     assert len(sentences) == 2
+
+
+def test_segment_stop_class_is_a_to_z_or_any_non_ascii():
+    r"""The class after a terminator run's whitespace names the ASCII it
+    excludes; it matches the code points of ``[A-Z\u0080-\U0010ffff]``,
+    a class that takes over ten times as long to compile."""
+    excluding_ascii = r"[^\x00-@\[-\x7f]"
+    assert excluding_ascii in _SEGMENT_STOP_RE.pattern
+    # Each code point occurs once, so equal remainders mean equal matches.
+    every = "".join(map(chr, range(0x110000)))
+    kept = re.sub(excluding_ascii, "", every)
+    assert kept == re.sub(r"[A-Z\u0080-\U0010ffff]", "", every)
+    assert kept == "".join(c for c in map(chr, range(128)) if not "A" <= c <= "Z")
 
 
 def test_segment_empty_artifact():

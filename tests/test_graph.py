@@ -5,8 +5,8 @@ import gc
 import json
 import math
 import re
-from dataclasses import replace
 from datetime import datetime, timezone
+from types import MappingProxyType
 from unittest import mock
 
 import pytest
@@ -26,6 +26,7 @@ from helpers import (
 )
 from rdgraph import graph as graph_module
 from rdgraph import (
+    Artifact,
     GraphError,
     build_graph,
     export_dot,
@@ -33,10 +34,11 @@ from rdgraph import (
     load,
     neighbors,
     save,
+    textsim,
 )
 from rdgraph.decisions import Decision
 from rdgraph.graph import ALL_KINDS, RdGraph, SourceRef, graph_violations
-from rdgraph.rationale import PURPOSE, RationaleSpan
+from rdgraph.rationale import PURPOSE, RationaleSpan, SpanFragment
 from rdgraph.relations import (
     CONTRADICTS,
     COSINE_SCORE,
@@ -565,6 +567,44 @@ def test_checked_records_refuse_bad_values_however_built(how, valid, field, valu
     assert str(info.value) == message
 
 
+def test_named_tuple_types_keep_the_frozen_dataclass_contracts(fixture_graph, config):
+    values = [
+        config,
+        config.thresholds,
+        Artifact("a", "git:a", "A <a@x>", EPOCH, "s: a", "body"),
+        textsim.build_model(["alpha beta", "beta gamma"]),
+        SpanFragment(PURPOSE, "so that", "it works", 0, 8),
+        k_hop(fixture_graph, D1, 2),
+        fixture_graph,
+    ]
+    for value in values:
+        name = value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, value[0])
+        assert type(value)(*value) == value
+        assert value._replace(**{name: None}) != value
+
+
+def test_a_replaced_graph_derives_its_own_indexes(fixture_graph):
+    graph = fixture_graph
+    assert neighbors(graph, D1, ALL_KINDS) and graph.rationale_edges.get(D1)
+    cached = graph.incident_edges
+    kept = tuple(e for e in graph.relation_edges if D1 not in (e.from_id, e.to_id))
+    changed = graph._replace(relation_edges=kept, rationales={})
+    assert D1 not in changed.incident_edges
+    assert changed.rationale_edges == {}
+    assert neighbors(changed, D1, ALL_KINDS) == []
+    assert graph.incident_edges is cached and D1 in cached
+
+
+def test_artifacts_without_trailers_share_one_empty_read_only_mapping():
+    first, second = (Artifact(n, f"git:{n}", "A <a@x>", EPOCH, "s", "b") for n in "ab")
+    assert first.trailers is second.trailers
+    assert isinstance(first.trailers, MappingProxyType) and first.trailers == {}
+    with pytest.raises(TypeError):
+        first.trailers["Acked-by"] = ("B <b@x>",)
+
+
 @given(valid_graph_parts(), st.booleans())
 @example(([], [], [], [], []), False)
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None)
@@ -575,7 +615,7 @@ def test_save_writes_what_json_dumps_writes(parts, empty_members):
         # layout must match json.dumps for members as for any other array.
         first = min(graph.topics)
         topics = {**graph.topics, first: graph.topics[first]._replace(member_decision_ids=())}
-        graph = replace(graph, topics=topics)
+        graph = graph._replace(topics=topics)
     assert save(graph) == reference_save(graph)
 
 
@@ -638,7 +678,7 @@ def test_build_graph_refuses_a_similar_edge_with_stored_evidence_or_a_zero_score
     with pytest.raises(GraphError) as info:
         build_graph(*parts)
     assert str(info.value) == f"similar edge {d0.id!r} -> {d1.id!r} {_SIMILAR_EDGE_REFUSED}"
-    graph = replace(build_graph(*parts[:3], []), relation_edges=(edge,))
+    graph = build_graph(*parts[:3], [])._replace(relation_edges=(edge,))
     (finding,) = validate_structure(graph)
     assert finding.kind == STRUCTURAL_VIOLATION
     assert (finding.subject_ids, finding.message) == ((d0.id, d1.id), str(info.value))
@@ -741,9 +781,9 @@ def _with_number(graph: RdGraph, where: str, value: float) -> RdGraph:
     if where == "decision-score":
         first = min(graph.decisions)
         decision = graph.decisions[first]._replace(score=value)
-        return replace(graph, decisions={**graph.decisions, first: decision})
+        return graph._replace(decisions={**graph.decisions, first: decision})
     edge = graph.relation_edges[0]._replace(score=value)
-    return replace(graph, relation_edges=(edge,) + graph.relation_edges[1:])
+    return graph._replace(relation_edges=(edge,) + graph.relation_edges[1:])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -503,7 +502,7 @@ ATTACH_SENTENCES = [
 def test_build_attaches_each_decision_as_attach_rationale_over_all_sentences(
     summary, body, window
 ):
-    config = replace(default_config(), window=window)
+    config = default_config()._replace(window=window)
     artifact = make_artifact(summary, body)
     sentences = segment_sentences(artifact, config.abbreviations)
     graph = build_pipeline([artifact], config)

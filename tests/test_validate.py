@@ -3,7 +3,6 @@ from __future__ import annotations
 import collections
 import graphlib
 import json
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -291,7 +290,7 @@ def test_verbatim_resubmission_of_a_reverted_decision_warns_about_its_revert(
 def test_check_new_decision_does_not_mutate_the_graph(fixture_graph, config):
     before = save(fixture_graph)
     candidate = "oom: raise the dying task priority again"
-    loose = replace(config, k=4, thresholds=replace(config.thresholds, similar=0.01))
+    loose = config._replace(k=4, thresholds=config.thresholds._replace(similar=0.01))
     check_new_decision(fixture_graph, candidate, loose)
     assert save(fixture_graph) == before
 
@@ -327,8 +326,8 @@ def test_larger_hop_budget_reaches_the_second_revert(
     fixture_graph_d1_d4, fixture_artifacts, config
 ):
     candidate = normalized_text(fixture_artifacts[4])
-    near = check_new_decision(fixture_graph_d1_d4, candidate, replace(config, k=2))
-    far = check_new_decision(fixture_graph_d1_d4, candidate, replace(config, k=3))
+    near = check_new_decision(fixture_graph_d1_d4, candidate, config._replace(k=2))
+    far = check_new_decision(fixture_graph_d1_d4, candidate, config._replace(k=3))
     assert len(far) > len(near)
     assert any(len(f.path) == 2 for f in far if f.kind == CONFLICT_WARNING)
     assert all(len(f.path) <= 1 for f in near if f.kind == CONFLICT_WARNING)
@@ -341,7 +340,7 @@ def test_conflict_warnings_grow_with_the_hop_budget_up_to_three(
     counts = [
         sum(
             f.kind == CONFLICT_WARNING
-            for f in check_new_decision(fixture_graph_d1_d4, candidate, replace(config, k=k))
+            for f in check_new_decision(fixture_graph_d1_d4, candidate, config._replace(k=k))
         )
         for k in range(5)
     ]
@@ -378,7 +377,7 @@ def test_a_graph_built_from_its_five_records_behaves_as_the_built_one(
     assert consistency and consistency == check_rationale_consistency(built, config)
     # At k = 3 the fixture proposal also conflicts via a similar decision.
     proposal = (FIXTURE_DIR / "proposed-mrelease.txt").read_text(encoding="utf-8")
-    k3 = replace(config, k=3)
+    k3 = config._replace(k=3)
     conflicts = check_new_decision(direct, proposal, k3)
     assert len(conflicts) == 2 and conflicts == check_new_decision(built, proposal, k3)
     assert export_dot(direct) == export_dot(built)
@@ -389,7 +388,7 @@ def test_a_graph_built_from_its_five_records_behaves_as_the_built_one(
 
 def corrupt(graph: RdGraph, **overrides) -> RdGraph:
     """The graph with some records replaced, its invariants unchecked."""
-    return replace(graph, **overrides)
+    return graph._replace(**overrides)
 
 
 def rebuild(graph: RdGraph) -> RdGraph:
