@@ -43,18 +43,11 @@ from .relations import (
     detect_similar,
     title_topic,
 )
-from .textsim import (
-    TfIdfModel,
-    TfIdfProvider,
-    build_model,
-    similarity,
-    tokenize,
-)
+from .textsim import TfIdfModel, TfIdfProvider, tokenize
 from .validate import (
     ValidationFinding,
     check_new_decision,
     check_rationale_consistency,
-    validate_structure,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +72,6 @@ __all__ = [
     "ValidationFinding",
     "attach_rationale",
     "build_graph",
-    "build_model",
     "build_pipeline",
     "check_new_decision",
     "check_rationale_consistency",
@@ -90,9 +82,9 @@ __all__ = [
     "detect_history",
     "detect_similar",
     "dumps_artifacts",
+    "export_dot",
     "extract_decisions",
     "extract_rationale",
-    "export_dot",
     "k_hop",
     "load",
     "load_config",
@@ -103,8 +95,6 @@ __all__ = [
     "save",
     "score_decision",
     "segment_sentences",
-    "similarity",
     "title_topic",
     "tokenize",
-    "validate_structure",
 ]

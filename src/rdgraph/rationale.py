@@ -242,7 +242,7 @@ def rationale_window(
 def attach_rationale(
     decision: Decision,
     sentences: list[Sentence],
-    window: int = 2,
+    window: int = default_config().window,
     markers: Mapping[str, tuple[str, ...]] | None = None,
 ) -> list[RationaleSpan]:
     """Rationale spans for a decision, searching a bounded sentence window.

@@ -15,12 +15,13 @@ import itertools
 import math
 import re
 import sys
+from collections import Counter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .corpus import Artifact
 from .decisions import Decision, strip_subsystem_prefix
 from .rationale import RationaleSpan
-from .textsim import TfIdfModel, TfIdfProvider, vectorize
+from .textsim import TfIdfModel, TfIdfProvider, tokenize
 
 SIMILAR = "similar"
 HISTORY = "history"
@@ -163,12 +164,14 @@ def title_topic(
     topic: Topic, model: TfIdfModel, texts: Mapping[str, str]
 ) -> str:
     """Top three summed tf-idf tokens over member texts, ties alphabetical."""
-    tokens = model.tokens
+    vocabulary, idf = model.vocabulary, model.idf
     totals: dict[str, float] = {}
     for member in topic.member_decision_ids:
-        for index, weight in vectorize(model, texts[member]).items():
-            token = tokens[index]
-            totals[token] = totals.get(token, 0.0) + weight
+        counts = Counter(tokenize(texts[member], model.stopwords))
+        for token, count in counts.items():
+            index = vocabulary.get(token)
+            if index is not None:
+                totals[token] = totals.get(token, 0.0) + count * idf[index]
     ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
     return " ".join(token for token, _ in ranked[:3])
 

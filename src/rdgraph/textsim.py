@@ -6,7 +6,6 @@ validation checks.  Scores are corpus-dependent and fully reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from collections import Counter
@@ -39,25 +38,17 @@ def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[s
     return [t for t in tokens if len(t) > 1 and t not in stopwords]
 
 
-class _ModelFields(NamedTuple):
+class TfIdfModel(NamedTuple):
+    """Vocabulary, smoothed idf weights, and the document count behind them.
+
+    idf(t) = ln((doc_count + 1) / (df(t) + 1)) + 1, which is strictly
+    positive for every vocabulary token.
+    """
+
     vocabulary: dict[str, int]
     idf: tuple[float, ...]
     doc_count: int
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
-
-
-class TfIdfModel(_ModelFields):
-    """Vocabulary, smoothed idf weights, and the document count behind them.
-
-    idf(t) = ln((doc_count + 1) / (df(t) + 1)) + 1, which is strictly
-    positive for every vocabulary token.  No ``__slots__``: the cached
-    ``tokens`` lives in the ``__dict__``.
-    """
-
-    @functools.cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """The vocabulary inverted: ``tokens[vocabulary[t]] == t``."""
-        return tuple(sorted(self.vocabulary, key=self.vocabulary.__getitem__))
 
 
 def _fit(entries: list[Iterable[str]], stopwords: frozenset[str]) -> TfIdfModel:
@@ -75,13 +66,6 @@ def _fit(entries: list[Iterable[str]], stopwords: frozenset[str]) -> TfIdfModel:
     )
 
 
-def build_model(
-    docs: Iterable[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> TfIdfModel:
-    """Fit vocabulary and idf over a corpus; the corpus must be non-empty."""
-    return _fit([set(tokenize(doc, stopwords)) for doc in docs], stopwords)
-
-
 def _vector(model: TfIdfModel, counts: Counter[str]) -> dict[int, float]:
     """Sparse tf·idf vector of token counts; unseen tokens are ignored."""
     vocabulary, idf = model.vocabulary, model.idf
@@ -91,11 +75,6 @@ def _vector(model: TfIdfModel, counts: Counter[str]) -> dict[int, float]:
         if index is not None:
             vector[index] = count * idf[index]
     return vector
-
-
-def vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
-    """Sparse tf·idf vector (raw counts times idf); unseen tokens are ignored."""
-    return _vector(model, Counter(tokenize(text, model.stopwords)))
 
 
 # A sparse tf·idf vector together with its L2 norm.
@@ -108,10 +87,6 @@ def _with_norm(vector: dict[int, float]) -> _Weighted:
     for _, w in sorted(vector.items()):
         total += w * w
     return vector, math.sqrt(total)
-
-
-def _weighted(model: TfIdfModel, text: str) -> _Weighted:
-    return _with_norm(vectorize(model, text))
 
 
 def _cosine(a: _Weighted, b: _Weighted) -> float:
@@ -127,14 +102,6 @@ def _cosine(a: _Weighted, b: _Weighted) -> float:
         dot += va[index] * vb[index]
     value = dot / (norm_a * norm_b)
     return min(1.0, max(0.0, value))
-
-
-def similarity(model: TfIdfModel, text_a: str, text_b: str) -> float:
-    """Cosine of the L2-normalized tf·idf vectors, in [0, 1].
-
-    Either vector empty gives 0; equal vectors give exactly 1.
-    """
-    return _cosine(_weighted(model, text_a), _weighted(model, text_b))
 
 
 class TfIdfProvider:
@@ -155,11 +122,11 @@ class TfIdfProvider:
     def fit(
         cls, docs: Iterable[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS
     ) -> TfIdfProvider:
-        """A provider over ``build_model(docs, stopwords)``, tokenizing each text once.
+        """A provider over the TF-IDF model of ``docs``, a non-empty corpus.
 
-        Each distinct corpus text's token counts give its share of the
-        document frequencies (once per corpus entry, duplicates included),
-        and are kept until that text's vector is first needed.
+        Each distinct corpus text is tokenized once: its token counts give
+        its share of the document frequencies (once per corpus entry,
+        duplicates included), and are kept until its vector is first needed.
         """
         counts: dict[str, Counter[str]] = {}
         entries = []
@@ -181,6 +148,10 @@ class TfIdfProvider:
         return entry
 
     def score(self, text_a: str, text_b: str) -> float:
+        """Cosine of the L2-normalized tf·idf vectors, in [0, 1].
+
+        Either vector empty gives 0; equal vectors give exactly 1.
+        """
         return _cosine(self._lookup(text_a), self._lookup(text_b))
 
     def matches(

@@ -1,4 +1,4 @@
-"""Graph validation: rationale consistency, new-decision conflicts, structure.
+"""Graph validation: rationale consistency and new-decision conflicts.
 
 All checks are pure read-only queries; findings are reported, never
 auto-repaired.  Findings sort by severity (errors first), then subject ids,
@@ -11,7 +11,7 @@ from json.encoder import encode_basestring as _q
 from typing import Iterable, NamedTuple
 
 from .config import Config, default_config
-from .graph import RdGraph, graph_violations, neighbors, rationales_of
+from .graph import RdGraph, neighbors, rationales_of
 from .relations import (
     CONTRADICTS,
     SIMILAR,
@@ -26,7 +26,6 @@ INCONSISTENT_REASONING = "inconsistent-reasoning"
 DUPLICATE_RATIONALE = "duplicate-rationale"
 CONSISTENT_PAIR = "consistent-pair"
 CONFLICT_WARNING = "conflict-warning"
-STRUCTURAL_VIOLATION = "structural-violation"
 LOW_SIMILARITY = "low-similarity"
 MISSING_RATIONALE = "missing-rationale"
 
@@ -245,22 +244,6 @@ def check_new_decision(
                     )
                 )
     return _sorted_findings(findings)
-
-
-def validate_structure(graph: RdGraph) -> list[ValidationFinding]:
-    """Report every broken graph invariant as a structural violation."""
-    return _sorted_findings(
-        [
-            ValidationFinding(
-                kind=STRUCTURAL_VIOLATION,
-                severity="error",
-                subject_ids=subjects,
-                path=(),
-                message=message,
-            )
-            for subjects, message in graph_violations(graph)
-        ]
-    )
 
 
 def _path_edge(e: RelationEdge) -> str:

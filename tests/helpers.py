@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 
 from rdgraph.corpus import format_timestamp, parse_timestamp
 from rdgraph.decisions import Decision
-from rdgraph.graph import GraphError, RdGraph, SourceRef, Subgraph, build_graph
+from rdgraph.graph import (
+    GraphError,
+    RdGraph,
+    SourceRef,
+    Subgraph,
+    build_graph,
+    graph_violations,
+)
 from rdgraph.rationale import (
     _BY_GERUND_RE,
     CAUSE,
@@ -45,7 +52,7 @@ from rdgraph.relations import (
     edge_evidence,
 )
 from rdgraph.textsim import TfIdfModel, tokenize
-from rdgraph.validate import ValidationFinding
+from rdgraph.validate import ValidationFinding, _sorted_findings
 
 
 def oracle_similarity(
@@ -86,14 +93,49 @@ def oracle_similarity(
 
 
 def reference_vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
-    """What ``textsim.vectorize`` returns, counted by a loop over the tokens,
-    which is how ``vectorize`` counted before it used a ``Counter``."""
+    """The tf·idf vector ``TfIdfProvider`` builds for ``text``, counted by a
+    loop over the tokens, which is how the package counted before it used a
+    ``Counter``."""
     counts: dict[int, int] = {}
     for token in tokenize(text, model.stopwords):
         index = model.vocabulary.get(token)
         if index is not None:
             counts[index] = counts.get(index, 0) + 1
     return {i: c * model.idf[i] for i, c in counts.items()}
+
+
+def reference_model(
+    docs: list[str], stopwords: frozenset[str] = frozenset()
+) -> TfIdfModel:
+    """The model ``TfIdfProvider.fit`` fits over ``docs``, from each
+    document's set of tokens, as the package's ``build_model`` fitted it."""
+    entries = [set(tokenize(doc, stopwords)) for doc in docs]
+    if not entries:
+        raise ValueError("cannot build a similarity model over an empty corpus")
+    df = Counter(token for entry in entries for token in entry)
+    tokens = sorted(df)
+    n = len(entries)
+    return TfIdfModel(
+        vocabulary={token: i for i, token in enumerate(tokens)},
+        idf=tuple(math.log((n + 1) / (df[token] + 1)) + 1.0 for token in tokens),
+        doc_count=n,
+        stopwords=stopwords,
+    )
+
+
+STRUCTURAL_VIOLATION = "structural-violation"
+
+
+def validate_structure(graph: RdGraph) -> list[ValidationFinding]:
+    """Every broken invariant ``graph_violations`` lists, as one error finding
+    each in the package's finding order: the structural reporter the package
+    exported before ``graph_violations`` became the one owner of them."""
+    return _sorted_findings(
+        [
+            ValidationFinding(STRUCTURAL_VIOLATION, "error", subjects, (), message)
+            for subjects, message in graph_violations(graph)
+        ]
+    )
 
 
 # The clause scan of the package before it moved to one pattern pass over the

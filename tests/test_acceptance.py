@@ -20,23 +20,26 @@ from hypothesis import strategies as st
 
 import rdgraph
 from conftest import D1, D2, D3, D4, D5, FIXTURE_DIR
-from helpers import oracle_similarity, valid_graph_parts
+from helpers import (
+    STRUCTURAL_VIOLATION,
+    oracle_similarity,
+    valid_graph_parts,
+    validate_structure,
+)
 from rdgraph import (
     GraphError,
+    TfIdfProvider,
     build_graph,
-    build_model,
     contradiction_score,
     default_config,
     k_hop,
     load,
     save,
-    similarity,
-    validate_structure,
 )
 from rdgraph.cli import main
 from rdgraph.graph import RdGraph
 from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR
-from rdgraph.validate import CONFLICT_WARNING, CONSISTENT_PAIR, STRUCTURAL_VIOLATION
+from rdgraph.validate import CONFLICT_WARNING, CONSISTENT_PAIR
 
 ARTIFACTS = str(FIXTURE_DIR / "artifacts.jsonl")
 ARTIFACTS_D1_D4 = str(FIXTURE_DIR / "artifacts-d1-d4.jsonl")
@@ -166,13 +169,13 @@ def test_criterion_6_similarity_oracle():
             " ".join(rng.choices(vocabulary, k=rng.randint(1, 30)))
             for _ in range(rng.randint(2, 5))
         ]
-        model = build_model(docs, stopwords)
+        provider = TfIdfProvider.fit(docs, stopwords)
         corpora += 1
         for i in range(len(docs)):
-            assert similarity(model, docs[i], docs[i]) == 1.0
+            assert provider.score(docs[i], docs[i]) == 1.0
             for j in range(len(docs)):
-                got = similarity(model, docs[i], docs[j])
-                assert got == similarity(model, docs[j], docs[i]), "symmetry must be exact"
+                got = provider.score(docs[i], docs[j])
+                assert got == provider.score(docs[j], docs[i]), "symmetry must be exact"
                 expected = oracle_similarity(docs, i, j, stopwords)
                 assert abs(got - expected) <= 1e-9
                 comparisons += 1
@@ -233,7 +236,7 @@ def _run_cli(tmp_path, name: str, hash_seed: str) -> tuple[bytes, bytes]:
     # Run the rdgraph this session imported, wherever it lives: src/ in a
     # checkout or an editable install, site-packages in a regular install.
     package_root = str(pathlib.Path(rdgraph.__file__).resolve().parents[1])
-    # No bytecode cache in the checkout, as in run_demo of test_demos.py.
+    # No bytecode cache in the checkout, as in run_python of test_demos.py.
     env = {
         "PYTHONHASHSEED": hash_seed,
         "PATH": "/usr/bin:/bin",

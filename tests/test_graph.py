@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
 from helpers import (
+    STRUCTURAL_VIOLATION,
     assert_records_keep_their_types,
     broken_graphs,
     reference_graph_from_doc,
@@ -23,6 +24,7 @@ from helpers import (
     reference_neighbors,
     reference_save,
     valid_graph_parts,
+    validate_structure,
 )
 from rdgraph import graph as graph_module
 from rdgraph import (
@@ -51,7 +53,6 @@ from rdgraph.relations import (
     edge_evidence,
     similar_edge,
 )
-from rdgraph.validate import STRUCTURAL_VIOLATION, validate_structure
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -572,7 +573,7 @@ def test_named_tuple_types_keep_the_frozen_dataclass_contracts(fixture_graph, co
         config,
         config.thresholds,
         Artifact("a", "git:a", "A <a@x>", EPOCH, "s: a", "body"),
-        textsim.build_model(["alpha beta", "beta gamma"]),
+        textsim.TfIdfProvider.fit(["alpha beta", "beta gamma"]).model,
         SpanFragment(PURPOSE, "so that", "it works", 0, 8),
         k_hop(fixture_graph, D1, 2),
         fixture_graph,

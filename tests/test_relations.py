@@ -12,9 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
-from helpers import reference_detect_similar
+from helpers import reference_detect_similar, reference_vectorize
 from rdgraph import (
-    build_model,
     build_pipeline,
     cluster_topics,
     contradiction_score,
@@ -43,7 +42,7 @@ from rdgraph.relations import (
     jaccard,
     similar_edge,
 )
-from rdgraph.textsim import TfIdfProvider, vectorize
+from rdgraph.textsim import TfIdfProvider
 from rdgraph.validate import check_new_decision, graph_documents
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -82,7 +81,7 @@ def provider():
         "tune the scheduler for latency",
         "rework the scheduler tick for latency",
     ]
-    return TfIdfProvider(build_model(docs)), docs
+    return TfIdfProvider.fit(docs), docs
 
 
 def test_all_pairs_below_threshold_gives_singletons(provider):
@@ -123,7 +122,7 @@ def test_topic_ids_are_invariant_under_input_permutation(fixture_artifacts, conf
 
 def test_singleton_topic_title_uses_only_member_tokens():
     decisions = [make_decision(0, "introduce oom reaper")]
-    model = build_model([d.text for d in decisions])
+    model = TfIdfProvider.fit([d.text for d in decisions]).model
     topic = Topic(id="t1", title="", member_decision_ids=("a0#0",))
     title = title_topic(topic, model, {"a0#0": "introduce oom reaper"})
     assert set(title.split()) <= {"introduce", "oom", "reaper"}
@@ -136,7 +135,7 @@ def test_fixture_topic_title_is_pinned(fixture_graph):
 
 
 def test_empty_member_texts_give_empty_title():
-    model = build_model(["filler corpus text"])
+    model = TfIdfProvider.fit(["filler corpus text"]).model
     topic = Topic(id="t1", title="", member_decision_ids=("a0#0",))
     assert title_topic(topic, model, {"a0#0": ""}) == ""
 
@@ -146,7 +145,7 @@ def _reference_title(topic, model, texts):
     index_to_token = {i: t for t, i in model.vocabulary.items()}
     totals = {}
     for member in topic.member_decision_ids:
-        for index, weight in vectorize(model, texts[member]).items():
+        for index, weight in reference_vectorize(model, texts[member]).items():
             token = index_to_token[index]
             totals[token] = totals.get(token, 0.0) + weight
     ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
@@ -162,7 +161,7 @@ _TITLE_TEXTS = st.lists(
 @given(corpus=st.lists(_TITLE_TEXTS, min_size=1, max_size=4), members=st.lists(_TITLE_TEXTS, max_size=5))
 @settings(max_examples=200)
 def test_topic_title_equals_the_per_topic_inversion(corpus, members):
-    model = build_model(corpus, frozenset({"the"}))
+    model = TfIdfProvider.fit(corpus, frozenset({"the"})).model
     texts = {f"a{n}#0": text for n, text in enumerate(members)}
     topic = Topic(id="t1", title="", member_decision_ids=tuple(texts))
     assert title_topic(topic, model, texts) == _reference_title(topic, model, texts)
@@ -170,10 +169,10 @@ def test_topic_title_equals_the_per_topic_inversion(corpus, members):
 
 def test_titles_of_singleton_topics_take_linear_time():
     # Inverting the whole vocabulary for each topic took 2.75 s for 1,600
-    # singleton topics of unrelated commits; one inversion serves them all.
+    # singleton topics of unrelated commits; a title reads only its tokens.
     n = 6_000
     texts = {f"a{k}#0": f"w{k}a w{k}b" for k in range(n)}
-    model = build_model(texts.values())
+    model = TfIdfProvider.fit(texts.values()).model
     started = time.perf_counter()
     titles = [
         title_topic(Topic(id=f"t{k}", title="", member_decision_ids=(m,)), model, texts)
@@ -518,21 +517,21 @@ def _one_topic_corpus(n: int) -> list[Artifact]:
 
 
 @pytest.fixture()
-def vectorize_calls(monkeypatch):
-    """Count vectorize calls by text, wherever the package calls it from."""
+def tokenize_calls(monkeypatch):
+    """Count tokenize calls by text, wherever the package calls it from."""
     calls: collections.Counter[str] = collections.Counter()
-    original = textsim.vectorize
+    original = textsim.tokenize
 
-    def counting(model, text):
+    def counting(text, *args):
         calls[text] += 1
-        return original(model, text)
+        return original(text, *args)
 
-    monkeypatch.setattr(textsim, "vectorize", counting)
-    monkeypatch.setattr(relations, "vectorize", counting)
+    monkeypatch.setattr(textsim, "tokenize", counting)
+    monkeypatch.setattr(relations, "tokenize", counting)
     return calls
 
 
-def test_pair_work_vectorizes_each_text_once(vectorize_calls, config):
+def test_pair_work_vectorizes_each_text_once(tokenize_calls, config):
     artifacts = _one_topic_corpus(60)
     graph = build_pipeline(artifacts, config)
     (topic,) = graph.topics.values()
@@ -542,14 +541,14 @@ def test_pair_work_vectorizes_each_text_once(vectorize_calls, config):
     docs = list(graph_documents(graph).values())
     # One call per distinct context and document, plus one per sentence in
     # title_topic; scoring every pair afresh would make about n * n calls.
-    assert sum(vectorize_calls.values()) <= len(contexts) + len(set(docs)) + n
+    assert sum(tokenize_calls.values()) <= len(contexts) + len(set(docs)) + n
 
-    vectorize_calls.clear()
+    tokenize_calls.clear()
     candidate = "add the alpha memory cache handler"
     check_new_decision(graph, candidate, config)
-    # The candidate and every document are in the check's corpus, so their
-    # vectors come from the fit's token counts, not from vectorize.
-    assert vectorize_calls == {}
+    # The fit tokenizes each distinct document and the candidate, and their
+    # vectors come from those token counts.
+    assert tokenize_calls == collections.Counter(set(docs) | {candidate})
 
 
 def _reference_contradiction_score(later_text, earlier_text, keywords, negation_cues, stopwords):
@@ -662,7 +661,7 @@ def test_relation_stage_scores_only_candidate_pairs(monkeypatch, config):
     texts = {a.id: normalized_text(a) for a in artifacts}
     decisions = list(graph.decisions.values())
     contexts = {d.id: texts[d.artifact_id] for d in decisions}
-    provider = CountingProvider(build_model(list(texts.values()), config.stopwords))
+    provider = CountingProvider.fit(texts.values(), config.stopwords)
     topics = cluster_topics(decisions, provider, config.thresholds.relatedness, contexts)
     assert [t.member_decision_ids for t in topics] == [topic.member_decision_ids]
     # Pairs already in one component are skipped: at most 4n of 1770.

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_similarity, reference_vectorize
-from rdgraph import build_model, default_config, similarity, textsim, tokenize
-from rdgraph.textsim import TfIdfProvider, _with_norm, vectorize
+from helpers import oracle_similarity, reference_model, reference_vectorize
+from rdgraph import default_config, textsim, tokenize
+from rdgraph.textsim import TfIdfProvider, _with_norm
 
 
 @pytest.fixture(scope="module")
@@ -66,44 +66,45 @@ def test_tokenize_equals_the_token_regex(text, stopwords):
 )
 @settings(max_examples=200)
 def test_vectorize_equals_the_per_token_count_loop(docs, texts, stopwords):
-    model = build_model(docs, stopwords)
+    # Fitted texts are vectorized from the fit's token counts, others afresh.
+    provider = TfIdfProvider.fit(docs, stopwords)
     for text in docs + texts:
-        got = vectorize(model, text)
-        expected = reference_vectorize(model, text)
+        got = provider._lookup(text)[0]
+        expected = reference_vectorize(provider.model, text)
         assert got == expected
         assert list(got) == list(expected)
 
 
 def test_build_model_single_doc_idf_is_one():
-    model = build_model(["alpha beta"])
+    model = TfIdfProvider.fit(["alpha beta"]).model
     assert model.doc_count == 1
     assert all(value == pytest.approx(1.0) for value in model.idf)
 
 
 def test_build_model_token_in_all_docs_idf_is_one():
-    model = build_model(["common alpha", "common beta", "common gamma"])
+    model = TfIdfProvider.fit(["common alpha", "common beta", "common gamma"]).model
     assert model.idf[model.vocabulary["common"]] == pytest.approx(1.0)
 
 
 def test_build_model_token_in_one_of_three_docs():
-    model = build_model(["rare alpha", "beta beta", "gamma"])
+    model = TfIdfProvider.fit(["rare alpha", "beta beta", "gamma"]).model
     expected = math.log(4 / 2) + 1  # 1.693...
     assert model.idf[model.vocabulary["rare"]] == pytest.approx(expected)
 
 
 def test_build_model_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
-        build_model([])
+        TfIdfProvider.fit(iter(()))  # an iterator that yields nothing
 
 
 def test_similarity_identical_texts_is_exactly_one():
-    model = build_model(["kernel thread reaps memory", "other words entirely"])
-    assert similarity(model, "kernel thread reaps memory", "kernel thread reaps memory") == 1.0
+    provider = TfIdfProvider.fit(["kernel thread reaps memory", "other words entirely"])
+    assert provider.score("kernel thread reaps memory", "kernel thread reaps memory") == 1.0
 
 
 def test_similarity_disjoint_vocabulary_is_zero():
-    model = build_model(["alpha beta", "gamma delta"])
-    assert similarity(model, "alpha beta", "gamma delta") == 0.0
+    provider = TfIdfProvider.fit(["alpha beta", "gamma delta"])
+    assert provider.score("alpha beta", "gamma delta") == 0.0
 
 
 def test_similarity_matches_hand_built_three_doc_corpus(stopwords):
@@ -112,8 +113,7 @@ def test_similarity_matches_hand_built_three_doc_corpus(stopwords):
         "raise the priority of the dying task",
         "add a system call",
     ]
-    model = build_model(docs, stopwords)
-    got = similarity(model, docs[0], docs[1])
+    got = TfIdfProvider.fit(docs, stopwords).score(docs[0], docs[1])
     expected = oracle_similarity(docs, 0, 1, stopwords)
     assert got == pytest.approx(expected, abs=1e-9)
     assert 0.0 < got < 1.0
@@ -133,10 +133,10 @@ def test_similarity_agrees_with_oracle_on_randomized_corpora(stopwords):
     for seed in range(25):
         rng = random.Random(seed)
         docs = _random_corpus(rng)
-        model = build_model(docs, stopwords)
+        provider = TfIdfProvider.fit(docs, stopwords)
         for i in range(len(docs)):
             for j in range(len(docs)):
-                got = similarity(model, docs[i], docs[j])
+                got = provider.score(docs[i], docs[j])
                 expected = oracle_similarity(docs, i, j, stopwords)
                 assert got == pytest.approx(expected, abs=1e-9)
                 checked += 1
@@ -147,12 +147,10 @@ def test_similarity_symmetry_is_exact():
     for seed in range(10):
         rng = random.Random(1000 + seed)
         docs = _random_corpus(rng)
-        model = build_model(docs)
+        provider = TfIdfProvider.fit(docs)
         for i in range(len(docs)):
             for j in range(len(docs)):
-                assert similarity(model, docs[i], docs[j]) == similarity(
-                    model, docs[j], docs[i]
-                )
+                assert provider.score(docs[i], docs[j]) == provider.score(docs[j], docs[i])
 
 
 @given(st.data())
@@ -160,30 +158,29 @@ def test_similarity_symmetry_is_exact():
 def test_similarity_range_property(data):
     words = st.sampled_from(["oom", "task", "memory", "priority", "exit", "reap"])
     docs = data.draw(st.lists(st.lists(words, max_size=10).map(" ".join), min_size=1, max_size=4))
-    model = build_model(docs)
+    provider = TfIdfProvider.fit(docs)
     a = data.draw(st.sampled_from(docs))
     b = data.draw(st.sampled_from(docs))
-    score = similarity(model, a, b)
+    score = provider.score(a, b)
     assert 0.0 <= score <= 1.0
 
 
 def test_duplicating_text_does_not_change_cosine():
     docs = ["reap the memory early", "raise the task priority", "memory priority tuning"]
-    model = build_model(docs)
-    base = similarity(model, docs[0], docs[2])
-    doubled = similarity(model, docs[0] + " " + docs[0], docs[2])
+    provider = TfIdfProvider.fit(docs)
+    base = provider.score(docs[0], docs[2])
+    doubled = provider.score(docs[0] + " " + docs[0], docs[2])
     assert doubled == pytest.approx(base, abs=1e-12)
 
 
 def test_unseen_tokens_are_ignored():
-    model = build_model(["alpha beta", "beta gamma"])
-    assert vectorize(model, "unseen words only") == {}
-    assert similarity(model, "alpha unseen", "alpha other") > 0.0
+    provider = TfIdfProvider.fit(["alpha beta", "beta gamma"])
+    assert provider._lookup("unseen words only") == ({}, 0.0)
+    assert provider.score("alpha unseen", "alpha other") > 0.0
 
 
 def test_provider_wraps_model():
-    model = build_model(["alpha beta", "gamma"])
-    provider = TfIdfProvider(model)
+    provider = TfIdfProvider(reference_model(["alpha beta", "gamma"]))
     assert provider.score("alpha", "alpha") == 1.0
 
 
@@ -193,18 +190,18 @@ def test_memoised_provider_scores_equal_uncached_similarity(data):
     words = st.sampled_from(["oom", "task", "memory", "priority", "exit", "reap", "unseen"])
     text = st.lists(words, max_size=10).map(" ".join)
     docs = data.draw(st.lists(text, min_size=1, max_size=4))
-    model = build_model(docs)
+    model = TfIdfProvider.fit(docs).model
     texts = docs + data.draw(st.lists(text, max_size=2))
     pairs = data.draw(
         st.lists(st.tuples(st.sampled_from(texts), st.sampled_from(texts)), min_size=1, max_size=12)
     )
     provider = TfIdfProvider(model)
     for a, b in pairs:
-        expected = similarity(model, a, b)
+        # A provider's first score of a pair is uncached.
+        expected = TfIdfProvider(model).score(a, b)
         assert provider.score(a, b) == expected
-        assert provider.score(b, a) == similarity(model, b, a)
+        assert provider.score(b, a) == TfIdfProvider(model).score(b, a)
         assert provider.score(a, b) == expected
-        assert TfIdfProvider(model).score(a, b) == expected
 
 
 @given(st.data())
@@ -216,8 +213,8 @@ def test_fitted_provider_equals_a_provider_over_build_model(data):
     docs += data.draw(st.lists(st.sampled_from(docs), max_size=2))  # duplicates
     stopwords = data.draw(st.sampled_from([frozenset(), frozenset({"the", "oom"})]))
     fitted = TfIdfProvider.fit(iter(docs), stopwords)
-    assert fitted.model == build_model(docs, stopwords)
-    reference = TfIdfProvider(build_model(docs, stopwords))
+    assert fitted.model == reference_model(docs, stopwords)
+    reference = TfIdfProvider(reference_model(docs, stopwords))
     texts = docs + data.draw(st.lists(text, max_size=2))
     for a in texts:
         for b in texts:

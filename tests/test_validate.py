@@ -10,19 +10,25 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5, FIXTURE_DIR
-from helpers import finding_to_dict, findings, reference_findings_to_jsonl, valid_graph_parts
+from helpers import (
+    STRUCTURAL_VIOLATION,
+    finding_to_dict,
+    findings,
+    reference_findings_to_jsonl,
+    reference_model,
+    valid_graph_parts,
+    validate_structure,
+)
 from rdgraph import (
     GraphError,
     SourceRef,
     build_graph,
-    build_model,
     check_new_decision,
     check_rationale_consistency,
     export_dot,
     k_hop,
     normalized_text,
     save,
-    validate_structure,
 )
 from rdgraph import textsim, validate
 from rdgraph.cli import main
@@ -45,7 +51,6 @@ from rdgraph.validate import (
     INCONSISTENT_REASONING,
     LOW_SIMILARITY,
     MISSING_RATIONALE,
-    STRUCTURAL_VIOLATION,
     ValidationFinding,
     findings_to_jsonl,
     graph_documents,
@@ -302,7 +307,7 @@ def test_conflict_paths_start_at_a_similar_decision(
     documents = graph_documents(fixture_graph_d1_d4)
     # A test-side model over the same corpus is the oracle for the anchors.
     provider = TfIdfProvider(
-        build_model([*documents.values(), candidate], config.stopwords)
+        reference_model([*documents.values(), candidate], config.stopwords)
     )
     findings = check_new_decision(fixture_graph_d1_d4, candidate, config)
     for finding in findings:
