@@ -7,7 +7,6 @@ Run from the repository root:  python demos/02_decisions_and_rationale.py
 from pathlib import Path
 
 from rdgraph import default_config, extract_decisions, parse_git_log, segment_sentences
-from rdgraph.decisions import is_summary_sentence, score_decision
 from rdgraph.rationale import attach_rationale
 
 config = default_config()
@@ -16,11 +15,11 @@ dump = Path("fixtures/oom/oom-commits.dump").read_text(encoding="utf-8")
 for artifact in parse_git_log(dump):
     sentences = segment_sentences(artifact, config.abbreviations)
     print(artifact.summary)
-    for sentence in sentences:
-        score = score_decision(sentence, config, is_summary_sentence(artifact, sentence))
-        tag = "decision" if score >= config.thresholds.decision else "        "
-        preview = sentence.text.replace("\n", " ")[:64]
-        print(f"  {score:.2f} {tag} {preview}")
+    # At threshold 0 every sentence is kept, so each one shows its score.
+    for scored in extract_decisions(artifact, sentences, config, 0.0):
+        tag = "decision" if scored.score >= config.thresholds.decision else "        "
+        preview = scored.text.replace("\n", " ")[:64]
+        print(f"  {scored.score:.2f} {tag} {preview}")
 
     decisions = extract_decisions(artifact, sentences, config, config.thresholds.decision)
     for decision in decisions:

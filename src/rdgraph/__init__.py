@@ -17,7 +17,7 @@ from .corpus import (
     parse_jsonl,
     segment_sentences,
 )
-from .decisions import Decision, extract_decisions, score_decision
+from .decisions import Decision, extract_decisions
 from .graph import (
     GraphError,
     RdGraph,
@@ -37,10 +37,8 @@ from .relations import (
     RelationEdge,
     Topic,
     cluster_topics,
-    contradiction_score,
-    detect_contradicts,
-    detect_history,
     detect_similar,
+    pair_edges,
     title_topic,
 )
 from .textsim import TfIdfModel, TfIdfProvider, tokenize
@@ -76,10 +74,7 @@ __all__ = [
     "check_new_decision",
     "check_rationale_consistency",
     "cluster_topics",
-    "contradiction_score",
     "default_config",
-    "detect_contradicts",
-    "detect_history",
     "detect_similar",
     "dumps_artifacts",
     "export_dot",
@@ -90,10 +85,10 @@ __all__ = [
     "load_config",
     "neighbors",
     "normalized_text",
+    "pair_edges",
     "parse_git_log",
     "parse_jsonl",
     "save",
-    "score_decision",
     "segment_sentences",
     "title_topic",
     "tokenize",

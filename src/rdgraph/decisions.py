@@ -96,12 +96,6 @@ def _score(
     return min(1.0, max(0.0, score))
 
 
-def score_decision(sentence: Sentence, config: Config, is_summary: bool) -> float:
-    """Deterministic decision score for one sentence, clamped to [0, 1]."""
-    cues, negs = config.cue_phrases, config.negative_cues
-    return _score(sentence.text.lower(), is_summary, config, cues, negs)
-
-
 def is_summary_sentence(artifact: Artifact, sentence: Sentence) -> bool:
     return sentence.index == 0 and bool(artifact.summary) and sentence.start == 0
 

@@ -13,15 +13,12 @@ from .decisions import Decision, extract_decisions
 from .graph import RdGraph, SourceRef, build_graph
 from .rationale import RationaleSpan, attach_rationale, rationale_window
 from .relations import (
-    HISTORY,
-    REVERT_METADATA,
     RelationEdge,
     candidate_pairs,
     cluster_topics,
     decision_document,
-    detect_contradicts,
-    detect_history,
     detect_similar,
+    pair_edges,
     title_topic,
 )
 from .textsim import TfIdfProvider
@@ -34,10 +31,11 @@ def build_pipeline(
 
     Deterministic for fixed inputs and config: topic clustering compares the
     owning artifacts' full texts, similar edges compare each decision's
-    sentence plus rationale, and history/contradicts run over the strictly
-    time-ordered pairs of a topic that ``candidate_pairs`` finds through its
-    indices (id prefixes, summaries, contradiction tokens and, at low
-    history thresholds, authors): every pair that can carry such an edge.
+    sentence plus rationale, and ``pair_edges`` gives the history and
+    contradicts edges of the strictly time-ordered pairs of a topic that
+    ``candidate_pairs`` finds through its indices (id prefixes, summaries,
+    contradiction tokens and, at low history thresholds, authors): every
+    pair that can carry such an edge.
     With no decisions, for example with no artifacts, the graph is empty.
     """
     cfg = config if config is not None else default_config()
@@ -87,41 +85,8 @@ def build_pipeline(
         edges.extend(
             detect_similar(members, provider, cfg.thresholds.similar, documents)
         )
-        for later, earlier in candidate_pairs(
-            members,
-            artifacts_by_id,
-            cfg.contradiction_keywords,
-            cfg.negation_cues,
-            cfg.stopwords,
-            cfg.thresholds.history,
-        ):
-            contra = detect_contradicts(
-                later,
-                earlier,
-                artifacts_by_id,
-                cfg.contradiction_keywords,
-                cfg.negation_cues,
-                cfg.stopwords,
-            )
-            history = detect_history(
-                later, earlier, artifacts_by_id, cfg.thresholds.history
-            )
-            if contra is not None:
-                edges.append(contra)
-                # A revert is both a contradiction and an evolution step.
-                revert = any(
-                    e.feature == REVERT_METADATA for e in contra.evidence
-                )
-                if revert and history is None:
-                    history = RelationEdge(
-                        kind=HISTORY,
-                        from_id=later.id,
-                        to_id=earlier.id,
-                        score=contra.score,
-                        evidence=contra.evidence,
-                    )
-            if history is not None:
-                edges.append(history)
+        for later, earlier in candidate_pairs(members, artifacts_by_id, cfg):
+            edges.extend(pair_edges(later, earlier, artifacts_by_id, cfg))
 
     decided = {d.artifact_id for d in decisions}
     sources = [

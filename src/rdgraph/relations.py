@@ -4,8 +4,9 @@ Topic membership comes from single-link clustering over whole-artifact text
 similarity (relatedness is about shared context, not shared wording of the
 one-line decision).  Similar edges and the validation checks instead compare
 a decision's own document: its sentence plus its rationale spans.  History
-and contradicts are evidence-based; each of their edges carries the features
-that fired, with their weights.
+and contradicts are evidence-based, and one rule, ``pair_edges``, gives both
+for a (later, earlier) pair, so a revert is read once and makes both; each of
+their edges carries the features that fired, with their weights.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 from collections import Counter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
+from .config import Config
 from .corpus import Artifact
 from .decisions import Decision, strip_subsystem_prefix
 from .rationale import RationaleSpan
@@ -243,60 +245,6 @@ def _acked_by(later: Artifact, earlier: Artifact) -> bool:
     return any(earlier.author and earlier.author in value for value in values)
 
 
-def detect_history(
-    later: Decision,
-    earlier: Decision,
-    artifacts: Mapping[str, Artifact],
-    history_threshold: float,
-) -> RelationEdge | None:
-    """Evidence-weighted history edge from the later decision to the earlier.
-
-    The caller guarantees both decisions share a topic; the strict timestamp
-    order is a hard precondition.
-    """
-    if later.timestamp <= earlier.timestamp:
-        raise ValueError("history requires later.timestamp > earlier.timestamp")
-    later_art = artifacts[later.artifact_id]
-    earlier_art = artifacts[earlier.artifact_id]
-    evidence = []
-    if _mentions_reference(later_art, earlier_art):
-        evidence.append(
-            Evidence(
-                EXPLICIT_REFERENCE,
-                f"{later.artifact_id} refers to {earlier.artifact_id}",
-                _HISTORY_WEIGHTS[EXPLICIT_REFERENCE],
-            )
-        )
-    if _revert_metadata(later_art, earlier_art):
-        evidence.append(
-            Evidence(
-                REVERT_METADATA,
-                f"{later.artifact_id} reverts {earlier.artifact_id}",
-                _HISTORY_WEIGHTS[REVERT_METADATA],
-            )
-        )
-    if _acked_by(later_art, earlier_art):
-        evidence.append(
-            Evidence(ACKED_BY, earlier.author, _HISTORY_WEIGHTS[ACKED_BY])
-        )
-    if later.author and later.author == earlier.author:
-        evidence.append(
-            Evidence(SAME_AUTHOR, later.author, _HISTORY_WEIGHTS[SAME_AUTHOR])
-        )
-    total = 0.0
-    for e in evidence:  # left to right, as before Python 3.12's compensated sum()
-        total += e.weight
-    if not evidence or total < history_threshold:
-        return None
-    return RelationEdge(
-        kind=HISTORY,
-        from_id=later.id,
-        to_id=earlier.id,
-        score=min(1.0, total),
-        evidence=tuple(evidence),
-    )
-
-
 def _content_tokens(tokens: list[str], stopwords: frozenset[str]) -> frozenset[str]:
     return frozenset(t for t in set(tokens).difference(stopwords) if len(t) > 1)
 
@@ -324,8 +272,8 @@ def _sentence_features(
     """The contradiction features of one text, computed once.
 
     Cached: build reads a decision sentence in ``candidate_pairs`` and in
-    each ``contradiction_score`` call of its pairs, and repeated validations
-    in one process read the same rationales.
+    each ``pair_edges`` call of its pairs, and repeated validations in one
+    process read the same rationales.
     """
     tokens = _RAW_WORD_RE.findall(text.lower())
     content = _content_tokens(tokens, stopwords)
@@ -364,70 +312,69 @@ def _contradiction(
     return 0.0, ()
 
 
-def contradiction_score(
-    later_text: str,
-    earlier_text: str,
-    keywords: frozenset[str],
-    negation_cues: frozenset[str],
-    stopwords: frozenset[str],
-) -> tuple[float, tuple[Evidence, ...]]:
-    """Default sentence-level contradiction heuristic.
-
-    Keyword rule: the later sentence uses one of ``keywords`` (the config's
-    ``contradiction_keywords``) and its object overlaps the earlier sentence
-    (0.7).  Negation rule: a shared content token is negated (after one of
-    ``negation_cues``) in one sentence but not the other (0.9).  Returns
-    (0, ()) when neither rule fires.  Each text is read once into a feature
-    record (cached), and the rule is a few set operations over two records.
-    """
-    lexicons = (keywords, negation_cues, stopwords)
-    return _contradiction(
-        _sentence_features(later_text, *lexicons),
-        _sentence_features(earlier_text, *lexicons),
-    )
-
-
-def detect_contradicts(
+def pair_edges(
     later: Decision,
     earlier: Decision,
     artifacts: Mapping[str, Artifact],
-    keywords: frozenset[str],
-    negation_cues: frozenset[str],
-    stopwords: frozenset[str],
-) -> RelationEdge | None:
-    """Contradicts edge from the later decision to the earlier one, if any.
+    config: Config,
+) -> list[RelationEdge]:
+    """The contradicts and history edges from the later decision to the
+    earlier one, in that order; the caller guarantees both share a topic.
 
-    Revert metadata is checked first and scores 1.0; otherwise the sentence
-    heuristic decides.  The caller guarantees both decisions share a topic.
+    Contradicts: revert metadata scores 1.0; otherwise the sentence rule
+    decides (a later keyword whose object overlaps the earlier sentence,
+    0.7; a shared content token negated on one side only, 0.9).  History:
+    explicit reference, revert metadata, ``Acked-by`` and same-author
+    evidence, summed left to right against ``thresholds.history``.  A revert
+    is both a contradiction and an evolution step, so when its history
+    evidence falls short the history edge takes the contradicts edge's score
+    and evidence.  The strict timestamp order is a hard precondition.
     """
+    if later.timestamp <= earlier.timestamp:
+        raise ValueError("history requires later.timestamp > earlier.timestamp")
     later_art = artifacts[later.artifact_id]
     earlier_art = artifacts[earlier.artifact_id]
+    revert: Evidence | None = None
     if _revert_metadata(later_art, earlier_art):
-        return RelationEdge(
-            kind=CONTRADICTS,
-            from_id=later.id,
-            to_id=earlier.id,
-            score=1.0,
-            evidence=(
-                Evidence(
-                    REVERT_METADATA,
-                    f"{later.artifact_id} reverts {earlier.artifact_id}",
-                    1.0,
-                ),
-            ),
+        revert = Evidence(
+            REVERT_METADATA, f"{later.artifact_id} reverts {earlier.artifact_id}", 1.0
         )
-    score, evidence = contradiction_score(
-        later.text, earlier.text, keywords, negation_cues, stopwords
-    )
+        score, evidence = 1.0, (revert,)
+    else:
+        lexicons = (config.contradiction_keywords, config.negation_cues, config.stopwords)
+        score, evidence = _contradiction(
+            _sentence_features(later.text, *lexicons),
+            _sentence_features(earlier.text, *lexicons),
+        )
+    edges = []
     if score > 0.0:
-        return RelationEdge(
-            kind=CONTRADICTS,
-            from_id=later.id,
-            to_id=earlier.id,
-            score=score,
-            evidence=evidence,
+        edges.append(RelationEdge(CONTRADICTS, later.id, earlier.id, score, evidence))
+
+    history = []
+    if _mentions_reference(later_art, earlier_art):
+        history.append(
+            Evidence(
+                EXPLICIT_REFERENCE,
+                f"{later.artifact_id} refers to {earlier.artifact_id}",
+                _HISTORY_WEIGHTS[EXPLICIT_REFERENCE],
+            )
         )
-    return None
+    if revert is not None:
+        history.append(revert._replace(weight=_HISTORY_WEIGHTS[REVERT_METADATA]))
+    if _acked_by(later_art, earlier_art):
+        history.append(Evidence(ACKED_BY, earlier.author, _HISTORY_WEIGHTS[ACKED_BY]))
+    if later.author and later.author == earlier.author:
+        history.append(Evidence(SAME_AUTHOR, later.author, _HISTORY_WEIGHTS[SAME_AUTHOR]))
+    total = 0.0
+    for e in history:  # left to right, as before Python 3.12's compensated sum()
+        total += e.weight
+    if history and total >= config.thresholds.history:
+        edges.append(
+            RelationEdge(HISTORY, later.id, earlier.id, min(1.0, total), tuple(history))
+        )
+    elif revert is not None:
+        edges.append(RelationEdge(HISTORY, later.id, earlier.id, score, evidence))
+    return edges
 
 
 class _Haystack(NamedTuple):
@@ -520,10 +467,7 @@ def _naming_pairs(arts: Mapping[str, Artifact]) -> set[tuple[str, str]]:
 def candidate_pairs(
     members: Iterable[Decision],
     artifacts: Mapping[str, Artifact],
-    keywords: frozenset[str],
-    negation_cues: frozenset[str],
-    stopwords: frozenset[str],
-    history_threshold: float,
+    config: Config,
 ) -> list[tuple[Decision, Decision]]:
     """The (later, earlier) pairs of one topic that can carry a history or
     contradicts edge, each with ``later.timestamp > earlier.timestamp``.
@@ -540,10 +484,11 @@ def candidate_pairs(
       keyword's object in the later sentence;
     * the negation rule: tokens negated on one side and plain on the other;
     * same-author and ``Acked-by`` pairs, only when those two weights
-      together reach ``history_threshold``.
+      together reach ``thresholds.history``.
 
-    The two sentence rules read the feature record ``contradiction_score``
-    reads, so keyword objects and negation states are derived in one place.
+    The two sentence rules read the feature record ``pair_edges`` reads, so
+    keyword objects and negation states are derived in one place.  The
+    lexicons and the history threshold come from ``config``.
 
     Pairs come in the order of the all-pairs loop: earlier, then later, by
     ``(timestamp, id)``.
@@ -558,10 +503,8 @@ def candidate_pairs(
     for later_id, earlier_id in _naming_pairs(arts):
         pairs.update(itertools.product(by_artifact[later_id], by_artifact[earlier_id]))
 
-    features = [
-        _sentence_features(d.text, keywords, negation_cues, stopwords)
-        for d in ordered
-    ]
+    lexicons = (config.contradiction_keywords, config.negation_cues, config.stopwords)
+    features = [_sentence_features(d.text, *lexicons) for d in ordered]
     with_token: dict[str, list[int]] = {}
     plain: dict[str, list[int]] = {}
     negated: dict[str, list[int]] = {}
@@ -580,10 +523,10 @@ def candidate_pairs(
         for token in f.plain:
             pairs.update((i, j) for j in negated.get(token, ()))
 
-    # The sum detect_history makes of the two weak features, as a float
+    # The sum pair_edges makes of the two weak features, as a float
     # (0.30000000000000004); above it a history edge needs an id or summary.
     weak = _HISTORY_WEIGHTS[ACKED_BY] + _HISTORY_WEIGHTS[SAME_AUTHOR]
-    if weak >= history_threshold:
+    if weak >= config.thresholds.history:
         by_author: dict[str, list[int]] = {}
         for j, decision in enumerate(ordered):
             if decision.author:

@@ -18,8 +18,9 @@ from typing import Iterator
 import pytest
 from hypothesis import strategies as st
 
-from rdgraph.corpus import format_timestamp, parse_timestamp
-from rdgraph.decisions import Decision
+from rdgraph.config import Config
+from rdgraph.corpus import Artifact, Sentence, format_timestamp, parse_timestamp
+from rdgraph.decisions import Decision, extract_decisions
 from rdgraph.graph import (
     GraphError,
     RdGraph,
@@ -121,6 +122,24 @@ def reference_model(
         doc_count=n,
         stopwords=stopwords,
     )
+
+
+def sentence_score(sentence: Sentence, config: Config, is_summary: bool) -> float:
+    """The decision score of one sentence, as the summary or as a body
+    sentence, with every cue of ``config`` tried: at threshold 0
+    ``extract_decisions`` keeps and scores every sentence it is given."""
+    # Sentence 0 at offset 0 is the summary exactly when the artifact has one.
+    artifact = Artifact(
+        id=sentence.artifact_id,
+        uri=f"git:{sentence.artifact_id}",
+        author="",
+        timestamp=datetime(2020, 1, 1, tzinfo=timezone.utc),
+        summary="summary" if is_summary else "",
+        body="",
+    )
+    placed = sentence._replace(index=0, start=0)
+    (decision,) = extract_decisions(artifact, [placed], config, 0.0)
+    return decision.score
 
 
 STRUCTURAL_VIOLATION = "structural-violation"

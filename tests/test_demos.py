@@ -64,8 +64,11 @@ def test_public_names_are_sorted_unique_and_resolve():
     names = rdgraph.__all__
     assert names == sorted(set(names))
     assert all(hasattr(rdgraph, name) for name in names)
-    # One TF-IDF path (TfIdfProvider) and one structural check
-    # (graph.graph_violations): the second entry points are gone.
-    for name in ("build_model", "similarity", "validate_structure"):
+    # One TF-IDF path (TfIdfProvider), one structural check
+    # (graph.graph_violations) and one relation rule per decision pair
+    # (pair_edges): the second entry points are gone.
+    absent = ("build_model", "similarity", "validate_structure", "detect_history",
+              "detect_contradicts", "contradiction_score", "score_decision")
+    for name in absent:
         assert name not in names and not hasattr(rdgraph, name)
     assert not hasattr(textsim, "vectorize")

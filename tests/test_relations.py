@@ -16,10 +16,9 @@ from helpers import reference_detect_similar, reference_vectorize
 from rdgraph import (
     build_pipeline,
     cluster_topics,
-    contradiction_score,
-    detect_contradicts,
-    detect_history,
+    default_config,
     detect_similar,
+    pair_edges,
     title_topic,
 )
 from rdgraph import pipeline, relations, save, textsim
@@ -70,6 +69,22 @@ def make_artifact(n: int, summary: str, body: str = "", trailers=None, author: s
         body=body,
         trailers=trailers or {},
         kind="commit",
+    )
+
+
+def kind_edges(kind, later, earlier, artifacts, history=0.5, config=None):
+    """The ``kind`` edges ``pair_edges`` gives one pair at a history threshold."""
+    cfg = config or default_config()
+    cfg = cfg._replace(thresholds=cfg.thresholds._replace(history=history))
+    return [e for e in pair_edges(later, earlier, artifacts, cfg) if e.kind == kind]
+
+
+def contradiction(later_text, earlier_text, keywords, negation_cues, stopwords):
+    """The sentence rule over the feature records of two texts."""
+    lexicons = (keywords, negation_cues, stopwords)
+    return relations._contradiction(
+        relations._sentence_features(later_text, *lexicons),
+        relations._sentence_features(earlier_text, *lexicons),
     )
 
 
@@ -288,7 +303,7 @@ def test_history_requires_strict_timestamp_order():
     earlier = make_decision(0, "s: one")
     later = make_decision(1, "s: two")
     with pytest.raises(ValueError, match="timestamp"):
-        detect_history(earlier, later, artifacts, 0.5)
+        pair_edges(earlier, later, artifacts, default_config())
 
 
 def test_history_without_evidence_is_none():
@@ -301,16 +316,15 @@ def test_history_without_evidence_is_none():
     }
     earlier = make_decision(0, "s: one", author="A <a@x>")
     later = make_decision(1, "s: two", author="B <b@x>")
-    assert detect_history(later, earlier, artifacts, 0.5) is None
+    assert kind_edges(HISTORY, later, earlier, artifacts, 0.5) == []
 
 
 def test_same_author_alone_is_below_the_default_threshold():
     artifacts = {a.id: a for a in [make_artifact(0, "s: one"), make_artifact(1, "s: two")]}
     earlier = make_decision(0, "s: one")
     later = make_decision(1, "s: two")
-    assert detect_history(later, earlier, artifacts, 0.5) is None
-    edge = detect_history(later, earlier, artifacts, 0.1)
-    assert edge is not None
+    assert kind_edges(HISTORY, later, earlier, artifacts, 0.5) == []
+    (edge,) = kind_edges(HISTORY, later, earlier, artifacts, 0.1)
     assert [e.feature for e in edge.evidence] == [SAME_AUTHOR]
     assert edge.score == pytest.approx(0.1)
 
@@ -327,9 +341,8 @@ def test_acked_by_evidence():
     }
     earlier = make_decision(0, "s: one", author="A <a@x>")
     later = make_decision(1, "s: two", author="B <b@x>")
-    assert detect_history(later, earlier, artifacts, 0.3) is None
-    edge = detect_history(later, earlier, artifacts, 0.2)
-    assert edge is not None
+    assert kind_edges(HISTORY, later, earlier, artifacts, 0.3) == []
+    (edge,) = kind_edges(HISTORY, later, earlier, artifacts, 0.2)
     assert [e.feature for e in edge.evidence] == [ACKED_BY]
     assert edge.score == pytest.approx(0.2)
 
@@ -345,7 +358,7 @@ def test_explicit_reference_via_id_prefix():
     # "a0" is only two characters; id references need at least seven.
     earlier = make_decision(0, "s: one")
     later = make_decision(1, "s: two")
-    assert detect_history(later, earlier, artifacts, 0.5) is None
+    assert kind_edges(HISTORY, later, earlier, artifacts, 0.5) == []
 
 
 _HEX_DIGITS = "0123456789abcdef"
@@ -384,20 +397,65 @@ def test_contradicts_via_revert_summary_form(config):
     }
     earlier = make_decision(0, "mm: add the fast path")
     later = make_decision(1, 'Revert "mm: add the fast path"')
-    edge = detect_contradicts(
-        later,
-        earlier,
-        artifacts,
-        config.contradiction_keywords,
-        config.negation_cues,
-        config.stopwords,
-    )
-    assert edge is not None
+    (edge,) = kind_edges(CONTRADICTS, later, earlier, artifacts, config=config)
     assert edge.evidence[0].feature == REVERT_METADATA
 
 
+def test_revert_below_the_history_threshold_takes_the_contradicts_edge(config):
+    # The summary form is the only history evidence (0.5): the body names no
+    # summary or id, and the authors differ.
+    artifacts = {
+        a.id: a
+        for a in [
+            make_artifact(0, "mm: add the fast path", author="A <a@x>"),
+            make_artifact(
+                1, 'Revert "mm: add the fast path"', "It broke the slow path.", author="B <b@x>"
+            ),
+        ]
+    }
+    earlier = make_decision(0, "mm: add the fast path", author="A <a@x>")
+    later = make_decision(1, 'Revert "mm: add the fast path"', author="B <b@x>")
+    revert = Evidence(REVERT_METADATA, "a1 reverts a0", 1.0)
+    (contra,) = kind_edges(CONTRADICTS, later, earlier, artifacts, 0.6, config)
+    assert contra == RelationEdge(CONTRADICTS, later.id, earlier.id, 1.0, (revert,))
+    (fallback,) = kind_edges(HISTORY, later, earlier, artifacts, 0.6, config)
+    assert fallback == RelationEdge(HISTORY, later.id, earlier.id, 1.0, (revert,))
+    # At 0.5 the evidence itself reaches the threshold, at its own weight.
+    (history,) = kind_edges(HISTORY, later, earlier, artifacts, 0.5, config)
+    assert history.score == 0.5
+    assert history.evidence == (revert._replace(weight=0.5),)
+    # A build keeps both edges of the pair.
+    cfg = config._replace(thresholds=config.thresholds._replace(history=0.6))
+    graph = build_pipeline(artifacts.values(), cfg)
+    assert {contra, fallback} <= set(graph.relation_edges)
+
+
+def test_a_build_reads_each_candidate_pair_for_a_revert_once(
+    monkeypatch, fixture_artifacts, config
+):
+    counts: collections.Counter[str] = collections.Counter()
+    real_pairs, real_revert = pipeline.candidate_pairs, relations._revert_metadata
+
+    def counting_pairs(*args):
+        found = real_pairs(*args)
+        counts["pairs"] += len(found)
+        return found
+
+    def counting_revert(*args):
+        counts["revert"] += 1
+        return real_revert(*args)
+
+    monkeypatch.setattr(pipeline, "candidate_pairs", counting_pairs)
+    monkeypatch.setattr(relations, "_revert_metadata", counting_revert)
+    low = config._replace(thresholds=config.thresholds._replace(history=0.3))
+    for artifacts, cfg in [(fixture_artifacts, config), (_one_topic_corpus(30), low)]:
+        counts.clear()
+        build_pipeline(artifacts, cfg)
+        assert 0 < counts["revert"] == counts["pairs"]
+
+
 def test_contradiction_pair_from_negation_mismatch(config):
-    score, evidence = contradiction_score(
+    score, evidence = contradiction(
         "There is no need to do anymore changes",
         "We need to implement this feature to be able to satisfy the requirements",
         config.contradiction_keywords,
@@ -410,7 +468,7 @@ def test_contradiction_pair_from_negation_mismatch(config):
 
 
 def test_identical_sentences_do_not_contradict(config):
-    score, evidence = contradiction_score(
+    score, evidence = contradiction(
         "We need this feature",
         "We need this feature",
         config.contradiction_keywords,
@@ -422,7 +480,7 @@ def test_identical_sentences_do_not_contradict(config):
 
 
 def test_keyword_rule_fires_on_object_overlap(config):
-    score, evidence = contradiction_score(
+    score, evidence = contradiction(
         "disable the oom reaper for cgroups",
         "enable the oom reaper everywhere",
         config.contradiction_keywords,
@@ -435,7 +493,7 @@ def test_keyword_rule_fires_on_object_overlap(config):
 
 
 def test_keyword_rule_needs_object_overlap(config):
-    score, _ = contradiction_score(
+    score, _ = contradiction(
         "remove the legacy parser",
         "enable the oom reaper everywhere",
         config.contradiction_keywords,
@@ -602,11 +660,11 @@ _SENTENCE = st.lists(
 def test_contradiction_score_is_independent_of_the_feature_cache(config, a, b):
     args = (config.contradiction_keywords, config.negation_cues, config.stopwords)
     relations._sentence_features.cache_clear()
-    forward = contradiction_score(a, b, *args)
-    backward = contradiction_score(b, a, *args)
+    forward = contradiction(a, b, *args)
+    backward = contradiction(b, a, *args)
     relations._sentence_features.cache_clear()
-    assert contradiction_score(b, a, *args) == backward
-    assert contradiction_score(a, b, *args) == forward
+    assert contradiction(b, a, *args) == backward
+    assert contradiction(a, b, *args) == forward
     assert forward == _reference_contradiction_score(a, b, *args)
     assert backward == _reference_contradiction_score(b, a, *args)
 
@@ -630,7 +688,14 @@ def test_feature_record_rule_equals_the_reference_both_ways(config, a, b, lexico
     fa, fb = relations._sentence_features(a, *args), relations._sentence_features(b, *args)
     assert relations._contradiction(fa, fb) == _reference_contradiction_score(a, b, *args)
     assert relations._contradiction(fb, fa) == _reference_contradiction_score(b, a, *args)
-    assert contradiction_score(a, b, *args) == _reference_contradiction_score(a, b, *args)
+    # pair_edges reads the config's lexicons into the same rule.
+    keywords, cues, stopwords = args
+    cfg = config._replace(contradiction_keywords=keywords, negation_cues=cues, stopwords=stopwords)
+    later, earlier = make_decision(1, a), make_decision(0, b)
+    artifacts = {x.id: x for x in [make_artifact(0, "s: one"), make_artifact(1, "s: two")]}
+    score, evidence = _reference_contradiction_score(a, b, *args)
+    expected = [RelationEdge(CONTRADICTS, later.id, earlier.id, score, evidence)] if score else []
+    assert kind_edges(CONTRADICTS, later, earlier, artifacts, config=cfg) == expected
 
 
 def test_relation_stage_scores_only_candidate_pairs(monkeypatch, config):
@@ -643,15 +708,14 @@ def test_relation_stage_scores_only_candidate_pairs(monkeypatch, config):
 
         return wrapper
 
-    for name in ("detect_history", "detect_contradicts"):
-        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    monkeypatch.setattr(pipeline, "pair_edges", counting("pair_edges", pipeline.pair_edges))
     artifacts = _one_topic_corpus(60)
     graph = build_pipeline(artifacts, config)
     (topic,) = graph.topics.values()
     n = len(topic.member_decision_ids)
     edges = sum(e.kind in (HISTORY, CONTRADICTS) for e in graph.relation_edges)
-    # All ordered pairs would be n * (n - 1) / 2 = 1770 calls of each.
-    assert 0 < calls["detect_history"] == calls["detect_contradicts"] <= 4 * (edges + n)
+    # All ordered pairs would be n * (n - 1) / 2 = 1770 calls.
+    assert 0 < calls["pair_edges"] <= 4 * (edges + n)
 
     class CountingProvider(TfIdfProvider):
         def score(self, text_a, text_b):
@@ -668,7 +732,7 @@ def test_relation_stage_scores_only_candidate_pairs(monkeypatch, config):
     assert calls["score"] <= 4 * n
 
 
-def _all_ordered_pairs(members, artifacts, keywords, negation_cues, stopwords, history_threshold):
+def _all_ordered_pairs(members, artifacts, config):
     """The relation loop as written before candidate indices: every strictly
     time-ordered pair of a topic."""
     ordered = sorted(members, key=lambda d: (d.timestamp, d.id))
