@@ -7,25 +7,26 @@ Run from the repository root:  python demos/02_decisions_and_rationale.py
 from pathlib import Path
 
 from rdgraph import default_config, extract_decisions, parse_git_log, segment_sentences
-from rdgraph.rationale import attach_rationale
+from rdgraph.rationale import attach_rationale, rationale_window
 
 config = default_config()
+# At decision threshold 0 every sentence is kept, so each one shows its score.
+every_sentence = config._replace(thresholds=config.thresholds._replace(decision=0.0))
 dump = Path("fixtures/oom/oom-commits.dump").read_text(encoding="utf-8")
 
 for artifact in parse_git_log(dump):
     sentences = segment_sentences(artifact, config.abbreviations)
     print(artifact.summary)
-    # At threshold 0 every sentence is kept, so each one shows its score.
-    for scored in extract_decisions(artifact, sentences, config, 0.0):
+    for scored in extract_decisions(artifact, sentences, every_sentence):
         tag = "decision" if scored.score >= config.thresholds.decision else "        "
         preview = scored.text.replace("\n", " ")[:64]
         print(f"  {scored.score:.2f} {tag} {preview}")
 
-    decisions = extract_decisions(artifact, sentences, config, config.thresholds.decision)
-    for decision in decisions:
+    for decision in extract_decisions(artifact, sentences, config):
         # The decision's own sentence is searched first; without a marker
-        # there, up to `window` neighboring sentences are scanned.
-        for span in attach_rationale(decision, sentences, config.window, config.markers):
+        # there, the sentences up to `window` away are scanned, nearest first.
+        near = rationale_window(sentences, decision.id, config.window)
+        for span in attach_rationale(decision, near, config.markers):
             where = "same sentence" if span.same_sentence else "nearby sentence"
             print(f"       -> {span.role} ({where}, marker {span.marker!r}):")
             print(f"          {span.text!r}")

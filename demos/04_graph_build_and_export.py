@@ -16,7 +16,7 @@ from rdgraph import (
     parse_git_log,
     save,
 )
-from rdgraph.relations import CONTRADICTS, SIMILAR, edge_evidence
+from rdgraph.relations import CONTRADICTS, SIMILAR
 
 config = default_config()
 dump = Path("fixtures/oom/oom-commits.dump").read_text(encoding="utf-8")
@@ -29,7 +29,10 @@ print(f"decisions={len(graph.decisions)} rationales={len(graph.rationales)} "
 for edge in graph.relation_edges:
     frm = graph.decisions[edge.from_id].text.split(":")[0]
     to = graph.decisions[edge.to_id].text.split(":")[0]
-    features = ",".join(ev.feature for ev in edge_evidence(edge))
+    # A similar edge stores no evidence: its score is its cosine.
+    features = "cosine-score" if edge.kind == SIMILAR else ",".join(
+        ev.feature for ev in edge.evidence
+    )
     print(f"  {frm:9s} -{edge.kind}-> {to:9s} score={edge.score:.2f} [{features}]")
 
 d1 = next(d for d in graph.decisions.values() if d.text.startswith("oom:"))

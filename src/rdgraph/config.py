@@ -78,9 +78,6 @@ DEFAULTS: dict[str, Any] = {
     },
 }
 
-_THRESHOLD_KEYS = (
-    "decision", "relatedness", "similar", "history", "consistency", "duplicate",
-)
 MARKER_ROLES = ("purpose", "cause", "manner")
 
 
@@ -142,7 +139,7 @@ def from_dict(data: Mapping[str, Any]) -> Config:
     """Validate a raw config mapping and freeze it into a Config."""
     thresholds = data["thresholds"]
     # Python's bool is an int, but a JSON true or false is no number here.
-    for key in _THRESHOLD_KEYS:
+    for key in Thresholds._fields:
         value = thresholds[key]
         if (
             isinstance(value, bool)
@@ -165,7 +162,7 @@ def from_dict(data: Mapping[str, Any]) -> Config:
         for role in MARKER_ROLES
     })
     return Config(
-        thresholds=Thresholds(**{k: float(thresholds[k]) for k in _THRESHOLD_KEYS}),
+        thresholds=Thresholds(*(float(thresholds[k]) for k in Thresholds._fields)),
         window=data["window"],
         k=data["k"],
         action_verbs=_lower_set(lex["action_verbs"], "lexicons.action_verbs"),

@@ -184,6 +184,8 @@ def _artifact_from_json(obj: dict, line_no: int) -> Artifact:
         raise CorpusError(f"line {line_no}: unknown fields {sorted(unknown)}")
     if not obj["id"]:
         raise CorpusError(f"line {line_no}: empty id")
+    if not obj["uri"]:
+        raise CorpusError(f"line {line_no}: empty uri")
     if "\n" in obj["summary"]:
         raise CorpusError(f"line {line_no}: summary contains a line break")
     kind = obj.get("kind", "other")

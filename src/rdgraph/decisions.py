@@ -81,17 +81,15 @@ def _has_cue(text: str, cues: Iterable[str]) -> bool:
     return False
 
 
-def _score(
-    lower: str, is_summary: bool, config: Config, cues: Iterable[str], negs: Iterable[str]
-) -> float:
+def _score(lower: str, is_summary: bool, config: Config) -> float:
     score = 0.0
     if is_summary and _opens_with_verb(strip_subsystem_prefix(lower), config.action_verbs):
         score += 0.6
-    if _has_cue(lower, cues):
+    if _has_cue(lower, config.cue_phrases):
         score += 0.4
     if not is_summary and _opens_with_verb(lower, config.action_verbs):
         score += 0.3
-    if _has_cue(lower, negs):
+    if _has_cue(lower, config.negative_cues):
         score -= 0.5
     return min(1.0, max(0.0, score))
 
@@ -101,35 +99,29 @@ def is_summary_sentence(artifact: Artifact, sentence: Sentence) -> bool:
 
 
 def extract_decisions(
-    artifact: Artifact,
-    sentences: list[Sentence],
-    config: Config,
-    threshold: float,
+    artifact: Artifact, sentences: list[Sentence], config: Config
 ) -> list[Decision]:
-    """One decision per sentence whose score reaches the threshold; all are
-    scored but, above ``_NO_CUE_BOUND`` in ASCII, only summary and cue ones."""
+    """One decision per sentence whose score reaches the config's decision
+    threshold; above ``_NO_CUE_BOUND`` an ASCII artifact scores only its
+    summary and cue sentences, otherwise every sentence is scored."""
     if any(s.artifact_id != artifact.id for s in sentences):
         raise ValueError("sentences do not belong to the given artifact")
-    cues, negs = config.cue_phrases, config.negative_cues
+    threshold = config.thresholds.decision
     joined = " ".join(s.text for s in sentences).lower()
     if sentences and joined.isascii() and threshold > _NO_CUE_BOUND:
         # A sentence lowers to a slice of joined; its cues start inside it.
         picked = {0} if is_summary_sentence(artifact, sentences[0]) else set()
         starts: list[int] = []
-        for cue in cues:
+        for cue in config.cue_phrases:
             at = -1
             while (at := joined.find(cue, at + 1)) >= 0:
                 starts = starts or [0, *accumulate(len(s.text) + 1 for s in sentences)]
                 picked.add(bisect_right(starts, at) - 1)
         sentences = [sentences[i] for i in sorted(picked)]
-    elif joined.isascii():
-        # Each sentence lowers to a slice of joined: a cue not in it is in none.
-        cues = [cue for cue in cues if cue in joined]
-        negs = [cue for cue in negs if cue in joined]
     decisions = []
     for sentence in sentences:
         is_summary = is_summary_sentence(artifact, sentence)
-        score = _score(sentence.text.lower(), is_summary, config, cues, negs)
+        score = _score(sentence.text.lower(), is_summary, config)
         if score >= threshold:
             decisions.append(
                 Decision(

@@ -4,7 +4,8 @@ Persistence is a single JSON document (schema version ``rdg_version: 2``)
 with top-level arrays ``decisions, rationales, topics, sources, edges``.
 Keys are emitted in alphabetical order and every array is sorted, so equal
 graphs serialize to identical bytes.  Similar edges store no evidence, in
-the file or in memory: ``relations.edge_evidence`` derives it from the score.
+the file or in memory: their one record (``cosine-score``) would only repeat
+the score, which must therefore be a positive, finite evidence weight.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 from .corpus import format_timestamp, lone_surrogate, parse_timestamp
 from .decisions import Decision
 from .rationale import RationaleSpan
-from .relations import EDGE_KINDS, SIMILAR, Evidence, RelationEdge, Topic, similar_edge
+from .relations import EDGE_KINDS, SIMILAR, Evidence, RelationEdge, Topic
 
 RDG_VERSION = 2
 
@@ -488,8 +489,8 @@ def load(text: str) -> RdGraph:
 
     Each record becomes an immutable named tuple, compared by value:
     ``Decision``, ``RationaleSpan``, ``Topic``, ``SourceRef``, and
-    ``RelationEdge`` with its ``Evidence``.  A similar edge is built by
-    ``similar_edge`` with no evidence, as in memory, so ``load(save(g)) == g``.
+    ``RelationEdge`` with its ``Evidence``.  A similar edge is built with no
+    evidence, as ``detect_similar`` builds it, so ``load(save(g)) == g``.
     Other versions, and ``NaN`` and ``Infinity`` (not JSON), are rejected.
     """
     try:
@@ -638,12 +639,12 @@ def _edge(obj: object, n: int) -> RelationEdge:
     if type(score := obj.get("score")) is not float:
         score = float(_expect(obj, "score", (int, float), f"edges[{n}]"))
     if kind == SIMILAR:
-        if 0.0 < score < math.inf:  # what similar_edge builds, without its checks
-            return tuple.__new__(RelationEdge, (SIMILAR, from_id, to_id, score, ()))
-        try:
-            return similar_edge(from_id, to_id, score)
-        except ValueError as exc:
-            raise GraphError(f"edges[{n}].score: {exc}") from exc
+        if not 0.0 < score < math.inf:
+            try:
+                Evidence(SIMILAR, "", score)  # raises the ValueError of that weight
+            except ValueError as exc:
+                raise GraphError(f"edges[{n}].score: {exc}") from exc
+        return tuple.__new__(RelationEdge, (SIMILAR, from_id, to_id, score, ()))
     if type(records := obj.get("evidence")) is not list:
         records = _expect(obj, "evidence", list, f"edges[{n}]")
     evidence = []

@@ -50,12 +50,10 @@ def build_pipeline(
     spans_by_decision: dict[str, list[RationaleSpan]] = {}
     for artifact in artifact_list:
         sentences = segment_sentences(artifact, cfg.abbreviations)
-        extracted = extract_decisions(artifact, sentences, cfg, cfg.thresholds.decision)
+        extracted = extract_decisions(artifact, sentences, cfg)
         for decision in extracted:
             near = rationale_window(sentences, decision.id, cfg.window)
-            spans_by_decision[decision.id] = attach_rationale(
-                decision, near, cfg.window, cfg.markers
-            )
+            spans_by_decision[decision.id] = attach_rationale(decision, near, cfg.markers)
         decisions.extend(extracted)
 
     if not decisions:

@@ -74,7 +74,6 @@ class SpanFragment(NamedTuple):
     end: int
 
 
-@functools.lru_cache(maxsize=256)
 def _marker_pattern(marker: str) -> re.Pattern[str]:
     words = [re.escape(w) for w in marker.split()]
     return re.compile(r"\b" + r"\s+".join(words) + r"\b", re.IGNORECASE)
@@ -233,8 +232,9 @@ def extract_rationale(
 def rationale_window(
     sentences: list[Sentence], decision_id: str, window: int
 ) -> list[Sentence]:
-    """The part of an artifact's sentences, in segmentation order, that
-    ``attach_rationale`` reads for a decision, so n decisions cost O(n)."""
+    """The sentences within ``window`` of a decision's own, in segmentation
+    order: what a build hands ``attach_rationale``, so n decisions cost O(n)
+    at any window.  The one reader of ``Config.window``."""
     own = decision_sentence_index(decision_id)
     return sentences[max(0, own - window) : own + window + 1]
 
@@ -242,15 +242,15 @@ def rationale_window(
 def attach_rationale(
     decision: Decision,
     sentences: list[Sentence],
-    window: int = default_config().window,
     markers: Mapping[str, tuple[str, ...]] | None = None,
 ) -> list[RationaleSpan]:
-    """Rationale spans for a decision, searching a bounded sentence window.
+    """Rationale spans for a decision, from the sentences it is handed (in a
+    build, its ``rationale_window``).
 
     The decision's own sentence is checked first; only when it has no marker
-    are up to ``window`` following sentences scanned, then preceding ones.
-    Spans keep their sentence-relative order: own sentence first, then by
-    distance (following before preceding).
+    are the other sentences scanned, nearest first, and at equal distance the
+    following one before the preceding one.  Spans keep that order: own
+    sentence first, then by distance.
     """
     if any(s.artifact_id != decision.artifact_id for s in sentences):
         raise ValueError("sentences do not belong to the decision's artifact")
@@ -259,18 +259,13 @@ def attach_rationale(
     if own_index not in by_index:
         raise ValueError(f"decision sentence {own_index} missing from sentences")
 
-    collected: list[tuple[SpanFragment, bool]] = []
-    own_fragments = extract_rationale(by_index[own_index], markers)
-    collected.extend((f, True) for f in own_fragments)
-    if not own_fragments and window > 0:
-        for distance in range(1, window + 1):
-            for neighbor in (own_index + distance, own_index - distance):
-                sentence = by_index.get(neighbor)
-                if sentence is None:
-                    continue
-                collected.extend(
-                    (f, False) for f in extract_rationale(sentence, markers)
-                )
+    collected = [(f, True) for f in extract_rationale(by_index[own_index], markers)]
+    if not collected:
+        # The own sentence, at distance 0, sorts first.
+        nearest = sorted(by_index, key=lambda i: (abs(i - own_index), i < own_index))
+        collected = [
+            (f, False) for i in nearest[1:] for f in extract_rationale(by_index[i], markers)
+        ]
     spans = []
     for n, (fragment, same_sentence) in enumerate(collected):
         spans.append(

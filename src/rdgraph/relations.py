@@ -36,7 +36,6 @@ SAME_AUTHOR = "same-author"
 ACKED_BY = "acked-by"
 KEYWORD = "keyword"
 NEGATION_MISMATCH = "negation-mismatch"
-COSINE_SCORE = "cosine-score"
 
 # Evidence weights for history edges; explicit references and revert
 # metadata each suffice alone at the default threshold of 0.5.
@@ -85,8 +84,8 @@ class RelationEdge(NamedTuple):
 
     Similar edges are undirected and stored with ``from_id < to_id``;
     history and contradicts edges run from the later decision to the
-    earlier one.  A similar edge stores no evidence (``edge_evidence`` derives
-    it).  Records compare by value; ``._replace`` makes a changed copy.
+    earlier one.  A similar edge stores no evidence: its score, a cosine, is
+    all it has.  Records compare by value; ``._replace`` makes a changed copy.
     """
 
     kind: str
@@ -178,22 +177,6 @@ def title_topic(
     return " ".join(token for token, _ in ranked[:3])
 
 
-def similar_edge(from_id: str, to_id: str, score: float) -> RelationEdge:
-    """A similar edge, which stores no evidence; its score is the weight of the
-    record ``edge_evidence`` derives, so it must be positive and finite."""
-    if not 0.0 < score < math.inf:
-        Evidence("", "", score)  # raises the ValueError of that weight
-    return RelationEdge(SIMILAR, from_id, to_id, score)
-
-
-def edge_evidence(edge: RelationEdge) -> tuple[Evidence, ...]:
-    """An edge's evidence: for a similar edge the one ``cosine-score`` record
-    its score derives, for any other edge the evidence it stores."""
-    if edge.kind == SIMILAR:
-        return (Evidence(COSINE_SCORE, f"cosine {edge.score:.6f}", edge.score),)
-    return edge.evidence
-
-
 def detect_similar(
     decisions: list[Decision],
     provider: TfIdfProvider,
@@ -210,7 +193,7 @@ def detect_similar(
     ordered = sorted(decisions, key=lambda d: d.id)
     texts = [documents[d.id] for d in ordered]
     return [
-        similar_edge(ordered[i].id, ordered[j].id, score)
+        RelationEdge(SIMILAR, ordered[i].id, ordered[j].id, score)
         for i, j, score in provider.pairs(texts, similar_threshold)
     ]
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from rdgraph.config import Config
 from rdgraph.corpus import Artifact, Sentence, format_timestamp, parse_timestamp
-from rdgraph.decisions import Decision, extract_decisions
+from rdgraph.decisions import Decision, decision_sentence_index, extract_decisions
 from rdgraph.graph import (
     GraphError,
     RdGraph,
@@ -40,17 +40,16 @@ from rdgraph.rationale import (
     SpanFragment,
     _marker_pattern,
     _trim,
+    extract_rationale,
 )
 from rdgraph.relations import (
     CONTRADICTS,
-    COSINE_SCORE,
     EDGE_KINDS,
     HISTORY,
     SIMILAR,
     Evidence,
     RelationEdge,
     Topic,
-    edge_evidence,
 )
 from rdgraph.textsim import TfIdfModel, tokenize
 from rdgraph.validate import ValidationFinding, _sorted_findings
@@ -138,8 +137,13 @@ def sentence_score(sentence: Sentence, config: Config, is_summary: bool) -> floa
         body="",
     )
     placed = sentence._replace(index=0, start=0)
-    (decision,) = extract_decisions(artifact, [placed], config, 0.0)
+    (decision,) = extract_decisions(artifact, [placed], at_decision_threshold(config, 0.0))
     return decision.score
+
+
+def at_decision_threshold(config: Config, threshold: float) -> Config:
+    """``config`` with its decision threshold set to ``threshold``."""
+    return config._replace(thresholds=config.thresholds._replace(decision=threshold))
 
 
 STRUCTURAL_VIOLATION = "structural-violation"
@@ -263,6 +267,34 @@ def reference_extract_rationale(sentence, markers=None):
                 )
             )
     return fragments
+
+
+def reference_attach_rationale(decision, sentences, window, markers=None):
+    """``attach_rationale`` as a window loop over all of an artifact's
+    sentences: the own sentence and, only when it gives no span, for each
+    distance from 1 to ``window`` the following sentence, then the preceding
+    one."""
+    by_index = {s.index: s for s in sentences}
+    own = decision_sentence_index(decision.id)
+    collected = [(f, True) for f in extract_rationale(by_index[own], markers)]
+    if not collected:
+        for distance in range(1, window + 1):
+            for neighbor in (own + distance, own - distance):
+                if neighbor in by_index:
+                    collected.extend(
+                        (f, False) for f in extract_rationale(by_index[neighbor], markers)
+                    )
+    return [
+        RationaleSpan(
+            f"{decision.id}/r{n}", decision.id, decision.artifact_id, fragment.role,
+            fragment.marker, fragment.text, fragment.start, fragment.end, same_sentence,
+        )
+        for n, (fragment, same_sentence) in enumerate(collected)
+    ]
+
+
+# The feature of the one evidence record a similar edge's score stands for.
+COSINE_SCORE = "cosine-score"
 
 
 def derived_evidence(score: float) -> tuple[Evidence, ...]:
@@ -418,7 +450,7 @@ def valid_graph_parts(draw):
 
 def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
     """``loaded``, which is ``load(save(graph))``, equals ``graph``, and each of
-    its records, and each evidence record ``edge_evidence`` gives, has its
+    its records, and each evidence record its edges store, has its
     public class (not a bare named-tuple base), refuses field assignment, and
     hashes as the record of ``graph`` it equals and as its own field tuple.
     No similar edge stores evidence."""
@@ -434,7 +466,7 @@ def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
         *(
             (Evidence, x, y)
             for a, b in edge_pairs
-            for x, y in zip(edge_evidence(a), edge_evidence(b))
+            for x, y in zip(a.evidence, b.evidence)
         ),
     ]
     for cls, original, record in pairs:

@@ -137,8 +137,8 @@ def test_criterion_4_consistency_check(tmp_path, capsys):
     pair_rows = [r for r in rows if r["kind"] == CONSISTENT_PAIR]
     assert len(pair_rows) == 1
     assert set(pair_rows[0]["subjects"]) == {D1, D2}
-    assert all(r["kind"] != "structural-violation" for r in rows)
-    report(4, "similar pair reported consistent, zero structural violations")
+    assert rows == pair_rows
+    report(4, "similar pair reported consistent")
 
 
 def test_criterion_5_contradiction_pair():

@@ -8,12 +8,13 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D3, D4, FIXTURE_DIR
@@ -132,6 +133,17 @@ def test_default_config_is_parsed_once_and_read_only():
     assert shared.markers["purpose"] == tuple(DEFAULTS["lexicons"]["markers"]["purpose"])
 
 
+def _package_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the rdgraph under
+    test and writes no bytecode."""
+    src = str(pathlib.Path(rdgraph.__file__).parent.parent)
+    return {
+        **os.environ,
+        "PYTHONDONTWRITEBYTECODE": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+
+
 def test_start_up_generates_no_code():
     """No rdgraph class is a dataclass, so a fresh interpreter that imports
     the CLI loads neither ``dataclasses`` nor ``inspect``."""
@@ -140,16 +152,11 @@ def test_start_up_generates_no_code():
             module = importlib.import_module(f"rdgraph.{info.name}")
             for value in vars(module).values():
                 assert not (isinstance(value, type) and dataclasses.is_dataclass(value)), value
-    src = str(pathlib.Path(rdgraph.__file__).parent.parent)
-    env = {
-        **os.environ,
-        "PYTHONDONTWRITEBYTECODE": "1",
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
     probe = "import sys, rdgraph.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     # -S: a .pth file that site runs may load inspect itself.
     done = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", probe],
+        env=_package_env(), capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[]\n"
 
@@ -332,6 +339,39 @@ def test_artifact_with_lone_surrogate_is_an_input_error(tmp_path, capsys, argv):
     assert main([a.format(path=path, out=out) for a in argv]) == 2
     assert "line 2: artifact.body holds an unpaired surrogate" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ingest", "{path}", "--format", "jsonl", "-o", "{out}"], ["build", "{path}", "-o", "{out}"]],
+    ids=["ingest", "build"],
+)
+def test_artifact_with_an_empty_uri_is_an_input_error(tmp_path, capsys, argv):
+    # build used to stop at the source record: "internal error: source uri
+    # must be non-empty", exit 3.
+    path = tmp_path / "artifacts.jsonl"
+    empty = json.dumps({**json.loads(_artifact_line("fine")), "id": "m2", "uri": ""})
+    path.write_text(_artifact_line("fine") + "\n" + empty)
+    out = tmp_path / "out"
+    assert main([a.format(path=path, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: line 2: empty uri\n"
+    assert not out.exists()
+
+
+def test_a_huge_window_builds_the_graph_of_a_wide_one(tmp_path):
+    # The window only bounds the sentences a decision's rationale is read
+    # from; a loop over its value took 5 s at 3,000,000 and hung at 10**12.
+    graphs = []
+    for window in (50, 10**12):
+        config, out = tmp_path / f"{window}.json", tmp_path / f"{window}.graph"
+        config.write_text(json.dumps({"window": window}))
+        argv = ["build", ARTIFACTS, "--config", str(config), "-o", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "rdgraph", *argv],
+            env=_package_env(), capture_output=True, check=True, timeout=30,
+        )
+        graphs.append(out.read_bytes())
+    assert graphs[0] == graphs[1]
 
 
 @pytest.mark.parametrize("target", ["missing-dir/out", "."], ids=["missing-dir", "directory"])
@@ -544,7 +584,12 @@ def test_fuzzed_git_dump_never_exits_internal(data):
     assert set(codes) <= {0, 2}
 
 
-@given(data=_inputs(FIXTURE_DIR.joinpath("artifacts.jsonl").read_bytes()))
+_ARTIFACT_BYTES = FIXTURE_DIR.joinpath("artifacts.jsonl").read_bytes()
+
+
+@given(data=_inputs(_ARTIFACT_BYTES))
+# An empty uri: a splice deletes at most 40 characters, and a uri has 44.
+@example(data=re.sub(rb'"uri": "[^"]*"', b'"uri": ""', _ARTIFACT_BYTES, count=1))
 @FUZZ
 def test_fuzzed_artifact_file_never_exits_internal(data):
     codes = _fuzz_exit_codes(

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
-from helpers import sentence_score
+from helpers import at_decision_threshold, sentence_score
 from rdgraph import (
     Artifact,
     default_config,
@@ -122,7 +122,7 @@ def make_artifact(summary: str, body: str = "") -> Artifact:
 def test_extract_finds_the_reaper_decision(fixture_artifacts, config):
     artifact = fixture_artifacts[3]
     sentences = segment_sentences(artifact, config.abbreviations)
-    decisions = extract_decisions(artifact, sentences, config, config.thresholds.decision)
+    decisions = extract_decisions(artifact, sentences, config)
     assert [d.text for d in decisions] == ["mm, oom: introduce oom reaper"]
     assert decisions[0].source_uri == artifact.uri
     assert decisions[0].timestamp == artifact.timestamp
@@ -132,13 +132,13 @@ def test_extract_finds_the_reaper_decision(fixture_artifacts, config):
 def test_extract_no_qualifying_sentence_gives_empty_list(config):
     artifact = make_artifact("notes about the weather", "It was nice. Nothing happened.")
     sentences = segment_sentences(artifact)
-    assert extract_decisions(artifact, sentences, config, 0.5) == []
+    assert extract_decisions(artifact, sentences, config) == []
 
 
 def test_extract_threshold_zero_takes_every_sentence(config):
     artifact = make_artifact("notes", "One sentence. Two sentences.")
     sentences = segment_sentences(artifact)
-    decisions = extract_decisions(artifact, sentences, config, 0.0)
+    decisions = extract_decisions(artifact, sentences, at_decision_threshold(config, 0.0))
     assert len(decisions) == len(sentences)
 
 
@@ -149,7 +149,7 @@ def test_default_scorer_on_fixture_extracts_exactly_the_five_summaries(
     for artifact in fixture_artifacts:
         sentences = segment_sentences(artifact, config.abbreviations)
         extracted.extend(
-            extract_decisions(artifact, sentences, config, config.thresholds.decision)
+            extract_decisions(artifact, sentences, config)
         )
     assert [d.id for d in extracted] == [D1, D2, D3, D4, D5]
     assert [d.text for d in extracted] == [
@@ -164,7 +164,7 @@ def test_default_scorer_on_fixture_extracts_exactly_the_five_summaries(
 def test_decision_ids_encode_artifact_and_sentence(config):
     artifact = make_artifact("x: add a lock", "Remove the old lock. Use the new one.")
     sentences = segment_sentences(artifact)
-    decisions = extract_decisions(artifact, sentences, config, 0.0)
+    decisions = extract_decisions(artifact, sentences, at_decision_threshold(config, 0.0))
     assert len({d.id for d in decisions}) == len(decisions)
     assert decisions[0].id == "a1#0"
 
@@ -173,7 +173,7 @@ def test_sentences_must_belong_to_artifact(config):
     artifact = make_artifact("x: fix")
     alien = Sentence(artifact_id="other", index=0, start=0, end=3, text="foo")
     with pytest.raises(ValueError, match="belong"):
-        extract_decisions(artifact, [alien], config, 0.5)
+        extract_decisions(artifact, [alien], config)
 
 
 def test_config_lowers_the_scorer_lexicons(tmp_path):
@@ -201,9 +201,9 @@ def test_lowering_the_threshold_never_removes_a_decision(config, body, low, high
     low, high = min(low, high), max(low, high)
     artifact = make_artifact("x: add a lock", body)
     sentences = segment_sentences(artifact)
-    strict = {d.id for d in extract_decisions(artifact, sentences, config, high)}
-    loose = {d.id for d in extract_decisions(artifact, sentences, config, low)}
-    assert strict <= loose
+    strict = extract_decisions(artifact, sentences, at_decision_threshold(config, high))
+    loose = extract_decisions(artifact, sentences, at_decision_threshold(config, low))
+    assert {d.id for d in strict} <= {d.id for d in loose}
 
 
 # A second lexicon whose cues hold punctuation, can overlap themselves ("na
@@ -259,14 +259,14 @@ def test_extract_decisions_keeps_each_sentence_that_score_decision_keeps(
     lexicon, summary, body, threshold
 ):
     # extract_decisions scores only the sentences that can reach a threshold
-    # above 0.3, and tests only the cues that occur in its artifact.
+    # above 0.3.
     artifact = make_artifact(summary, body)
     sentences = segment_sentences(artifact, lexicon.abbreviations)
     scores = [
         (s.index, sentence_score(s, lexicon, is_summary_sentence(artifact, s)))
         for s in sentences
     ]
-    decisions = extract_decisions(artifact, sentences, lexicon, threshold)
+    decisions = extract_decisions(artifact, sentences, at_decision_threshold(lexicon, threshold))
     assert [(decision_sentence_index(d.id), d.score) for d in decisions] == [
         (index, score) for index, score in scores if score >= threshold
     ]
@@ -288,7 +288,7 @@ def test_a_threshold_above_point_three_scores_only_the_summary_and_cue_sentences
 
     def scored(threshold: float) -> int:
         calls.clear()
-        decisions = extract_decisions(artifact, sentences, config, threshold)
+        decisions = extract_decisions(artifact, sentences, at_decision_threshold(config, threshold))
         assert [decision_sentence_index(d.id) for d in decisions] == [0, 61]
         return len(calls)
 

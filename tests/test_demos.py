@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import rdgraph
-from rdgraph import textsim
+from rdgraph import relations, textsim
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -68,7 +68,9 @@ def test_public_names_are_sorted_unique_and_resolve():
     # (graph.graph_violations) and one relation rule per decision pair
     # (pair_edges): the second entry points are gone.
     absent = ("build_model", "similarity", "validate_structure", "detect_history",
-              "detect_contradicts", "contradiction_score", "score_decision")
+              "detect_contradicts", "contradiction_score", "score_decision",
+              "similar_edge", "edge_evidence")
     for name in absent:
         assert name not in names and not hasattr(rdgraph, name)
     assert not hasattr(textsim, "vectorize")
+    assert not any(hasattr(relations, name) for name in ("similar_edge", "edge_evidence"))

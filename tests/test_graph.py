@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import D1, D2, D3, D4, D5
 from helpers import (
+    COSINE_SCORE,
     STRUCTURAL_VIOLATION,
     assert_records_keep_their_types,
     broken_graphs,
+    derived_similar_edge,
     reference_graph_from_doc,
     reference_graph_violations,
     reference_k_hop,
@@ -43,15 +45,12 @@ from rdgraph.graph import ALL_KINDS, RdGraph, SourceRef, graph_violations
 from rdgraph.rationale import PURPOSE, RationaleSpan, SpanFragment
 from rdgraph.relations import (
     CONTRADICTS,
-    COSINE_SCORE,
     HISTORY,
     SIMILAR,
     Evidence,
     RelationEdge,
     Topic,
     detect_similar,
-    edge_evidence,
-    similar_edge,
 )
 
 EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -643,7 +642,6 @@ def test_a_loaded_similar_edge_has_the_evidence_detect_similar_builds(score):
     (loaded,) = load(text).relation_edges
     assert loaded == built
     assert loaded.evidence == built.evidence == ()
-    assert edge_evidence(loaded) == (Evidence(COSINE_SCORE, f"cosine {score:.6f}", score),)
 
 
 _SIMILAR_EDGE_REFUSED = "must store no evidence and have a positive score"
@@ -751,16 +749,17 @@ def test_load_leaves_the_collector_as_it_found_it(fixture_graph, corrupt, error,
 )
 @example("2.2250738585072014e-308")
 def test_a_similar_score_decodes_as_similar_edge_builds_it(token):
-    """Whatever the score token, the loader gives the record ``similar_edge``
-    builds from its float, or that call's error at ``edges[0].score``."""
+    """Whatever the score token, the loader gives the similar edge of its
+    float, or, for a float no evidence record could weigh, that record's error
+    at ``edges[0].score``."""
     d0, d1 = make_decision(0), make_decision(1)
-    edge = similar_edge(d0.id, d1.id, 0.5)
+    edge = derived_similar_edge(d0.id, d1.id, 0.5)
     graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
     text = save(graph).replace('"score": 0.5', f'"score": {token}')
     value = json.loads(token)
     record = {"from": d0.id, "kind": SIMILAR, "score": value, "to": d1.id}
     try:
-        expected = similar_edge(d0.id, d1.id, float(value))
+        expected = derived_similar_edge(d0.id, d1.id, float(value))
     except ValueError as exc:
         message = f"edges[0].score: {exc}"
         for decode in (lambda: graph_module._edge(record, 0), lambda: load(text)):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_extract_rationale
+from helpers import reference_attach_rationale, reference_extract_rationale
 from rdgraph import (
     Artifact,
     attach_rationale,
@@ -30,6 +30,7 @@ from rdgraph.rationale import (
     PURPOSE,
     ROLES,
     _marker_pattern,
+    rationale_window,
 )
 
 
@@ -177,7 +178,8 @@ def test_attach_own_sentence_span_with_window_zero():
         "Unrelated follow-up text.",
     )
     sentences = segment_sentences(artifact)
-    spans = attach_rationale(make_decision(artifact, 0), sentences, window=0)
+    decision = make_decision(artifact, 0)
+    spans = attach_rationale(decision, rationale_window(sentences, decision.id, 0))
     assert len(spans) == 1
     assert spans[0].same_sentence is True
     assert spans[0].role == PURPOSE
@@ -190,7 +192,8 @@ def test_attach_scans_following_sentence_when_own_has_no_marker():
         "This way the memory is freed in a more controllable way.",
     )
     sentences = segment_sentences(artifact)
-    spans = attach_rationale(make_decision(artifact, 0), sentences, window=1)
+    decision = make_decision(artifact, 0)
+    spans = attach_rationale(decision, rationale_window(sentences, decision.id, 1))
     assert len(spans) == 1
     assert spans[0].same_sentence is False
     assert spans[0].role == MANNER
@@ -202,13 +205,15 @@ def test_attach_window_zero_does_not_scan_neighbors():
         "This way the memory is freed in a more controllable way.",
     )
     sentences = segment_sentences(artifact)
-    assert attach_rationale(make_decision(artifact, 0), sentences, window=0) == []
+    decision = make_decision(artifact, 0)
+    assert attach_rationale(decision, rationale_window(sentences, decision.id, 0)) == []
 
 
 def test_attach_no_markers_anywhere_gives_empty_list():
     artifact = make_artifact("x: fix the build", "It was broken. Now it is not.")
     sentences = segment_sentences(artifact)
-    assert attach_rationale(make_decision(artifact, 0), sentences, window=2) == []
+    decision = make_decision(artifact, 0)
+    assert attach_rationale(decision, rationale_window(sentences, decision.id, 2)) == []
 
 
 def test_attach_prefers_own_sentence_and_skips_window():
@@ -217,7 +222,8 @@ def test_attach_prefers_own_sentence_and_skips_window():
         "Another one because of other things.",
     )
     sentences = segment_sentences(artifact)
-    spans = attach_rationale(make_decision(artifact, 0), sentences, window=2)
+    decision = make_decision(artifact, 0)
+    spans = attach_rationale(decision, rationale_window(sentences, decision.id, 2))
     assert all(s.same_sentence for s in spans)
     assert len(spans) == 1
 
@@ -228,7 +234,8 @@ def test_attach_scans_preceding_sentences_after_following_ones():
         "We do it because the cache is cold. Add the prefetch step. Plain text here.",
     )
     sentences = segment_sentences(artifact)
-    spans = attach_rationale(make_decision(artifact, 2), sentences, window=1)
+    decision = make_decision(artifact, 2)
+    spans = attach_rationale(decision, rationale_window(sentences, decision.id, 1))
     assert len(spans) == 1
     assert spans[0].role == CAUSE
     assert spans[0].same_sentence is False
@@ -238,7 +245,7 @@ def test_attach_rejects_foreign_sentences():
     artifact = make_artifact("x: fix", "")
     alien = Sentence(artifact_id="zz", index=0, start=0, end=3, text="foo")
     with pytest.raises(ValueError, match="artifact"):
-        attach_rationale(make_decision(artifact, 0), [alien], window=1)
+        attach_rationale(make_decision(artifact, 0), [alien])
 
 
 def test_span_ids_are_stable_and_unique():
@@ -247,7 +254,8 @@ def test_span_ids_are_stable_and_unique():
         "",
     )
     sentences = segment_sentences(artifact)
-    spans = attach_rationale(make_decision(artifact, 0), sentences, window=0)
+    decision = make_decision(artifact, 0)
+    spans = attach_rationale(decision, rationale_window(sentences, decision.id, 0))
     assert [s.id for s in spans] == ["a1#0/r0", "a1#0/r1"]
 
 
@@ -290,9 +298,12 @@ def test_growing_the_window_never_removes_spans(body, small, large):
     artifact = make_artifact("x: tidy things", body)
     sentences = segment_sentences(artifact)
     decision = make_decision(artifact, 0)
-    narrow = {(s.role, s.text, s.start) for s in attach_rationale(decision, sentences, small)}
-    wide = {(s.role, s.text, s.start) for s in attach_rationale(decision, sentences, large)}
-    assert narrow <= wide
+
+    def spans(window):
+        near = rationale_window(sentences, decision.id, window)
+        return {(s.role, s.text, s.start) for s in attach_rationale(decision, near)}
+
+    assert spans(small) <= spans(large)
 
 
 def test_clause_scan_lowers_dotted_capital_i_and_kelvin_sign():
@@ -494,6 +505,25 @@ ATTACH_SENTENCES = [
 
 
 @given(
+    body=st.lists(st.sampled_from(ATTACH_SENTENCES), max_size=12).map(" ".join),
+    own=st.integers(0, 12),
+    window=st.integers(0, 14),
+)
+@example("This way it drains. Plain filler sentence. This way it works.", 2, 1)
+@settings(max_examples=200, deadline=None)
+def test_attach_over_a_window_scans_as_the_window_loop_did(body, own, window):
+    """Handed its window, ``attach_rationale`` scans nearest first and, at
+    equal distance, the following sentence first, as a loop over the
+    distances up to the window did over all of the artifact's sentences."""
+    artifact = make_artifact("x: tidy things", body)
+    sentences = segment_sentences(artifact)
+    decision = make_decision(artifact, own % len(sentences))
+    near = rationale_window(sentences, decision.id, window)
+    expected = reference_attach_rationale(decision, sentences, window)
+    assert attach_rationale(decision, near) == expected
+
+
+@given(
     summary=st.sampled_from(["x: tidy things", "mm: add a lock so that it works"]),
     body=st.lists(st.sampled_from(ATTACH_SENTENCES), max_size=12).map(" ".join),
     window=st.integers(0, 3),
@@ -507,7 +537,8 @@ def test_build_attaches_each_decision_as_attach_rationale_over_all_sentences(
     sentences = segment_sentences(artifact, config.abbreviations)
     graph = build_pipeline([artifact], config)
     for decision in graph.decisions.values():
-        expected = attach_rationale(decision, sentences, window, config.markers)
+        near = rationale_window(sentences, decision.id, window)
+        expected = attach_rationale(decision, near, config.markers)
         owned = graph.rationale_edges.get(decision.id, ())
         assert {i: graph.rationales[i] for i in owned} == {s.id: s for s in expected}
 
@@ -516,9 +547,9 @@ def test_build_hands_attach_rationale_only_the_window(monkeypatch):
     # Passing every sentence of the artifact made n decisions cost O(n^2).
     seen = []
 
-    def recording(decision, sentences, window, markers):
+    def recording(decision, sentences, markers):
         seen.append(len(sentences))
-        return attach_rationale(decision, sentences, window, markers)
+        return attach_rationale(decision, sentences, markers)
 
     monkeypatch.setattr(pipeline, "attach_rationale", recording)
     body = " ".join(ATTACH_SENTENCES * 20)

@@ -21,7 +21,8 @@ from rdgraph import (
     pair_edges,
     title_topic,
 )
-from rdgraph import pipeline, relations, save, textsim
+from rdgraph import GraphError, pipeline, relations, save, textsim
+from rdgraph import graph as graph_module
 from rdgraph.corpus import Artifact, normalized_text
 from rdgraph.decisions import Decision, strip_subsystem_prefix
 from rdgraph.relations import (
@@ -37,9 +38,7 @@ from rdgraph.relations import (
     Evidence,
     RelationEdge,
     Topic,
-    edge_evidence,
     jaccard,
-    similar_edge,
 )
 from rdgraph.textsim import TfIdfProvider
 from rdgraph.validate import check_new_decision, graph_documents
@@ -206,16 +205,6 @@ def test_identical_decision_texts_make_a_similar_edge_with_score_one(provider):
     assert edge.score == 1.0
     assert edge.from_id < edge.to_id
     assert edge.evidence == ()
-    assert edge_evidence(edge)[0].feature == "cosine-score"
-
-
-def test_edge_evidence_derives_a_similar_edges_record_and_returns_any_other():
-    similar = similar_edge("a0#0", "a1#0", 0.25)
-    assert similar == RelationEdge(SIMILAR, "a0#0", "a1#0", 0.25, ())
-    assert edge_evidence(similar) == (Evidence("cosine-score", "cosine 0.250000", 0.25),)
-    stored = (Evidence(REVERT_METADATA, "x", 0.5),)
-    history = RelationEdge(HISTORY, "a1#0", "a0#0", 0.5, stored)
-    assert edge_evidence(history) is stored
 
 
 @pytest.mark.parametrize(
@@ -230,9 +219,12 @@ def test_edge_evidence_derives_a_similar_edges_record_and_returns_any_other():
     ids=["zero", "negative", "-inf", "nan", "inf"],
 )
 def test_similar_edge_refuses_a_score_its_evidence_could_not_weigh(score, message):
-    with pytest.raises(ValueError) as info:
-        similar_edge("a0#0", "a1#0", score)
-    assert str(info.value) == message
+    """A similar edge's score stands for its one evidence record, so the graph
+    decoder refuses a score that record could not weigh, with its message."""
+    record = {"from": "a0#0", "kind": SIMILAR, "score": score, "to": "a1#0"}
+    with pytest.raises(GraphError) as info:
+        graph_module._edge(record, 0)
+    assert str(info.value) == f"edges[0].score: {message}"
 
 
 def test_fixture_has_the_one_similar_edge(fixture_graph):

@@ -41,7 +41,6 @@ from rdgraph.relations import (
     SIMILAR,
     RelationEdge,
     Topic,
-    similar_edge,
 )
 from rdgraph.textsim import TfIdfProvider
 from rdgraph.validate import (
@@ -102,7 +101,7 @@ def pair_graph(rationale_a: str | None, rationale_b: str | None) -> RdGraph:
         spans.append(make_span(d0.id, rationale_a))
     if rationale_b is not None:
         spans.append(make_span(d1.id, rationale_b))
-    edge = similar_edge(d0.id, d1.id, 0.9)  # as detect_similar builds it
+    edge = RelationEdge(SIMILAR, d0.id, d1.id, 0.9)  # as detect_similar builds it
     topic = Topic(id="t1", title="cache", member_decision_ids=(d0.id, d1.id))
     return build_graph([d0, d1], spans, [topic], [edge])
 
