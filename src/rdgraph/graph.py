@@ -28,7 +28,8 @@ RDG_VERSION = 2
 
 RATIONALE_KIND = "rationale"
 TOPIC_KIND = "topic"
-ALL_KINDS = frozenset(EDGE_KINDS) | {RATIONALE_KIND, TOPIC_KIND}
+_NODE_KINDS = frozenset({RATIONALE_KIND, TOPIC_KIND})
+ALL_KINDS = frozenset(EDGE_KINDS) | _NODE_KINDS
 
 
 class GraphError(ValueError):
@@ -105,14 +106,32 @@ class RdGraph(_GraphRecords):
         return {k: owner[k] for k in sorted(owner)}
 
     @cached_property
-    def incident_edges(self) -> dict[str, list[RelationEdge]]:
-        """Each decision's relation edges, either end, in ``relation_edges`` order."""
-        incident: dict[str, list[RelationEdge]] = {}
-        for edge in self.relation_edges:
-            incident.setdefault(edge.from_id, []).append(edge)
-            if edge.to_id != edge.from_id:
-                incident.setdefault(edge.to_id, []).append(edge)
-        return incident
+    def _incidence(self) -> dict[str, dict[str, list[RelationEdge]]]:
+        """The incidence index of each edge kind ``incidence`` has been asked for."""
+        return {}
+
+    def incidence(
+        self, kinds: Iterable[str]
+    ) -> dict[str, dict[str, list[RelationEdge]]]:
+        """Per edge kind, each decision's edges of that kind, either end, in
+        ``relation_edges`` order.
+
+        The requested kinds not yet indexed are filled in one scan of
+        ``relation_edges`` and kept, so a query pays only for the kinds it
+        walks.  ``rationale`` and ``topic`` name no relation edge and are
+        never indexed.
+        """
+        indexes = self._incidence
+        missing = {k: {} for k in kinds if k not in indexes and k not in _NODE_KINDS}
+        if missing:
+            for edge in self.relation_edges:
+                index = missing.get(edge.kind)
+                if index is not None:
+                    index.setdefault(edge.from_id, []).append(edge)
+                    if edge.to_id != edge.from_id:
+                        index.setdefault(edge.to_id, []).append(edge)
+            indexes.update(missing)
+        return indexes
 
 
 # An edge's (kind, from_id, to_id): the order of edges in files and queries.
@@ -161,10 +180,16 @@ def graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...], str]]:
 
     for span_id in sorted(graph.rationales):
         span = graph.rationales[span_id]
-        if span.decision_id not in graph.decisions:
+        decision = graph.decisions.get(span.decision_id)
+        if decision is None:
             yield (span_id,), (
                 f"rationale {span_id!r} references missing decision "
                 f"{span.decision_id!r}"
+            )
+        elif span.artifact_id != decision.artifact_id:
+            yield (span_id, decision.id), (
+                f"rationale {span_id!r} artifact {span.artifact_id!r} does not "
+                f"match artifact {decision.artifact_id!r} of decision {decision.id!r}"
             )
 
     for decision_id in sorted(graph.decisions):
@@ -279,15 +304,19 @@ def neighbors(
     Similar edges are treated as bidirectional; history and contradicts
     edges count in both directions.  The pairs sort by edge kind, then peer
     id, and equal keys keep ``relation_edges`` order.  The graph's incidence
-    index makes this cost the decision's own edges, not the graph's.
+    index of each requested edge kind makes this cost the decision's own
+    edges, not the graph's, and a kind nobody asks for is never indexed: a
+    ``check`` at k = 2 reads contradicts edges only.  The ``rationale`` and
+    ``topic`` kinds name no relation edge and are skipped here.
     """
     if decision_id not in graph.decisions:
         raise GraphError(f"unknown decision id {decision_id!r}")
-    decisions = graph.decisions
+    decisions, indexes = graph.decisions, graph.incidence(kinds)
     found = [
         (e, decisions[e.to_id if e.from_id == decision_id else e.from_id])
-        for e in graph.incident_edges.get(decision_id, ())
-        if e.kind in kinds
+        for kind in kinds
+        if kind not in _NODE_KINDS
+        for e in indexes[kind].get(decision_id, ())
     ]
     found.sort(key=lambda pair: (pair[0].kind, pair[1].id))
     return found
@@ -304,8 +333,9 @@ def k_hop(
     Decisions connect through relation edges; ``rationale`` and ``topic``
     kinds hop to the owned rationale nodes and the owning topic.  k = 0
     yields the start node alone.  The edges are those of the requested kinds
-    between reached decisions.  Each hop reads the incidence of the nodes it
-    expands, so the cost grows with the edges reached, not with the graph.
+    between reached decisions.  Each hop reads the per-kind incidence of the
+    nodes it expands (see ``neighbors``), so once the requested kinds are
+    indexed the cost grows with the edges reached, not with the graph.
     """
     if decision_id not in graph.decisions:
         raise GraphError(f"unknown decision id {decision_id!r}")
@@ -328,23 +358,23 @@ def k_hop(
 
     decision_ids = frozenset(i for kind, i in visited if kind == "decision")
     # Each edge is listed once, from the incidence of its from end; taking
-    # the ends in id order leaves the sort little to do.
-    edges = tuple(
-        sorted(
-            (
-                e
-                for d in sorted(decision_ids)
-                for e in graph.incident_edges.get(d, ())
-                if e.from_id == d and e.kind in kinds and e.to_id in decision_ids
-            ),
-            key=_edge_sort_key,
+    # the kinds and ends in order leaves the sort little to do.
+    ends, indexes = sorted(decision_ids), graph.incidence(kinds)
+    edges: list[RelationEdge] = []
+    for kind in sorted(set(kinds) - _NODE_KINDS):
+        incident = indexes[kind]
+        edges.extend(
+            e
+            for d in ends
+            for e in incident.get(d, ())
+            if e.from_id == d and e.to_id in decision_ids
         )
-    )
+    edges.sort(key=_edge_sort_key)
     return Subgraph(
         decision_ids=decision_ids,
         rationale_ids=frozenset(i for kind, i in visited if kind == "rationale"),
         topic_ids=frozenset(i for kind, i in visited if kind == "topic"),
-        edges=edges,
+        edges=tuple(edges),
     )
 
 

@@ -56,11 +56,10 @@ def _fit(entries: list[Iterable[str]], stopwords: frozenset[str]) -> TfIdfModel:
     if not entries:
         raise ValueError("cannot build a similarity model over an empty corpus")
     df = Counter(chain.from_iterable(entries))
-    vocabulary = {token: i for i, token in enumerate(sorted(df))}
+    tokens = sorted(df)
+    vocabulary = {token: i for i, token in enumerate(tokens)}
     n = len(entries)
-    idf = tuple(
-        math.log((n + 1) / (df[token] + 1)) + 1.0 for token in sorted(df)
-    )
+    idf = tuple(math.log((n + 1) / (df[token] + 1)) + 1.0 for token in tokens)
     return TfIdfModel(
         vocabulary=vocabulary, idf=idf, doc_count=n, stopwords=stopwords
     )

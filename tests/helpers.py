@@ -550,9 +550,12 @@ def broken_graphs(draw):
     six drawn edges: an unknown kind, self edges, a missing end, scores
     outside [0, 1] or zero, non-canonical similar edges, history and
     contradicts edges in either time order, and similar edges with stored
-    evidence.  The two oldest decisions may share a timestamp, and a topic
-    may list one of its members again."""
+    evidence.  The two oldest decisions may share a timestamp, a topic may
+    list one of its members again, and a rationale may name an artifact
+    other than its decision's."""
     decisions, rationales, topics, edges, sources = draw(valid_graph_parts())
+    if rationales and draw(st.booleans()):
+        rationales[0] = rationales[0]._replace(artifact_id="elsewhere")
     if len(decisions) > 1 and draw(st.booleans()):
         decisions[1] = decisions[1]._replace(timestamp=decisions[0].timestamp)
     if topics and draw(st.booleans()):
@@ -623,10 +626,16 @@ def reference_graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...]
 
     for span_id in sorted(graph.rationales):
         span = graph.rationales[span_id]
-        if span.decision_id not in graph.decisions:
+        decision = graph.decisions.get(span.decision_id)
+        if decision is None:
             yield (span_id,), (
                 f"rationale {span_id!r} references missing decision "
                 f"{span.decision_id!r}"
+            )
+        elif span.artifact_id != decision.artifact_id:
+            yield (span_id, decision.id), (
+                f"rationale {span_id!r} artifact {span.artifact_id!r} does not "
+                f"match artifact {decision.artifact_id!r} of decision {decision.id!r}"
             )
 
     for decision_id in sorted(graph.decisions):

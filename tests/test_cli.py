@@ -268,6 +268,25 @@ def test_validate_graph_breaking_an_invariant_is_an_input_error(
     assert "later" in captured.err
 
 
+def test_validate_refuses_a_rationale_naming_another_artifact(
+    graph_file, tmp_path, capsys
+):
+    doc = json.loads(open(graph_file).read())
+    span = doc["rationales"][0]
+    (owner,) = (d for d in doc["decisions"] if d["id"] == span["decision_id"])
+    span["artifact_id"] = "nonsense"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: rationale {span['id']!r} artifact 'nonsense' does not match "
+        f"artifact {owner['artifact_id']!r} of decision {owner['id']!r}\n"
+    )
+
+
 def test_export_dot(graph_file, capsys):
     assert main(["export", graph_file, "--dot"]) == 0
     out = capsys.readouterr().out

@@ -41,10 +41,18 @@ from rdgraph import (
     textsim,
 )
 from rdgraph.decisions import Decision
-from rdgraph.graph import ALL_KINDS, RdGraph, SourceRef, graph_violations
+from rdgraph.graph import (
+    ALL_KINDS,
+    RATIONALE_KIND,
+    TOPIC_KIND,
+    RdGraph,
+    SourceRef,
+    graph_violations,
+)
 from rdgraph.rationale import PURPOSE, RationaleSpan, SpanFragment
 from rdgraph.relations import (
     CONTRADICTS,
+    EDGE_KINDS,
     HISTORY,
     SIMILAR,
     Evidence,
@@ -588,13 +596,46 @@ def test_named_tuple_types_keep_the_frozen_dataclass_contracts(fixture_graph, co
 def test_a_replaced_graph_derives_its_own_indexes(fixture_graph):
     graph = fixture_graph
     assert neighbors(graph, D1, ALL_KINDS) and graph.rationale_edges.get(D1)
-    cached = graph.incident_edges
+    cached = dict(graph.incidence(EDGE_KINDS))
+    assert D1 in cached[SIMILAR] and D1 in cached[CONTRADICTS]
     kept = tuple(e for e in graph.relation_edges if D1 not in (e.from_id, e.to_id))
     changed = graph._replace(relation_edges=kept, rationales={})
-    assert D1 not in changed.incident_edges
+    assert changed._incidence == {}
+    assert all(D1 not in index for index in changed.incidence(EDGE_KINDS).values())
     assert changed.rationale_edges == {}
     assert neighbors(changed, D1, ALL_KINDS) == []
-    assert graph.incident_edges is cached and D1 in cached
+    indexes = graph.incidence(EDGE_KINDS)
+    assert all(indexes[kind] is cached[kind] for kind in EDGE_KINDS)
+
+
+def test_queries_index_only_the_edge_kinds_they_walk(fixture_graph):
+    graph = fixture_graph._replace()
+    node_kinds = {RATIONALE_KIND, TOPIC_KIND}
+    assert neighbors(graph, D1, node_kinds) == []
+    assert k_hop(graph, D1, 3, node_kinds).edges == ()
+    assert graph._incidence == {}  # rationale and topic name no relation edge
+    ((contra, _),) = neighbors(graph, D1, {CONTRADICTS})
+    assert set(graph._incidence) == {CONTRADICTS}
+    assert k_hop(graph, D1, 1, {CONTRADICTS, TOPIC_KIND}).edges == (contra,)
+    assert set(graph._incidence) == {CONTRADICTS}
+    k_hop(graph, D1, 1, {SIMILAR})
+    assert set(graph._incidence) == {CONTRADICTS, SIMILAR}
+
+
+class _ScanCountingEdges(tuple):
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def test_one_scan_indexes_every_edge_kind_a_query_asks_for(fixture_graph):
+    edges = _ScanCountingEdges(fixture_graph.relation_edges)
+    graph = fixture_graph._replace(relation_edges=edges)
+    k_hop(graph, D1, 3, ALL_KINDS)
+    assert set(graph._incidence) == set(EDGE_KINDS)
+    assert edges.scans == 1
 
 
 def test_artifacts_without_trailers_share_one_empty_read_only_mapping():
@@ -841,10 +882,12 @@ def test_k_hop_is_monotone_in_k(parts, k):
     assert set(small.edges) <= set(big.edges)
 
 
-@given(valid_graph_parts(), st.sets(st.sampled_from(sorted(ALL_KINDS))))
+@given(valid_graph_parts(), st.sets(st.sampled_from(sorted(ALL_KINDS))), st.data())
 @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow], deadline=None)
-def test_indexed_queries_equal_the_scan_references(parts, kinds):
-    graph = build_graph(*parts)
+def test_indexed_queries_equal_the_scan_references(parts, kinds, data):
+    built = build_graph(*parts)
+    # A directly constructed graph may hold its edges in any order.
+    graph = built._replace(relation_edges=data.draw(st.permutations(built[4])))
     for decision_id in graph.decisions:
         found = neighbors(graph, decision_id, kinds)
         assert found == reference_neighbors(graph, decision_id, kinds)

@@ -351,6 +351,18 @@ def test_conflict_warnings_grow_with_the_hop_budget_up_to_three(
     assert counts == [0, 0, 1, 2, 2]
 
 
+def test_a_check_indexes_only_the_edge_kinds_its_hop_budget_walks(
+    fixture_graph_d1_d4, config
+):
+    """The link spends one hop, so k = 2 reads the linked decisions'
+    contradicts edges alone; k = 3 adds their similar edges."""
+    candidate = (FIXTURE_DIR / "proposed-mrelease.txt").read_text(encoding="utf-8")
+    for k, indexed in [(1, set()), (2, {CONTRADICTS}), (3, {CONTRADICTS, SIMILAR})]:
+        graph = fixture_graph_d1_d4._replace()
+        check_new_decision(graph, candidate, config._replace(k=k))
+        assert set(graph._incidence) == indexed, k
+
+
 def test_findings_sort_by_severity_then_subjects():
     findings = [
         ValidationFinding("consistent-pair", "info", ("b#0",), (), "info thing"),
