@@ -13,16 +13,16 @@ from rdgraph import (
     normalized_text,
     parse_git_log,
     title_topic,
-    tokenize,
 )
 from rdgraph.pipeline import build_pipeline
-from rdgraph.textsim import TfIdfProvider
+from rdgraph.textsim import TfIdfProvider, token_counts
 
 config = default_config()
 dump = Path("fixtures/oom/oom-commits.dump").read_text(encoding="utf-8")
 artifacts = parse_git_log(dump)
 
-print("tokenizer:", tokenize("Give the dying task a higher priority", config.stopwords))
+text = "Give the dying task a higher priority"
+print("token counts:", dict(token_counts(text, config.stopwords)))
 
 # The model is corpus-wide: idf comes from every artifact's full text.
 docs = [normalized_text(a) for a in artifacts]

@@ -41,7 +41,7 @@ from .relations import (
     pair_edges,
     title_topic,
 )
-from .textsim import TfIdfModel, TfIdfProvider, tokenize
+from .textsim import TfIdfModel, TfIdfProvider
 from .validate import (
     ValidationFinding,
     check_new_decision,
@@ -91,5 +91,4 @@ __all__ = [
     "save",
     "segment_sentences",
     "title_topic",
-    "tokenize",
 ]

@@ -16,14 +16,13 @@ import itertools
 import math
 import re
 import sys
-from collections import Counter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple
 
 from .config import Config
 from .corpus import Artifact
 from .decisions import Decision, strip_subsystem_prefix
 from .rationale import RationaleSpan
-from .textsim import TfIdfModel, TfIdfProvider, tokenize
+from .textsim import TfIdfModel, TfIdfProvider, token_counts
 
 SIMILAR = "similar"
 HISTORY = "history"
@@ -168,8 +167,7 @@ def title_topic(
     vocabulary, idf = model.vocabulary, model.idf
     totals: dict[str, float] = {}
     for member in topic.member_decision_ids:
-        counts = Counter(tokenize(texts[member], model.stopwords))
-        for token, count in counts.items():
+        for token, count in token_counts(texts[member], model.stopwords).items():
             index = vocabulary.get(token)
             if index is not None:
                 totals[token] = totals.get(token, 0.0) + count * idf[index]

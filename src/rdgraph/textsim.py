@@ -6,6 +6,7 @@ validation checks.  Scores are corpus-dependent and fully reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections import Counter
@@ -22,20 +23,22 @@ _SEPARATORS = "".join(
 DEFAULT_STOPWORDS = frozenset()
 
 
-def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
-    """Lowercase tokens split on non-alphanumerics (keeping ``_``).
+@functools.cache
+def _dropped(stopwords: frozenset[str]) -> frozenset[str]:
+    return stopwords | frozenset(_SEPARATORS.replace(" ", ""))
 
-    Single-character tokens and stopwords are dropped; no stemming.  The
-    tokens are ``_TOKEN_RE.findall(text.lower())``, found by mapping every
-    other character to a space and splitting.  No non-ASCII character is a
-    token character, so a lowered non-ASCII text has each of them replaced
-    by ``?`` first.
-    """
+
+def token_counts(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> Counter[str]:
+    """Counts of ``_TOKEN_RE.findall(text.lower())`` in first-occurrence order,
+    less one-character tokens and stopwords (removed after counting); no
+    stemming.  Every other character of the lowered text splits tokens."""
     lowered = text.lower()
     if not lowered.isascii():
         lowered = lowered.encode("ascii", "replace").decode()
-    tokens = lowered.translate(_SEPARATORS).split()
-    return [t for t in tokens if len(t) > 1 and t not in stopwords]
+    counts = Counter(lowered.translate(_SEPARATORS).split())
+    for key in _dropped(stopwords).intersection(counts):
+        counts.pop(key)  # dict.pop: Counter's own __delitem__ runs in Python
+    return counts
 
 
 class TfIdfModel(NamedTuple):
@@ -123,15 +126,15 @@ class TfIdfProvider:
     ) -> TfIdfProvider:
         """A provider over the TF-IDF model of ``docs``, a non-empty corpus.
 
-        Each distinct corpus text is tokenized once: its token counts give
-        its share of the document frequencies (once per corpus entry,
-        duplicates included), and are kept until its vector is first needed.
+        Each distinct corpus text is counted once by ``token_counts``: the
+        counts give its share of the document frequencies (once per corpus
+        entry, duplicates included) and are kept until its vector is needed.
         """
         counts: dict[str, Counter[str]] = {}
         entries = []
         for doc in docs:
             if doc not in counts:
-                counts[doc] = Counter(tokenize(doc, stopwords))
+                counts[doc] = token_counts(doc, stopwords)
             entries.append(counts[doc])
         provider = cls(_fit(entries, stopwords))
         provider._counts = counts
@@ -140,9 +143,8 @@ class TfIdfProvider:
     def _lookup(self, text: str) -> _Weighted:
         entry = self._memo.get(text)
         if entry is None:
-            counts = self._counts.pop(text, None)
-            if counts is None:
-                counts = Counter(tokenize(text, self.model.stopwords))
+            if (counts := self._counts.pop(text, None)) is None:
+                counts = token_counts(text, self.model.stopwords)
             entry = self._memo[text] = _with_norm(_vector(self.model, counts))
         return entry
 
@@ -161,11 +163,12 @@ class TfIdfProvider:
 
         A fitted text not vectorized yet is skipped, unvectorized, when its
         Cauchy-Schwarz bound ``‖q on the text's tokens‖ / ‖q‖`` (``q`` the
-        query's vector) is below ``threshold`` by a relative 1e-9, far above
-        the rounding of either side on any Python version.
+        query's vector, summed in ``token_counts`` order) is below
+        ``threshold`` by a relative 1e-9, far above the rounding of either
+        side on any Python version.
         """
         model = self.model
-        counts = self._counts.get(query) or Counter(tokenize(query, model.stopwords))
+        counts = self._counts.get(query) or token_counts(query, model.stopwords)
         names = [t for t in counts if t in model.vocabulary]
         squares = [(counts[t] * model.idf[model.vocabulary[t]]) ** 2 for t in names]
         floor = (max(threshold, 0.0) * (1.0 - 1e-9) * self._lookup(query)[1]) ** 2

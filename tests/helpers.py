@@ -51,7 +51,7 @@ from rdgraph.relations import (
     RelationEdge,
     Topic,
 )
-from rdgraph.textsim import TfIdfModel, tokenize
+from rdgraph.textsim import TfIdfModel
 from rdgraph.validate import ValidationFinding, _sorted_findings
 
 
@@ -92,12 +92,19 @@ def oracle_similarity(
     return dot / (norm_a * norm_b)
 
 
+def reference_tokens(text: str, stopwords: frozenset[str]) -> list[str]:
+    """The TF-IDF tokens of ``text`` in order: the runs of ``[a-z0-9_]`` in
+    the lowered text that are two characters or longer and not stopwords."""
+    tokens = re.findall(r"[a-z0-9_]+", text.lower())
+    return [t for t in tokens if len(t) > 1 and t not in stopwords]
+
+
 def reference_vectorize(model: TfIdfModel, text: str) -> dict[int, float]:
     """The tf·idf vector ``TfIdfProvider`` builds for ``text``, counted by a
     loop over the tokens, which is how the package counted before it used a
     ``Counter``."""
     counts: dict[int, int] = {}
-    for token in tokenize(text, model.stopwords):
+    for token in reference_tokens(text, model.stopwords):
         index = model.vocabulary.get(token)
         if index is not None:
             counts[index] = counts.get(index, 0) + 1
@@ -109,7 +116,7 @@ def reference_model(
 ) -> TfIdfModel:
     """The model ``TfIdfProvider.fit`` fits over ``docs``, from each
     document's set of tokens, as the package's ``build_model`` fitted it."""
-    entries = [set(tokenize(doc, stopwords)) for doc in docs]
+    entries = [set(reference_tokens(doc, stopwords)) for doc in docs]
     if not entries:
         raise ValueError("cannot build a similarity model over an empty corpus")
     df = Counter(token for entry in entries for token in entry)

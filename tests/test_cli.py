@@ -74,7 +74,7 @@ def test_ingest_missing_file(capsys):
 
 
 def test_build_reports_counts(graph_file, capsys):
-    graph = load(open(graph_file).read())
+    graph = load(pathlib.Path(graph_file).read_text())
     assert len(graph.decisions) == 5
 
 
@@ -255,7 +255,7 @@ def test_validate_corrupted_graph_file(tmp_path, capsys):
 def test_validate_graph_breaking_an_invariant_is_an_input_error(
     graph_file, tmp_path, capsys
 ):
-    doc = json.loads(open(graph_file).read())
+    doc = json.loads(pathlib.Path(graph_file).read_text())
     edge = next(e for e in doc["edges"] if e["kind"] == "history")
     edge["from"], edge["to"] = edge["to"], edge["from"]  # now earlier -> later
     flipped = tmp_path / "flipped.json"
@@ -271,7 +271,7 @@ def test_validate_graph_breaking_an_invariant_is_an_input_error(
 def test_validate_refuses_a_rationale_naming_another_artifact(
     graph_file, tmp_path, capsys
 ):
-    doc = json.loads(open(graph_file).read())
+    doc = json.loads(pathlib.Path(graph_file).read_text())
     span = doc["rationales"][0]
     (owner,) = (d for d in doc["decisions"] if d["id"] == span["decision_id"])
     span["artifact_id"] = "nonsense"

@@ -64,13 +64,14 @@ def test_public_names_are_sorted_unique_and_resolve():
     names = rdgraph.__all__
     assert names == sorted(set(names))
     assert all(hasattr(rdgraph, name) for name in names)
-    # One TF-IDF path (TfIdfProvider), one structural check
-    # (graph.graph_violations) and one relation rule per decision pair
-    # (pair_edges): the second entry points are gone.
+    # One TF-IDF path (TfIdfProvider, counting tokens with
+    # textsim.token_counts), one structural check (graph.graph_violations)
+    # and one relation rule per decision pair (pair_edges): the second entry
+    # points are gone.
     absent = ("build_model", "similarity", "validate_structure", "detect_history",
               "detect_contradicts", "contradiction_score", "score_decision",
-              "similar_edge", "edge_evidence")
+              "similar_edge", "edge_evidence", "tokenize")
     for name in absent:
         assert name not in names and not hasattr(rdgraph, name)
-    assert not hasattr(textsim, "vectorize")
+    assert not any(hasattr(textsim, name) for name in ("vectorize", "tokenize"))
     assert not any(hasattr(relations, name) for name in ("similar_edge", "edge_evidence"))

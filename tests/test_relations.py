@@ -568,16 +568,16 @@ def _one_topic_corpus(n: int) -> list[Artifact]:
 
 @pytest.fixture()
 def tokenize_calls(monkeypatch):
-    """Count tokenize calls by text, wherever the package calls it from."""
+    """Count token_counts calls by text, wherever the package calls it from."""
     calls: collections.Counter[str] = collections.Counter()
-    original = textsim.tokenize
+    original = textsim.token_counts
 
     def counting(text, *args):
         calls[text] += 1
         return original(text, *args)
 
-    monkeypatch.setattr(textsim, "tokenize", counting)
-    monkeypatch.setattr(relations, "tokenize", counting)
+    monkeypatch.setattr(textsim, "token_counts", counting)
+    monkeypatch.setattr(relations, "token_counts", counting)
     return calls
 
 

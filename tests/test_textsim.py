@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import math
 import random
-import re
 import string
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_similarity, reference_model, reference_vectorize
-from rdgraph import default_config, textsim, tokenize
-from rdgraph.textsim import TfIdfProvider, _with_norm
+from helpers import (
+    oracle_similarity,
+    reference_model,
+    reference_tokens,
+    reference_vectorize,
+)
+from rdgraph import default_config, textsim
+from rdgraph.textsim import TfIdfProvider, _with_norm, token_counts
 
 
 @pytest.fixture(scope="module")
@@ -20,30 +24,51 @@ def stopwords():
 
 
 def test_tokenize_drops_stopwords_and_lowercases(stopwords):
-    assert tokenize("Give the dying task a higher priority", stopwords) == [
-        "give", "dying", "task", "higher", "priority",
+    counts = token_counts("Give the dying task a higher priority, the task", stopwords)
+    assert list(counts.items()) == [
+        ("give", 1), ("dying", 1), ("task", 2), ("higher", 1), ("priority", 1),
     ]
 
 
 def test_tokenize_empty():
-    assert tokenize("") == []
+    assert token_counts("") == {}
 
 
 def test_tokenize_splits_on_punctuation():
-    assert tokenize("exit() soon") == ["exit", "soon"]
+    assert token_counts("exit() soon") == {"exit": 1, "soon": 1}
 
 
 def test_tokenize_keeps_underscore_tokens():
-    assert tokenize("remove boost_dying_task_prio()") == [
+    assert list(token_counts("remove boost_dying_task_prio()")) == [
         "remove", "boost_dying_task_prio",
     ]
 
 
 def test_tokenize_drops_single_characters():
-    assert tokenize("a b cd") == ["cd"]
+    assert token_counts("a b cd a") == {"cd": 1}
 
 
-@given(text=st.text(), stopwords=st.sampled_from([frozenset(), frozenset({"the", "ab"})]))
+_STOPWORD_SETS = st.sampled_from(
+    [frozenset(), frozenset({"the", "ab"}), default_config().stopwords]
+)
+# ASCII token and non-token characters, whitespace str.split splits on, and
+# non-ASCII letters whose case mappings touch ASCII: İ lowers to "i" and a
+# combining dot, ſ uppercases to "S", the Kelvin sign lowers to "k".
+_TOKEN_TEXTS = (
+    st.text(
+        alphabet=string.ascii_letters + string.digits + "_" + string.punctuation
+        + " \t\n\x1c\u00a0" + "\u0130\u017f\u212a\u00df\u00e9",
+        max_size=40,
+    )
+    | st.lists(
+        st.sampled_from(["the", "ab", "of", "a", "x", "AB", "The", ""]), max_size=6
+    ).map(" ".join)  # stopword-only and empty texts
+    | st.text()
+)
+
+
+@given(text=_TOKEN_TEXTS, stopwords=_STOPWORD_SETS)
+@example(text="", stopwords=frozenset())
 @example(text="\u212a", stopwords=frozenset())  # Kelvin sign: lowers to ASCII "k"
 @example(text="\u212aa", stopwords=frozenset())
 @example(text="\u0130x", stopwords=frozenset())  # lowers to "i" + a combining dot
@@ -52,11 +77,16 @@ def test_tokenize_drops_single_characters():
 @example(text="ab\x1ccd", stopwords=frozenset())
 @example(text="a\u00a0b", stopwords=frozenset())
 @example(text="\u00df", stopwords=frozenset())  # lowers to itself, upper is "SS"
+@example(text="the ab The AB", stopwords=frozenset({"the", "ab"}))  # only stopwords
+@example(text="x ab y cd ab z", stopwords=frozenset())  # dropped keys between kept ones
 @settings(max_examples=500)
 def test_tokenize_equals_the_token_regex(text, stopwords):
-    tokens = re.findall(r"[a-z0-9_]+", text.lower())
-    expected = [t for t in tokens if len(t) > 1 and t not in stopwords]
-    assert tokenize(text, stopwords) == expected
+    # Counted by a loop over the regex tokens, so keys keep first-occurrence
+    # order, which matches relies on when it sums its bound.
+    expected: dict[str, int] = {}
+    for token in reference_tokens(text, stopwords):
+        expected[token] = expected.get(token, 0) + 1
+    assert list(token_counts(text, stopwords).items()) == list(expected.items())
 
 
 @given(
@@ -208,10 +238,12 @@ def test_memoised_provider_scores_equal_uncached_similarity(data):
 @settings(max_examples=100)
 def test_fitted_provider_equals_a_provider_over_build_model(data):
     words = st.sampled_from(["oom", "task", "Memory", "a", "the", "exit_now", "reap"])
-    text = st.lists(words, max_size=10).map(" ".join)
+    text = st.lists(words, max_size=10).map(" ".join) | _TOKEN_TEXTS
     docs = data.draw(st.lists(text, min_size=1, max_size=5))
     docs += data.draw(st.lists(st.sampled_from(docs), max_size=2))  # duplicates
-    stopwords = data.draw(st.sampled_from([frozenset(), frozenset({"the", "oom"})]))
+    stopwords = data.draw(
+        st.sampled_from([frozenset(), frozenset({"the", "oom"}), default_config().stopwords])
+    )
     fitted = TfIdfProvider.fit(iter(docs), stopwords)
     assert fitted.model == reference_model(docs, stopwords)
     reference = TfIdfProvider(reference_model(docs, stopwords))

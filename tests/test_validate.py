@@ -207,15 +207,15 @@ def test_each_rationale_text_gets_one_feature_record(monkeypatch, config):
 
 @pytest.fixture()
 def tokenize_calls(monkeypatch):
-    """Count textsim.tokenize calls by text."""
+    """Count textsim.token_counts calls by text."""
     calls: collections.Counter[str] = collections.Counter()
-    original = textsim.tokenize
+    original = textsim.token_counts
 
     def counting(text, stopwords=textsim.DEFAULT_STOPWORDS):
         calls[text] += 1
         return original(text, stopwords)
 
-    monkeypatch.setattr(textsim, "tokenize", counting)
+    monkeypatch.setattr(textsim, "token_counts", counting)
     return calls
 
 
