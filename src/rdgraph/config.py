@@ -118,18 +118,19 @@ def _merge(base: Any, override: Any, path: str) -> Any:
     return override
 
 
-def _entries(values: Any, path: str) -> list[str]:
-    """A lexicon's entries, lowercased."""
+def _entries(values: Any, path: str, trailing: str = "") -> list[str]:
+    """A lexicon's entries, lowercased, with ``trailing`` stripped off the end."""
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ConfigError(f"{path}: expected a list of strings")
+    entries = [v.lower().rstrip(trailing) for v in values]
     # A blank entry matches everywhere: as a marker every word opens a span.
-    if any(not v.strip() for v in values):
+    if any(not e.strip() for e in entries):
         raise ConfigError(f"{path}: entries must not be blank")
-    return [v.lower() for v in values]
+    return entries
 
 
-def _lower_set(values: Any, path: str) -> frozenset[str]:
-    entries = _entries(values, path)
+def _lower_set(values: Any, path: str, trailing: str = "") -> frozenset[str]:
+    entries = _entries(values, path, trailing)
     if not entries:
         raise ConfigError(f"{path}: must not be empty")
     return frozenset(entries)
@@ -174,7 +175,8 @@ def from_dict(data: Mapping[str, Any]) -> Config:
         ),
         negation_cues=_lower_set(lex["negation_cues"], "lexicons.negation_cues"),
         stopwords=_lower_set(lex["stopwords"], "lexicons.stopwords"),
-        abbreviations=_lower_set(lex["abbreviations"], "lexicons.abbreviations"),
+        # The segmenter drops a word's trailing dots: "e.g." is stored as "e.g".
+        abbreviations=_lower_set(lex["abbreviations"], "lexicons.abbreviations", "."),
     )
 
 

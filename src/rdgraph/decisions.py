@@ -36,7 +36,6 @@ class Decision(NamedTuple):
     id: str
     text: str
     artifact_id: str
-    source_uri: str
     timestamp: datetime
     score: float
     author: str
@@ -128,7 +127,6 @@ def extract_decisions(
                     id=decision_id(artifact.id, sentence.index),
                     text=sentence.text,
                     artifact_id=artifact.id,
-                    source_uri=artifact.uri,
                     timestamp=artifact.timestamp,
                     score=score,
                     author=artifact.author,

@@ -1,9 +1,11 @@
 """The decision/rationale graph store: typed nodes, queries, persistence.
 
-Persistence is a single JSON document (schema version ``rdg_version: 2``)
+Persistence is a single JSON document (schema version ``rdg_version: 3``)
 with top-level arrays ``decisions, rationales, topics, sources, edges``.
 Keys are emitted in alphabetical order and every array is sorted, so equal
-graphs serialize to identical bytes.  Similar edges store no evidence, in
+graphs serialize to identical bytes.  Each fact is stored once: a decision's
+uri is that of the source its ``artifact_id`` names, and a rationale span's
+artifact is its decision's.  Similar edges store no evidence, in
 the file or in memory: their one record (``cosine-score``) would only repeat
 the score, which must therefore be a positive, finite evidence weight.
 """
@@ -24,7 +26,7 @@ from .decisions import Decision
 from .rationale import RationaleSpan
 from .relations import EDGE_KINDS, SIMILAR, Evidence, RelationEdge, Topic
 
-RDG_VERSION = 2
+RDG_VERSION = 3
 
 RATIONALE_KIND = "rationale"
 TOPIC_KIND = "topic"
@@ -82,9 +84,9 @@ class RdGraph(_GraphRecords):
     Only the records are stored.  Each index is computed from them on first
     use and kept, so a graph constructed directly answers every query as the
     one ``build_graph`` returns; ``._replace`` gives a graph that derives
-    its own.  A decision's source is the source whose id is its
-    ``artifact_id``.  The class has no ``__slots__``: the indexes live in
-    its ``__dict__``.
+    its own.  A decision's source, and so its uri, is the source whose id is
+    its ``artifact_id``; a rationale span's artifact is its decision's.  The
+    class has no ``__slots__``: the indexes live in its ``__dict__``.
     """
 
     @cached_property
@@ -180,30 +182,17 @@ def graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...], str]]:
 
     for span_id in sorted(graph.rationales):
         span = graph.rationales[span_id]
-        decision = graph.decisions.get(span.decision_id)
-        if decision is None:
+        if span.decision_id not in graph.decisions:
             yield (span_id,), (
                 f"rationale {span_id!r} references missing decision "
                 f"{span.decision_id!r}"
             )
-        elif span.artifact_id != decision.artifact_id:
-            yield (span_id, decision.id), (
-                f"rationale {span_id!r} artifact {span.artifact_id!r} does not "
-                f"match artifact {decision.artifact_id!r} of decision {decision.id!r}"
-            )
 
     for decision_id in sorted(graph.decisions):
-        decision = graph.decisions[decision_id]
-        source = graph.sources.get(decision.artifact_id)
-        if source is None:
+        artifact_id = graph.decisions[decision_id].artifact_id
+        if artifact_id not in graph.sources:
             yield (decision_id,), (
-                f"decision {decision_id!r} has no source for artifact "
-                f"{decision.artifact_id!r}"
-            )
-        elif source.uri != decision.source_uri:
-            yield (decision_id, source.id), (
-                f"decision {decision_id!r} source uri {decision.source_uri!r} "
-                f"does not match source {source.uri!r}"
+                f"decision {decision_id!r} has no source for artifact {artifact_id!r}"
             )
 
     seen: set[tuple[str, str, str]] = set()
@@ -250,25 +239,13 @@ def build_graph(
     rationales: Iterable[RationaleSpan],
     topics: Iterable[Topic],
     relation_edges: Iterable[RelationEdge],
-    sources: Iterable[SourceRef] | None = None,
+    sources: Iterable[SourceRef],
 ) -> RdGraph:
-    """Assemble and fully check a graph; raises GraphError on any violation."""
+    """Assemble and fully check a graph, in which each decision's ``artifact_id``
+    names one of ``sources``; raises GraphError on any violation."""
     decision_map: dict[str, Decision] = _by_id(decisions, "decision")
     rationale_map: dict[str, RationaleSpan] = _by_id(rationales, "rationale")
     topic_map: dict[str, Topic] = _by_id(topics, "topic")
-
-    if sources is None:
-        derived: dict[str, SourceRef] = {}
-        for decision in decision_map.values():
-            existing = derived.get(decision.artifact_id)
-            if existing is not None and existing.uri != decision.source_uri:
-                raise GraphError(
-                    f"conflicting source uris for artifact {decision.artifact_id!r}"
-                )
-            derived[decision.artifact_id] = SourceRef(
-                id=decision.artifact_id, uri=decision.source_uri, artifact_kind="other"
-            )
-        sources = derived.values()
 
     canonical = sorted(
         (
@@ -453,7 +430,6 @@ def save(graph: RdGraph) -> str:
       "author": {_q(d.author)},
       "id": {_q(d.id)},
       "score": {_number(d.score)},
-      "source_uri": {_q(d.source_uri)},
       "text": {_q(d.text)},
       "timestamp": {_q(format_timestamp(d.timestamp))}
     }}"""
@@ -461,7 +437,6 @@ def save(graph: RdGraph) -> str:
     ]
     rationales = [
         f"""{{
-      "artifact_id": {_q(r.artifact_id)},
       "decision_id": {_q(r.decision_id)},
       "end": {r.end:d},
       "id": {_q(r.id)},
@@ -593,13 +568,11 @@ def _decision(obj: object, n: int) -> Decision:
         text = _expect(obj, "text", str, f"decisions[{n}]")
     if type(artifact_id := obj.get("artifact_id")) is not str:
         artifact_id = _expect(obj, "artifact_id", str, f"decisions[{n}]")
-    if type(source_uri := obj.get("source_uri")) is not str:
-        source_uri = _expect(obj, "source_uri", str, f"decisions[{n}]")
     if type(score := obj.get("score")) is not float:
         score = float(_expect(obj, "score", (int, float), f"decisions[{n}]"))
     if type(author := obj.get("author")) is not str:
         author = _expect(obj, "author", str, f"decisions[{n}]")
-    return Decision(id_, text, artifact_id, source_uri, timestamp, score, author)
+    return Decision(id_, text, artifact_id, timestamp, score, author)
 
 
 def _rationale(obj: object, n: int) -> RationaleSpan:
@@ -609,8 +582,6 @@ def _rationale(obj: object, n: int) -> RationaleSpan:
         id_ = _expect(obj, "id", str, f"rationales[{n}]")
     if type(decision_id := obj.get("decision_id")) is not str:
         decision_id = _expect(obj, "decision_id", str, f"rationales[{n}]")
-    if type(artifact_id := obj.get("artifact_id")) is not str:
-        artifact_id = _expect(obj, "artifact_id", str, f"rationales[{n}]")
     if type(role := obj.get("role")) is not str:
         role = _expect(obj, "role", str, f"rationales[{n}]")
     if type(marker := obj.get("marker")) is not str:
@@ -623,9 +594,7 @@ def _rationale(obj: object, n: int) -> RationaleSpan:
         end = int(_expect(obj, "end", int, f"rationales[{n}]"))
     if type(same := obj.get("same_sentence")) is not bool:
         same = _expect(obj, "same_sentence", bool, f"rationales[{n}]")
-    return RationaleSpan(
-        id_, decision_id, artifact_id, role, marker, text, start, end, same
-    )
+    return RationaleSpan(id_, decision_id, role, marker, text, start, end, same)
 
 
 def _topic(obj: object, n: int) -> Topic:

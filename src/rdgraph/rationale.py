@@ -55,7 +55,6 @@ class RationaleSpan(NamedTuple):
 
     id: str
     decision_id: str
-    artifact_id: str
     role: str
     marker: str
     text: str
@@ -272,7 +271,6 @@ def attach_rationale(
             RationaleSpan(
                 id=f"{decision.id}/r{n}",
                 decision_id=decision.id,
-                artifact_id=decision.artifact_id,
                 role=fragment.role,
                 marker=fragment.marker,
                 text=fragment.text,

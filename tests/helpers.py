@@ -293,8 +293,8 @@ def reference_attach_rationale(decision, sentences, window, markers=None):
                     )
     return [
         RationaleSpan(
-            f"{decision.id}/r{n}", decision.id, decision.artifact_id, fragment.role,
-            fragment.marker, fragment.text, fragment.start, fragment.end, same_sentence,
+            f"{decision.id}/r{n}", decision.id, fragment.role, fragment.marker,
+            fragment.text, fragment.start, fragment.end, same_sentence,
         )
         for n, (fragment, same_sentence) in enumerate(collected)
     ]
@@ -359,6 +359,14 @@ _WEIGHTS = st.one_of(
 _EPOCH = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 
+def git_sources(decisions) -> list[SourceRef]:
+    """One commit source per artifact the decisions name, with uri
+    ``git:<artifact_id>``: the ``sources`` argument of a test's
+    ``build_graph``."""
+    artifact_ids = sorted({d.artifact_id for d in decisions})
+    return [SourceRef(a, f"git:{a}", "commit") for a in artifact_ids]
+
+
 @st.composite
 def valid_graph_parts(draw):
     """Decisions, rationales, topics, edges, sources for a valid graph.
@@ -378,7 +386,6 @@ def valid_graph_parts(draw):
                 id=f"a{labels[i]}#0",
                 text=draw(_TEXTS),
                 artifact_id=f"a{labels[i]}",
-                source_uri=f"git:a{labels[i]}",
                 timestamp=_EPOCH + timedelta(days=i, seconds=draw(st.integers(0, 3600))),
                 score=draw(_SCORES),
                 author=draw(st.sampled_from(["ada", "grace", "linus"])),
@@ -392,7 +399,6 @@ def valid_graph_parts(draw):
                 RationaleSpan(
                     id=f"{decision.id}/r{r}",
                     decision_id=decision.id,
-                    artifact_id=decision.artifact_id,
                     role=draw(st.sampled_from([PURPOSE, CAUSE, MANNER])),
                     marker=draw(st.sampled_from(["so that", "because", "this way"])),
                     text=draw(_TEXTS.filter(bool)),
@@ -448,11 +454,7 @@ def valid_graph_parts(draw):
                     )
                 )
 
-    sources = [
-        SourceRef(id=d.artifact_id, uri=d.source_uri, artifact_kind="commit")
-        for d in decisions
-    ]
-    return decisions, rationales, topics, edges, sources
+    return decisions, rationales, topics, edges, git_sources(decisions)
 
 
 def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
@@ -499,14 +501,13 @@ def reference_save(graph: RdGraph) -> str:
     """The ``json.dumps`` reference for ``graph.save``: the graph's document
     as a dict, serialized with sorted keys and two-space indentation."""
     doc = {
-        "rdg_version": 2,
+        "rdg_version": 3,
         "decisions": [
             {
                 "artifact_id": d.artifact_id,
                 "author": d.author,
                 "id": d.id,
                 "score": d.score,
-                "source_uri": d.source_uri,
                 "text": d.text,
                 "timestamp": format_timestamp(d.timestamp),
             }
@@ -514,7 +515,6 @@ def reference_save(graph: RdGraph) -> str:
         ],
         "rationales": [
             {
-                "artifact_id": r.artifact_id,
                 "decision_id": r.decision_id,
                 "end": r.end,
                 "id": r.id,
@@ -558,11 +558,10 @@ def broken_graphs(draw):
     outside [0, 1] or zero, non-canonical similar edges, history and
     contradicts edges in either time order, and similar edges with stored
     evidence.  The two oldest decisions may share a timestamp, a topic may
-    list one of its members again, and a rationale may name an artifact
-    other than its decision's."""
+    list one of its members again, and a decision's source may be missing."""
     decisions, rationales, topics, edges, sources = draw(valid_graph_parts())
-    if rationales and draw(st.booleans()):
-        rationales[0] = rationales[0]._replace(artifact_id="elsewhere")
+    if draw(st.booleans()):
+        del sources[0]
     if len(decisions) > 1 and draw(st.booleans()):
         decisions[1] = decisions[1]._replace(timestamp=decisions[0].timestamp)
     if topics and draw(st.booleans()):
@@ -633,30 +632,18 @@ def reference_graph_violations(graph: RdGraph) -> Iterator[tuple[tuple[str, ...]
 
     for span_id in sorted(graph.rationales):
         span = graph.rationales[span_id]
-        decision = graph.decisions.get(span.decision_id)
-        if decision is None:
+        if span.decision_id not in graph.decisions:
             yield (span_id,), (
                 f"rationale {span_id!r} references missing decision "
                 f"{span.decision_id!r}"
             )
-        elif span.artifact_id != decision.artifact_id:
-            yield (span_id, decision.id), (
-                f"rationale {span_id!r} artifact {span.artifact_id!r} does not "
-                f"match artifact {decision.artifact_id!r} of decision {decision.id!r}"
-            )
 
     for decision_id in sorted(graph.decisions):
         decision = graph.decisions[decision_id]
-        source = graph.sources.get(decision.artifact_id)
-        if source is None:
+        if decision.artifact_id not in graph.sources:
             yield (decision_id,), (
                 f"decision {decision_id!r} has no source for artifact "
                 f"{decision.artifact_id!r}"
-            )
-        elif source.uri != decision.source_uri:
-            yield (decision_id, source.id), (
-                f"decision {decision_id!r} source uri {decision.source_uri!r} "
-                f"does not match source {source.uri!r}"
             )
 
     seen: set[tuple[str, str, str]] = set()
@@ -833,7 +820,7 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
     goes through ``_expect``, and errors come in the loader's field order."""
     _expect = _reference_expect
     version = _expect(doc, "rdg_version", int, "graph")
-    if version != 2:
+    if version != 3:
         raise GraphError(f"unsupported rdg_version {version}; rebuild with `rdgraph build`")
 
     decisions = []
@@ -851,7 +838,6 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
                 id=_expect(obj, "id", str, path),
                 text=_expect(obj, "text", str, path),
                 artifact_id=_expect(obj, "artifact_id", str, path),
-                source_uri=_expect(obj, "source_uri", str, path),
                 timestamp=timestamp,
                 score=float(_expect(obj, "score", (int, float), path)),
                 author=_expect(obj, "author", str, path),
@@ -867,7 +853,6 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
             RationaleSpan(
                 id=_expect(obj, "id", str, path),
                 decision_id=_expect(obj, "decision_id", str, path),
-                artifact_id=_expect(obj, "artifact_id", str, path),
                 role=_expect(obj, "role", str, path),
                 marker=_expect(obj, "marker", str, path),
                 text=_expect(obj, "text", str, path),

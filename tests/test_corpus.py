@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import re
 from datetime import datetime, timezone
 
@@ -16,6 +17,7 @@ from rdgraph import (
     parse_jsonl,
     segment_sentences,
 )
+from rdgraph.config import DEFAULTS, from_dict
 from rdgraph.corpus import _SEGMENT_STOP_RE
 
 RS = "\x1e"
@@ -281,6 +283,18 @@ _ARTIFACTS = st.builds(
 def test_artifact_file_round_trip_property(artifacts):
     normalized = parse_jsonl(dumps_artifacts(artifacts))
     assert parse_jsonl(dumps_artifacts(normalized)) == normalized
+
+
+@pytest.mark.parametrize("spelling", ["e.g", "e.g.", "E.G..", "vs."])
+def test_a_configured_abbreviation_may_end_in_a_dot(spelling):
+    # The segmenter compares a word without its trailing dots, so the config
+    # stores an abbreviation without them.
+    raw = copy.deepcopy(DEFAULTS)
+    raw["lexicons"]["abbreviations"] = [spelling]
+    abbreviations = from_dict(raw).abbreviations
+    word = spelling.lower().rstrip(".")
+    body = f"We use caches, {word}. Redis is fast."
+    assert len(segment_sentences(make_artifact("", body), abbreviations)) == 1
 
 
 def test_segment_abbreviation_may_sit_before_a_line_break():

@@ -124,7 +124,7 @@ def test_extract_finds_the_reaper_decision(fixture_artifacts, config):
     sentences = segment_sentences(artifact, config.abbreviations)
     decisions = extract_decisions(artifact, sentences, config)
     assert [d.text for d in decisions] == ["mm, oom: introduce oom reaper"]
-    assert decisions[0].source_uri == artifact.uri
+    assert decisions[0].artifact_id == artifact.id
     assert decisions[0].timestamp == artifact.timestamp
     assert decisions[0].score >= config.thresholds.decision
 

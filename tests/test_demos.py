@@ -38,10 +38,16 @@ def test_there_are_five_demos():
     assert len(DEMOS) == 5
 
 
+# Development mode with warnings as errors: a leaked file handle or a
+# deprecation prints a warning to stderr.
+STRICT = ("-X", "dev", "-W", "error")
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_cleanly(demo):
-    done = run_python(str(demo))
+    done = run_python(*STRICT, str(demo))
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     assert done.stdout
     assert EXPECTED.get(demo.stem, "") in done.stdout
     # No demo writes to, or tells the reader to use, a fixed /tmp path.
@@ -54,8 +60,9 @@ def test_readme_library_example_runs(tmp_path):
     (code,) = re.findall(r"^```python\n(.*?)^```$", section.split("\n## ", 1)[0], re.S | re.M)
     assert '"/tmp/graph.json"' in code
     graph_file = tmp_path / "graph.json"
-    done = run_python("-c", code.replace('"/tmp/graph.json"', repr(str(graph_file))))
+    done = run_python(*STRICT, "-c", code.replace('"/tmp/graph.json"', repr(str(graph_file))))
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     assert "decisions," in done.stdout and "conflict-warning" in done.stdout
     assert rdgraph.load(graph_file.read_text(encoding="utf-8")).decisions
 

@@ -20,6 +20,7 @@ from helpers import (
     assert_records_keep_their_types,
     broken_graphs,
     derived_similar_edge,
+    git_sources,
     reference_graph_from_doc,
     reference_graph_violations,
     reference_k_hop,
@@ -91,7 +92,6 @@ def make_decision(n: int, text: str = "x") -> Decision:
         id=f"a{n}#0",
         text=text,
         artifact_id=f"a{n}",
-        source_uri=f"git:a{n}",
         timestamp=EPOCH.replace(day=n + 1),
         score=1.0,
         author="A <a@x>",
@@ -106,7 +106,6 @@ def span_for(decision_id: str, owner: str = None) -> RationaleSpan:
     return RationaleSpan(
         id=f"{decision_id}/r0",
         decision_id=owner or decision_id,
-        artifact_id="a0",
         role=PURPOSE,
         marker="so that",
         text="it helps",
@@ -119,7 +118,10 @@ def span_for(decision_id: str, owner: str = None) -> RationaleSpan:
 def test_rationale_referencing_missing_decision_is_rejected():
     d = make_decision(0)
     with pytest.raises(GraphError, match="missing decision"):
-        build_graph([d], [span_for(d.id, owner="ghost#0")], [topic_over(d.id)], [])
+        build_graph(
+            [d], [span_for(d.id, owner="ghost#0")], [topic_over(d.id)], [],
+            git_sources([d]),
+        )
 
 
 def test_decision_in_two_topics_is_rejected():
@@ -129,7 +131,7 @@ def test_decision_in_two_topics_is_rejected():
         Topic(id="t2", title="", member_decision_ids=(d.id,)),
     ]
     with pytest.raises(GraphError, match="more than one topic"):
-        build_graph([d], [], topics, [])
+        build_graph([d], [], topics, [], git_sources([d]))
 
 
 def _duplicate_member_message(topic_id: str, member: str, times: int) -> str:
@@ -153,7 +155,9 @@ def _first_topic_lists_its_first_member_twice(doc):
 def test_a_topic_listing_a_decision_twice_reports_a_duplicate_member(fixture_graph):
     d0, d1 = make_decision(0), make_decision(1)
     with pytest.raises(GraphError) as info:
-        build_graph([d0, d1], [], [topic_over(d0.id, d1.id, d0.id)], [])
+        build_graph(
+            [d0, d1], [], [topic_over(d0.id, d1.id, d0.id)], [], git_sources([d0, d1])
+        )
     assert str(info.value) == _duplicate_member_message("t1", d0.id, 2)
     # A loaded file reports the same, not a decision in two topics.
     text = _edited(save(fixture_graph), _first_topic_lists_its_first_member_twice)
@@ -168,7 +172,7 @@ def test_a_topic_listing_a_decision_twice_reports_a_duplicate_member(fixture_gra
 def test_decision_without_topic_is_rejected():
     d0, d1 = make_decision(0), make_decision(1)
     with pytest.raises(GraphError, match="without a topic"):
-        build_graph([d0, d1], [], [topic_over(d0.id)], [])
+        build_graph([d0, d1], [], [topic_over(d0.id)], [], git_sources([d0, d1]))
 
 
 def test_edges_that_defy_time_are_rejected():
@@ -178,13 +182,17 @@ def test_edges_that_defy_time_are_rejected():
         evidence=(Evidence("revert-metadata", "x", 1.0),),
     )
     with pytest.raises(GraphError, match="later"):
-        build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [backwards])
+        build_graph(
+            [d0, d1], [], [topic_over(d0.id, d1.id)], [backwards], git_sources([d0, d1])
+        )
 
 
 def test_similar_edges_are_canonicalized():
     d0, d1 = make_decision(0), make_decision(1)
     edge = RelationEdge(kind=SIMILAR, from_id=d1.id, to_id=d0.id, score=0.5)
-    graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
+    graph = build_graph(
+        [d0, d1], [], [topic_over(d0.id, d1.id)], [edge], git_sources([d0, d1])
+    )
     (stored,) = graph.relation_edges
     assert (stored.from_id, stored.to_id) == (d0.id, d1.id)
 
@@ -194,7 +202,10 @@ def test_duplicate_edges_are_rejected():
     edge = RelationEdge(kind=SIMILAR, from_id=d0.id, to_id=d1.id, score=0.5)
     flipped = RelationEdge(kind=SIMILAR, from_id=d1.id, to_id=d0.id, score=0.7)
     with pytest.raises(GraphError, match="duplicate edge"):
-        build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [edge, flipped])
+        build_graph(
+            [d0, d1], [], [topic_over(d0.id, d1.id)], [edge, flipped],
+            git_sources([d0, d1]),
+        )
 
 
 def test_history_cycles_are_rejected():
@@ -204,7 +215,10 @@ def test_history_cycles_are_rejected():
     forward = RelationEdge(kind=HISTORY, from_id=d1.id, to_id=d0.id, score=1.0)
     backward = RelationEdge(kind=HISTORY, from_id=d0.id, to_id=d1.id, score=1.0)
     with pytest.raises(GraphError):
-        build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [forward, backward])
+        build_graph(
+            [d0, d1], [], [topic_over(d0.id, d1.id)], [forward, backward],
+            git_sources([d0, d1]),
+        )
 
 
 def test_neighbors_similar_and_contradicts(fixture_graph):
@@ -263,8 +277,8 @@ def test_load_rejects_truncated_file(fixture_graph):
 
 
 def test_load_rejects_wrong_version(fixture_graph):
-    for version in (1, 9):
-        text = save(fixture_graph).replace('"rdg_version": 2', f'"rdg_version": {version}')
+    for version in (1, 2, 9):
+        text = save(fixture_graph).replace('"rdg_version": 3', f'"rdg_version": {version}')
         with pytest.raises(GraphError) as info:
             load(text)
         assert str(info.value) == (
@@ -275,7 +289,7 @@ def test_load_rejects_wrong_version(fixture_graph):
 def test_load_reports_schema_path():
     with pytest.raises(GraphError, match="graph"):
         load("{}")
-    doc = '{"rdg_version": 2, "decisions": [{"id": 5}], "rationales": [], "topics": [], "sources": [], "edges": []}'
+    doc = '{"rdg_version": 3, "decisions": [{"id": 5}], "rationales": [], "topics": [], "sources": [], "edges": []}'
     with pytest.raises(GraphError, match=r"decisions\[0\]"):
         load(doc)
 
@@ -531,7 +545,7 @@ def test_export_dot_fixture_contains_two_contradicts_labels(fixture_graph):
 
 def test_export_dot_escapes_quotes():
     d = make_decision(0)._replace(text='say "hi"')
-    graph = build_graph([d], [], [topic_over(d.id)], [])
+    graph = build_graph([d], [], [topic_over(d.id)], [], git_sources([d]))
     assert_valid_dot(export_dot(graph))
 
 
@@ -677,7 +691,9 @@ def test_a_loaded_similar_edge_has_the_evidence_detect_similar_builds(score):
     d0, d1 = make_decision(0), make_decision(1)
     documents = {d0.id: "x", d1.id: "x"}
     (built,) = detect_similar([d0, d1], _OnePair(score), 0.0, documents)
-    graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [built])
+    graph = build_graph(
+        [d0, d1], [], [topic_over(d0.id, d1.id)], [built], git_sources([d0, d1])
+    )
     text = save(graph)
     assert '"evidence"' not in text
     (loaded,) = load(text).relation_edges
@@ -714,11 +730,11 @@ def test_build_graph_refuses_a_similar_edge_with_stored_evidence_or_a_zero_score
     assume(evidence or score == 0.0)
     d0, d1 = make_decision(0), make_decision(1)
     edge = RelationEdge(SIMILAR, d0.id, d1.id, score, evidence)
-    parts = ([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
+    parts = ([d0, d1], [], [topic_over(d0.id, d1.id)])
     with pytest.raises(GraphError) as info:
-        build_graph(*parts)
+        build_graph(*parts, [edge], git_sources([d0, d1]))
     assert str(info.value) == f"similar edge {d0.id!r} -> {d1.id!r} {_SIMILAR_EDGE_REFUSED}"
-    graph = build_graph(*parts[:3], [])._replace(relation_edges=(edge,))
+    graph = build_graph(*parts, [], git_sources([d0, d1]))._replace(relation_edges=(edge,))
     (finding,) = validate_structure(graph)
     assert finding.kind == STRUCTURAL_VIOLATION
     assert (finding.subject_ids, finding.message) == ((d0.id, d1.id), str(info.value))
@@ -760,7 +776,7 @@ def _zero_first_similar_score(doc):
     [
         (lambda text: text, None),
         (lambda text: text[: len(text) // 2], "not valid JSON"),
-        (lambda text: text.replace('"rdg_version": 2', '"rdg_version": 1'), "rdg_version 1"),
+        (lambda text: text.replace('"rdg_version": 3', '"rdg_version": 1'), "rdg_version 1"),
         (lambda text: _edited(text, _zero_first_similar_score), "score: evidence weight"),
         (lambda text: _edited(text, _first_topic_lists_its_first_member_twice), "2 times"),
     ],
@@ -795,7 +811,9 @@ def test_a_similar_score_decodes_as_similar_edge_builds_it(token):
     at ``edges[0].score``."""
     d0, d1 = make_decision(0), make_decision(1)
     edge = derived_similar_edge(d0.id, d1.id, 0.5)
-    graph = build_graph([d0, d1], [], [topic_over(d0.id, d1.id)], [edge])
+    graph = build_graph(
+        [d0, d1], [], [topic_over(d0.id, d1.id)], [edge], git_sources([d0, d1])
+    )
     text = save(graph).replace('"score": 0.5', f'"score": {token}')
     value = json.loads(token)
     record = {"from": d0.id, "kind": SIMILAR, "score": value, "to": d1.id}

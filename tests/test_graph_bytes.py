@@ -63,8 +63,8 @@ def built(tmp_path_factory):
 @pytest.mark.parametrize(
     "workload, digest",
     [
-        ("history", "6c4a11270f761cf14ab754ff5d2105e5e942e4586e2268cfeb6174234fb59150"),
-        ("longbody", "f3564ebb3bb64d234285f4176a722f79803757caf541ea707aff215fa98a68fa"),
+        ("history", "fd35785ea88c16060af26c7caf6cd8da375da6eb1b031ccdb1098ec770298eca"),
+        ("longbody", "ac4a4971d6d3f2202dc375f569cbd8f0c889ef13ff79d708a07d5cc8a680801f"),
     ],
     ids=["history", "longbody"],
 )

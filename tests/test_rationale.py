@@ -165,7 +165,6 @@ def make_decision(artifact: Artifact, index: int) -> Decision:
         id=f"{artifact.id}#{index}",
         text="",
         artifact_id=artifact.id,
-        source_uri=artifact.uri,
         timestamp=artifact.timestamp,
         score=1.0,
         author=artifact.author,
@@ -262,7 +261,8 @@ def test_span_ids_are_stable_and_unique():
 def test_spans_are_reproducible_from_offsets(fixture_artifacts, fixture_graph):
     texts = {a.id: normalized_text(a) for a in fixture_artifacts}
     for span in fixture_graph.rationales.values():
-        assert texts[span.artifact_id][span.start : span.end] == span.text
+        artifact_id = fixture_graph.decisions[span.decision_id].artifact_id
+        assert texts[artifact_id][span.start : span.end] == span.text
 
 
 def test_spans_never_cross_sentence_boundaries(fixture_artifacts, config):

@@ -51,7 +51,6 @@ def make_decision(n: int, text: str, author: str = "A <a@x>") -> Decision:
         id=f"a{n}#0",
         text=text,
         artifact_id=f"a{n}",
-        source_uri=f"git:a{n}",
         timestamp=EPOCH + timedelta(days=n),
         score=1.0,
         author=author,

@@ -14,6 +14,7 @@ from helpers import (
     STRUCTURAL_VIOLATION,
     finding_to_dict,
     findings,
+    git_sources,
     reference_findings_to_jsonl,
     reference_model,
     valid_graph_parts,
@@ -21,7 +22,6 @@ from helpers import (
 )
 from rdgraph import (
     GraphError,
-    SourceRef,
     build_graph,
     check_new_decision,
     check_rationale_consistency,
@@ -72,7 +72,6 @@ def make_decision(n: int, text: str) -> Decision:
         id=f"a{n}#0",
         text=text,
         artifact_id=f"a{n}",
-        source_uri=f"git:a{n}",
         timestamp=EPOCH + timedelta(days=n),
         score=1.0,
         author="A <a@x>",
@@ -83,7 +82,6 @@ def make_span(decision_id: str, text: str) -> RationaleSpan:
     return RationaleSpan(
         id=f"{decision_id}/r0",
         decision_id=decision_id,
-        artifact_id=decision_id.split("#")[0],
         role=PURPOSE,
         marker="so that",
         text=text,
@@ -103,7 +101,7 @@ def pair_graph(rationale_a: str | None, rationale_b: str | None) -> RdGraph:
         spans.append(make_span(d1.id, rationale_b))
     edge = RelationEdge(SIMILAR, d0.id, d1.id, 0.9)  # as detect_similar builds it
     topic = Topic(id="t1", title="cache", member_decision_ids=(d0.id, d1.id))
-    return build_graph([d0, d1], spans, [topic], [edge])
+    return build_graph([d0, d1], spans, [topic], [edge], git_sources([d0, d1]))
 
 
 def test_contradicting_rationales_flag_inconsistent_reasoning(config):
@@ -137,7 +135,9 @@ def test_missing_rationale_is_skipped_with_a_note(config):
 def test_no_similar_edges_no_pair_findings(config):
     d0 = make_decision(0, "mm: one thing")
     topic = Topic(id="t1", title="", member_decision_ids=(d0.id,))
-    graph = build_graph([d0], [make_span(d0.id, "why not")], [topic], [])
+    graph = build_graph(
+        [d0], [make_span(d0.id, "why not")], [topic], [], git_sources([d0])
+    )
     findings = check_rationale_consistency(graph, config)
     assert findings == []
 
@@ -163,7 +163,7 @@ def test_each_rationale_is_joined_once(monkeypatch, config):
     ]
     members = tuple(d.id for d in decisions)
     topic = Topic(id="t1", title="cache", member_decision_ids=members)
-    graph = build_graph(decisions, spans, [topic], edges)
+    graph = build_graph(decisions, spans, [topic], edges, git_sources(decisions))
     calls = collections.Counter()
 
     def counting(graph, decision_id):
@@ -190,7 +190,7 @@ def test_each_rationale_text_gets_one_feature_record(monkeypatch, config):
     ]
     members = tuple(d.id for d in decisions)
     topic = Topic(id="t1", title="cache", member_decision_ids=members)
-    graph = build_graph(decisions, spans, [topic], edges)
+    graph = build_graph(decisions, spans, [topic], edges, git_sources(decisions))
     calls = collections.Counter()
     original = validate._sentence_features
 
@@ -237,7 +237,7 @@ def test_validate_tokenizes_each_joined_rationale_once(config, tokenize_calls):
         for b in decisions[i + 1 :]
     ]
     topic = Topic(id="t1", title="cache", member_decision_ids=tuple(d.id for d in decisions))
-    graph = build_graph(decisions, spans, [topic], edges)
+    graph = build_graph(decisions, spans, [topic], edges, git_sources(decisions))
     findings = check_rationale_consistency(graph, config)
     assert len(findings) == len(edges) == 15
     assert tokenize_calls == {span.text: 1 for span in spans}
@@ -442,8 +442,8 @@ def test_equal_timestamp_history_cycle_fails_both_entry_points():
     )
     topic = Topic(id="t1", title="cache", member_decision_ids=(d0.id, d1.id))
     with pytest.raises(GraphError, match="later"):
-        build_graph([d0, d1], [], [topic], edges)
-    graph = build_graph([d0, d1], [], [topic], [])
+        build_graph([d0, d1], [], [topic], edges, git_sources([d0, d1]))
+    graph = build_graph([d0, d1], [], [topic], [], git_sources([d0, d1]))
     findings = validate_structure(corrupt(graph, relation_edges=edges))
     assert [f.subject_ids for f in findings] == [(d0.id, d1.id), (d1.id, d0.id)]
 
@@ -513,10 +513,6 @@ CORRUPTIONS = {
     "score-below-zero": (first_edge(score=-0.1), r"outside \[0, 1\]"),
     "unknown-kind": (first_edge(kind="blocks"), "unknown edge kind 'blocks'"),
     "empty-topic": (plus_topic(), "topic 't9' has no members"),
-    "source-uri-mismatch": (
-        lambda g: dict(sources={**g.sources, A1: SourceRef(A1, "git:x", "commit")}),
-        "does not match source 'git:x'",
-    ),
     "backwards-contradicts": (
         plus_edge(CONTRADICTS, D1, D4),
         "contradicts edge .* must run from the later decision",
