@@ -119,10 +119,14 @@ def _merge(base: Any, override: Any, path: str) -> Any:
 
 
 def _entries(values: Any, path: str, trailing: str = "") -> list[str]:
-    """A lexicon's entries, lowercased, with ``trailing`` stripped off the end."""
+    """A lexicon's entries, lowercased; given ``trailing``, each entry is
+    stripped of surrounding whitespace and then of those trailing characters."""
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ConfigError(f"{path}: expected a list of strings")
-    entries = [v.lower().rstrip(trailing) for v in values]
+    if trailing:
+        entries = [v.lower().strip().rstrip(trailing) for v in values]
+    else:
+        entries = [v.lower() for v in values]
     # A blank entry matches everywhere: as a marker every word opens a span.
     if any(not e.strip() for e in entries):
         raise ConfigError(f"{path}: entries must not be blank")
@@ -175,7 +179,8 @@ def from_dict(data: Mapping[str, Any]) -> Config:
         ),
         negation_cues=_lower_set(lex["negation_cues"], "lexicons.negation_cues"),
         stopwords=_lower_set(lex["stopwords"], "lexicons.stopwords"),
-        # The segmenter drops a word's trailing dots: "e.g." is stored as "e.g".
+        # The segmenter compares a word without its trailing dots, so " e.g. "
+        # is stored as "e.g".
         abbreviations=_lower_set(lex["abbreviations"], "lexicons.abbreviations", "."),
     )
 

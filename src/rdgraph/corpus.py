@@ -375,7 +375,9 @@ def segment_sentences(
     The summary is always its own sentence (index 0 when present); paragraph
     breaks always end a sentence; splits happen after ``. ! ?`` followed by
     whitespace and an uppercase letter, never inside parentheses, after a
-    known abbreviation, or before a closing parenthesis.
+    known abbreviation, or before a closing parenthesis.  ``abbreviations``
+    holds normalised entries, lowercased and without trailing dots (``"e.g"``,
+    not ``"e.g."``), as ``config.from_dict`` gives them.
     """
     text = normalized_text(artifact)
     if not text:

@@ -1,13 +1,16 @@
 """The decision/rationale graph store: typed nodes, queries, persistence.
 
-Persistence is a single JSON document (schema version ``rdg_version: 3``)
-with top-level arrays ``decisions, rationales, topics, sources, edges``.
-Keys are emitted in alphabetical order and every array is sorted, so equal
-graphs serialize to identical bytes.  Each fact is stored once: a decision's
-uri is that of the source its ``artifact_id`` names, and a rationale span's
-artifact is its decision's.  Similar edges store no evidence, in
-the file or in memory: their one record (``cosine-score``) would only repeat
-the score, which must therefore be a positive, finite evidence weight.
+Persistence is a single JSON document (schema version ``rdg_version: 4``)
+with top-level arrays ``decisions, rationales, topics, sources, edges,
+similar``.  Keys are emitted in alphabetical order and every array is
+sorted, so equal graphs serialize to identical bytes.  Each fact is stored
+once: a decision's uri is that of the source its ``artifact_id`` names, and
+a rationale span's artifact is its decision's.  ``edges`` holds the history
+and contradicts edges with their evidence.  Similar edges store no evidence,
+in the file or in memory: their one record (``cosine-score``) would only
+repeat the score, which must therefore be a positive evidence weight of at
+most 1.  Each is an ``[i, j, score]`` triple of ``similar``, where ``i < j``
+index the decisions in id order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .decisions import Decision
 from .rationale import RationaleSpan
 from .relations import EDGE_KINDS, SIMILAR, Evidence, RelationEdge, Topic
 
-RDG_VERSION = 3
+RDG_VERSION = 4
 
 RATIONALE_KIND = "rationale"
 TOPIC_KIND = "topic"
@@ -403,16 +406,13 @@ def _evidence(e: Evidence) -> str:
 
 
 def _edge_record(edge: RelationEdge) -> str:
-    record = f"""
+    return f"""{{
+      "evidence": {_array(list(map(_evidence, edge.evidence)), "      ")},
       "from": {_q(edge.from_id)},
       "kind": {_q(edge.kind)},
       "score": {_number(edge.score)},
       "to": {_q(edge.to_id)}
     }}"""
-    if edge.kind == SIMILAR:
-        return "{" + record
-    evidence = _array(list(map(_evidence, edge.evidence)), "      ")
-    return f'{{\n      "evidence": {evidence},{record}'
 
 
 def save(graph: RdGraph) -> str:
@@ -421,9 +421,13 @@ def save(graph: RdGraph) -> str:
     The text is what ``json.dumps(doc, sort_keys=True, indent=2,
     ensure_ascii=False)`` gives for the graph's document, written directly:
     one template per record kind with its keys in sorted order, strings
-    through json's own encoder and floats by ``repr``.  A similar edge is
-    written without evidence.  A non-finite number raises GraphError.
+    through json's own encoder and floats by ``repr``.  History and
+    contradicts edges are ``edges`` records; each similar edge is an
+    ``[i, j, score]`` triple of ``similar``, its ends' indexes in the
+    decisions' id order, written without evidence.  A non-finite number, or
+    a similar edge whose end is not a decision, raises GraphError.
     """
+    ids = sorted(graph.decisions)
     decisions = [
         f"""{{
       "artifact_id": {_q(d.artifact_id)},
@@ -433,7 +437,7 @@ def save(graph: RdGraph) -> str:
       "text": {_q(d.text)},
       "timestamp": {_q(format_timestamp(d.timestamp))}
     }}"""
-        for d in (graph.decisions[i] for i in sorted(graph.decisions))
+        for d in (graph.decisions[i] for i in ids)
     ]
     rationales = [
         f"""{{
@@ -464,12 +468,29 @@ def save(graph: RdGraph) -> str:
     }}"""
         for s in (graph.sources[i] for i in sorted(graph.sources))
     ]
-    edges = list(map(_edge_record, sorted(graph.relation_edges, key=_edge_sort_key)))
+    index = {decision_id: n for n, decision_id in enumerate(ids)}
+    others, triples = [], []
+    for edge in graph.relation_edges:
+        if edge.kind != SIMILAR:
+            others.append(edge)
+        elif edge.from_id in index and edge.to_id in index:
+            triples.append((index[edge.from_id], index[edge.to_id], edge.score))
+        else:
+            raise GraphError(
+                f"cannot save the similar edge {edge.from_id!r} -> {edge.to_id!r}: "
+                "it references a missing decision"
+            )
+    edges = list(map(_edge_record, sorted(others, key=_edge_sort_key)))
+    similar = [
+        f"[\n      {i:d},\n      {j:d},\n      {_number(score)}\n    ]"
+        for i, j, score in sorted(triples)
+    ]
     return f"""{{
   "decisions": {_array(decisions, "  ")},
   "edges": {_array(edges, "  ")},
   "rationales": {_array(rationales, "  ")},
   "rdg_version": {RDG_VERSION},
+  "similar": {_array(similar, "  ")},
   "sources": {_array(sources, "  ")},
   "topics": {_array(topics, "  ")}
 }}
@@ -494,9 +515,12 @@ def load(text: str) -> RdGraph:
 
     Each record becomes an immutable named tuple, compared by value:
     ``Decision``, ``RationaleSpan``, ``Topic``, ``SourceRef``, and
-    ``RelationEdge`` with its ``Evidence``.  A similar edge is built with no
-    evidence, as ``detect_similar`` builds it, so ``load(save(g)) == g``.
-    Other versions, and ``NaN`` and ``Infinity`` (not JSON), are rejected.
+    ``RelationEdge`` with its ``Evidence``.  The ``edges`` records go
+    through ``build_graph``; the ``similar`` triples are checked in one pass
+    (see ``_similar_edges``) and their edges, built with no evidence as
+    ``detect_similar`` builds them, come last in ``relation_edges``, so
+    ``load(save(g)) == g``.  Other versions, a similar edge in ``edges``, and
+    ``NaN`` and ``Infinity`` (not JSON) are rejected.
     """
     try:
         doc = json.loads(text, parse_constant=_non_finite)
@@ -534,23 +558,73 @@ def _graph_from_doc(doc: dict) -> RdGraph:
     and weights, bool offsets), which the decoder converts to float and int,
     and otherwise raises that field's error.
     Extra keys are ignored, and a record's path is formatted only to raise.
+    ``build_graph`` sorts and checks all but the similar edges, whose
+    triples ``_similar_edges`` then checks against the graph's decisions.
     """
     version = _field(doc, "rdg_version", int, "graph")
     if version != RDG_VERSION:
         message = f"unsupported rdg_version {version}; rebuild with `rdgraph build`"
         raise GraphError(message)
-    # Evaluated as written: the record kinds decode, and fail, in this order.
-    return build_graph(
-        decisions=_records(doc, "decisions", _decision),
-        rationales=_records(doc, "rationales", _rationale),
-        topics=_records(doc, "topics", _topic),
-        sources=_records(doc, "sources", _source),
-        relation_edges=_records(doc, "edges", _edge),
-    )
+    # The record kinds decode, and fail, in this order.
+    decisions = _records(doc, "decisions", _decision)
+    rationales = _records(doc, "rationales", _rationale)
+    topics = _records(doc, "topics", _topic)
+    sources = _records(doc, "sources", _source)
+    edges = _records(doc, "edges", _edge)
+    triples = _field(doc, "similar", list, "graph")
+    graph = build_graph(decisions, rationales, topics, edges, sources)
+    similar = _similar_edges(triples, tuple(graph.decisions))
+    # "similar" sorts after every other edge kind, so the edges stay canonical.
+    return graph._replace(relation_edges=graph.relation_edges + similar)
 
 
 def _records(doc: dict, name: str, decode) -> list:
     return [decode(obj, n) for n, obj in enumerate(_field(doc, name, list, "graph"))]
+
+
+def _similar_edges(entries: list, ids: tuple[str, ...]) -> tuple[RelationEdge, ...]:
+    """The similar edges of a ``similar`` array, checked in one pass.
+
+    Entry ``n`` must be a list ``[i, j, score]`` whose indexes are integers
+    with ``0 <= i < j < len(ids)``, naming decisions ``ids[i]`` and
+    ``ids[j]`` of the id-ordered ``ids``, and whose ``(i, j)`` pairs
+    strictly increase.  The score must be a number in ``(0, 1]``; an integer
+    or boolean one becomes a float, as an edge record's does.  The edges are
+    therefore canonical, unique, without self edges, between existing
+    decisions and in their sorted order.  Each failure names ``similar[n]``.
+    """
+    count = len(ids)
+    edges = []
+    last_i = last_j = -1
+    for n, entry in enumerate(entries):
+        if type(entry) is not list or len(entry) != 3:
+            raise GraphError(f"similar[{n}]: expected an [i, j, score] array")
+        i, j, score = entry
+        if type(i) is not int or type(j) is not int:
+            raise GraphError(f"similar[{n}]: indexes must be integers")
+        if not (0 <= i < count and 0 <= j < count):
+            raise GraphError(
+                f"similar[{n}]: index out of range [0, {count}) of the decisions"
+            )
+        if i >= j:
+            raise GraphError(f"similar[{n}]: [{i}, {j}] is not a pair i < j")
+        if i < last_i or (i == last_i and j <= last_j):
+            raise GraphError(
+                f"similar[{n}]: [{i}, {j}] does not follow [{last_i}, {last_j}]; "
+                "pairs must strictly increase"
+            )
+        last_i, last_j = i, j
+        if type(score) is not float:
+            if not isinstance(score, int):
+                raise GraphError(
+                    f"similar[{n}].score: unexpected type {type(score).__name__}"
+                )
+            if 0 < score <= 1:  # 1 or true, compared exactly: no int overflows
+                score = float(score)
+        if not 0.0 < score <= 1.0:
+            raise GraphError(f"similar[{n}].score: must be in (0, 1]")
+        edges.append(tuple.__new__(RelationEdge, (SIMILAR, ids[i], ids[j], score, ())))
+    return tuple(edges)
 
 
 def _decision(obj: object, n: int) -> Decision:
@@ -631,19 +705,14 @@ def _edge(obj: object, n: int) -> RelationEdge:
         raise GraphError(f"edges[{n}]: expected object")
     if type(kind := obj.get("kind")) is not str:
         kind = _expect(obj, "kind", str, f"edges[{n}]")
+    if kind == SIMILAR:
+        raise GraphError(f"edges[{n}]: a similar edge belongs in the similar array")
     if type(from_id := obj.get("from")) is not str:
         from_id = _expect(obj, "from", str, f"edges[{n}]")
     if type(to_id := obj.get("to")) is not str:
         to_id = _expect(obj, "to", str, f"edges[{n}]")
     if type(score := obj.get("score")) is not float:
         score = float(_expect(obj, "score", (int, float), f"edges[{n}]"))
-    if kind == SIMILAR:
-        if not 0.0 < score < math.inf:
-            try:
-                Evidence(SIMILAR, "", score)  # raises the ValueError of that weight
-            except ValueError as exc:
-                raise GraphError(f"edges[{n}].score: {exc}") from exc
-        return tuple.__new__(RelationEdge, (SIMILAR, from_id, to_id, score, ()))
     if type(records := obj.get("evidence")) is not list:
         records = _expect(obj, "evidence", list, f"edges[{n}]")
     evidence = []

@@ -487,21 +487,14 @@ def assert_records_keep_their_types(graph: RdGraph, loaded: RdGraph) -> None:
                 setattr(record, field, getattr(record, field))
 
 
-def _reference_edge_record(edge: RelationEdge) -> dict:
-    record = {"from": edge.from_id, "kind": edge.kind, "score": edge.score, "to": edge.to_id}
-    if edge.kind != SIMILAR:  # a similar edge's evidence is derived
-        record["evidence"] = [
-            {"detail": e.detail, "feature": e.feature, "weight": e.weight}
-            for e in edge.evidence
-        ]
-    return record
-
-
 def reference_save(graph: RdGraph) -> str:
     """The ``json.dumps`` reference for ``graph.save``: the graph's document
-    as a dict, serialized with sorted keys and two-space indentation."""
+    as a dict, serialized with sorted keys and two-space indentation.  Each
+    similar edge is an ``[i, j, score]`` list of its ends' positions in the
+    sorted decision ids, and the lists are sorted."""
+    ids = sorted(graph.decisions)
     doc = {
-        "rdg_version": 3,
+        "rdg_version": 4,
         "decisions": [
             {
                 "artifact_id": d.artifact_id,
@@ -535,11 +528,26 @@ def reference_save(graph: RdGraph) -> str:
             for s in (graph.sources[i] for i in sorted(graph.sources))
         ],
         "edges": [
-            _reference_edge_record(edge)
+            {
+                "evidence": [
+                    {"detail": e.detail, "feature": e.feature, "weight": e.weight}
+                    for e in edge.evidence
+                ],
+                "from": edge.from_id,
+                "kind": edge.kind,
+                "score": edge.score,
+                "to": edge.to_id,
+            }
             for edge in sorted(
                 graph.relation_edges, key=lambda e: (e.kind, e.from_id, e.to_id)
             )
+            if edge.kind != SIMILAR
         ],
+        "similar": sorted(
+            [ids.index(edge.from_id), ids.index(edge.to_id), edge.score]
+            for edge in graph.relation_edges
+            if edge.kind == SIMILAR
+        ),
     }
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -820,7 +828,7 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
     goes through ``_expect``, and errors come in the loader's field order."""
     _expect = _reference_expect
     version = _expect(doc, "rdg_version", int, "graph")
-    if version != 3:
+    if version != 4:
         raise GraphError(f"unsupported rdg_version {version}; rebuild with `rdgraph build`")
 
     decisions = []
@@ -897,15 +905,11 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
         if not isinstance(obj, dict):
             raise GraphError(f"{path}: expected object")
         kind = _expect(obj, "kind", str, path)
+        if kind == SIMILAR:
+            raise GraphError(f"{path}: a similar edge belongs in the similar array")
         from_id = _expect(obj, "from", str, path)
         to_id = _expect(obj, "to", str, path)
         score = float(_expect(obj, "score", (int, float), path))
-        if kind == SIMILAR:
-            try:
-                edges.append(derived_similar_edge(from_id, to_id, score))
-            except ValueError as exc:
-                raise GraphError(f"{path}.score: {exc}") from exc
-            continue
         evidence = []
         for m, ev in enumerate(_expect(obj, "evidence", list, path)):
             ev_path = f"{path}.evidence[{m}]"
@@ -920,4 +924,32 @@ def reference_graph_from_doc(doc: dict) -> RdGraph:
                 raise GraphError(f"{ev_path}: {exc}") from exc
         edges.append(RelationEdge(kind, from_id, to_id, score, tuple(evidence)))
 
+    triples = _expect(doc, "similar", list, "graph")
+    # The similar triples are checked against the decisions' sorted ids, once
+    # the other records passed, and then their edges go through build_graph
+    # with the rest, which sorts and checks them all again.
+    ids = sorted(build_graph(decisions, rationales, topics, edges, sources).decisions)
+    pairs = []
+    for n, entry in enumerate(triples):
+        path = f"similar[{n}]"
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise GraphError(f"{path}: expected an [i, j, score] array")
+        i, j, score = entry
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in (i, j)):
+            raise GraphError(f"{path}: indexes must be integers")
+        if not (i in range(len(ids)) and j in range(len(ids))):
+            raise GraphError(f"{path}: index out of range [0, {len(ids)}) of the decisions")
+        if not i < j:
+            raise GraphError(f"{path}: [{i}, {j}] is not a pair i < j")
+        if pairs and (i, j) <= pairs[-1]:
+            previous = list(pairs[-1])
+            raise GraphError(
+                f"{path}: {[i, j]} does not follow {previous}; pairs must strictly increase"
+            )
+        pairs.append((i, j))
+        if not isinstance(score, (int, float)):
+            raise GraphError(f"{path}.score: unexpected type {type(score).__name__}")
+        if score <= 0 or score > 1:
+            raise GraphError(f"{path}.score: must be in (0, 1]")
+        edges.append(derived_similar_edge(ids[i], ids[j], float(score)))
     return build_graph(decisions, rationales, topics, edges, sources)

@@ -18,8 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import D3, D4, FIXTURE_DIR
+from helpers import valid_graph_parts
 import rdgraph
-from rdgraph import cli, load, save
+from rdgraph import build_graph, cli, load, save
 from rdgraph.cli import main
 from rdgraph.config import DEFAULTS, default_config, from_dict, load_config
 
@@ -272,6 +273,96 @@ def test_validate_graph_breaking_an_invariant_is_an_input_error(
     assert "later" in captured.err
 
 
+# Scores a similar triple may not hold: zero, negative, above 1, an integer
+# beyond float range, and values that are no number.
+_BAD_SIMILAR_SCORES = [0, 0.0, -0.0, -0.5, -1, 1.5, 2, 1.0000000000000002, 10**400,
+                       False, None, "0.5", [0.5]]
+
+
+@st.composite
+def similar_arrays_with_a_bad_entry(draw):
+    """``(doc, positions, reason)``: a saved ``valid_graph_parts()`` graph of
+    two or more decisions whose ``similar`` array is valid triples with bad
+    entries put in at position ``k``; the first error must name one of
+    ``positions`` and contain ``reason``.  The bad entries have an index out
+    of range or negative, ``i == j``, ``i > j``, a repeated or decreasing
+    pair, the wrong length, no list, or a score outside (0, 1] or of no
+    number type."""
+    parts = draw(valid_graph_parts().filter(lambda p: len(p[0]) >= 2))
+    doc = json.loads(save(build_graph(*parts)))
+    count = len(doc["decisions"])
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    score = st.one_of(st.just(1), st.floats(0.0, 1.0, exclude_min=True))
+    triples = [
+        [i, j, draw(score)]
+        for i, j in sorted(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)))
+    ]
+    k = draw(st.integers(0, len(triples)))
+    i, j = draw(st.sampled_from(pairs))
+    case = draw(st.sampled_from(
+        ["range", "self", "reversed", "order", "length", "not-a-list", "score"]
+    ))
+    reason = "expected an [i, j, score] array"
+    if case == "range":
+        outside = st.one_of(st.integers(count, count + 3), st.integers(-3, -1))
+        inside = st.integers(0, count - 1)
+        bad = [draw(st.permutations([draw(outside), draw(inside)])) + [0.5]]
+        reason = f"index out of range [0, {count})"
+    elif case in ("self", "reversed"):
+        bad = [[i, i, 0.5] if case == "self" else [j, i, 0.5]]
+        reason = "is not a pair i < j"
+    elif case == "order":  # a repeated pair, or a pair and a smaller one
+        later = draw(st.sampled_from([p for p in pairs if p <= (i, j)]))
+        bad = [[i, j, 0.5], [*later, 0.5]]
+        reason = "pairs must strictly increase"
+    elif case == "length":
+        bad = [draw(st.sampled_from([[], [i], [i, j], [i, j, 0.5, 0.5]]))]
+    elif case == "not-a-list":
+        bad = [draw(st.sampled_from([None, 0, "x", {"i": i, "j": j, "score": 0.5}]))]
+    else:
+        bad = [[i, j, draw(st.sampled_from(_BAD_SIMILAR_SCORES))]]
+        follows = k == 0 or (i, j) > tuple(triples[k - 1][:2])
+        reason = ".score: " if follows else "pairs must strictly increase"
+    doc["similar"] = triples[:k] + bad + triples[k:]
+    return doc, range(k, k + len(bad)), reason
+
+
+@given(similar_arrays_with_a_bad_entry())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+def test_a_malformed_similar_array_exits_2_naming_its_entry(tmp_path, capsys, case):
+    doc, positions, reason = case
+    text = json.dumps(doc)
+    with pytest.raises(rdgraph.GraphError) as info:
+        load(text)
+    message = str(info.value)
+    assert any(message.startswith(f"similar[{n}]") for n in positions), message
+    assert reason in message
+    bad = tmp_path / "graph.json"
+    bad.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_similar_record_in_edges_is_refused(graph_file, tmp_path, capsys):
+    text = pathlib.Path(graph_file).read_text()
+    doc = _as_v3(text)
+    doc["rdg_version"], doc["similar"] = 4, []
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(doc), encoding="utf-8")
+    n = next(n for n, e in enumerate(doc["edges"]) if e["kind"] == "similar")
+    capsys.readouterr()
+    assert main(["validate", str(moved)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: edges[{n}]: a similar edge belongs in the similar array\n"
+
+
 def test_export_dot(graph_file, capsys):
     assert main(["export", graph_file, "--dot"]) == 0
     out = capsys.readouterr().out
@@ -441,11 +532,25 @@ def test_graph_with_a_non_finite_number_is_an_input_error(
     assert captured.err == f"error: graph file is not valid JSON: non-finite number {token}\n"
 
 
-def _as_v2(text: str) -> dict:
-    """A graph file's document as format v2 wrote it: each decision has its
-    source's uri as ``source_uri`` and each rationale its decision's
-    ``artifact_id``."""
+def _as_v3(text: str) -> dict:
+    """A graph file's document as format v3 wrote it: each similar edge is an
+    ``edges`` record ``{from, kind, score, to}``, and there is no ``similar``
+    array."""
     doc = json.loads(text)
+    doc["rdg_version"] = 3
+    ids = sorted(decision["id"] for decision in doc["decisions"])
+    doc["edges"] += [
+        {"from": ids[i], "kind": "similar", "score": score, "to": ids[j]}
+        for i, j, score in doc.pop("similar")
+    ]
+    return doc
+
+
+def _as_v2(text: str) -> dict:
+    """A graph file's document as format v2 wrote it: v3's, with each
+    decision's source uri as ``source_uri`` and each rationale's decision's
+    ``artifact_id``."""
+    doc = _as_v3(text)
     doc["rdg_version"] = 2
     uris = {source["id"]: source["uri"] for source in doc["sources"]}
     artifacts = {}
@@ -485,9 +590,9 @@ def _as_v1(text: str) -> dict:
     ids=["check", "validate", "export", "query"],
 )
 def test_a_v1_graph_file_asks_for_a_rebuild(graph_file, tmp_path, capsys, argv):
-    """So does a v2 file."""
+    """So do v2 and v3 files."""
     text = pathlib.Path(graph_file).read_text()
-    for version, doc in ((1, _as_v1(text)), (2, _as_v2(text))):
+    for version, doc in ((1, _as_v1(text)), (2, _as_v2(text)), (3, _as_v3(text))):
         old = tmp_path / f"v{version}.json"
         old.write_text(
             json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n",

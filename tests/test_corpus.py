@@ -285,14 +285,15 @@ def test_artifact_file_round_trip_property(artifacts):
     assert parse_jsonl(dumps_artifacts(normalized)) == normalized
 
 
-@pytest.mark.parametrize("spelling", ["e.g", "e.g.", "E.G..", "vs."])
+@pytest.mark.parametrize("spelling", ["e.g", "e.g.", "E.G..", "vs.", " e.g", "e.g. "])
 def test_a_configured_abbreviation_may_end_in_a_dot(spelling):
     # The segmenter compares a word without its trailing dots, so the config
-    # stores an abbreviation without them.
+    # stores an abbreviation without them, and without surrounding whitespace.
     raw = copy.deepcopy(DEFAULTS)
     raw["lexicons"]["abbreviations"] = [spelling]
     abbreviations = from_dict(raw).abbreviations
-    word = spelling.lower().rstrip(".")
+    word = spelling.lower().strip().rstrip(".")
+    assert abbreviations == {word}
     body = f"We use caches, {word}. Redis is fast."
     assert len(segment_sentences(make_artifact("", body), abbreviations)) == 1
 

@@ -277,8 +277,8 @@ def test_load_rejects_truncated_file(fixture_graph):
 
 
 def test_load_rejects_wrong_version(fixture_graph):
-    for version in (1, 2, 9):
-        text = save(fixture_graph).replace('"rdg_version": 3', f'"rdg_version": {version}')
+    for version in (1, 2, 3, 9):
+        text = save(fixture_graph).replace('"rdg_version": 4', f'"rdg_version": {version}')
         with pytest.raises(GraphError) as info:
             load(text)
         assert str(info.value) == (
@@ -289,7 +289,7 @@ def test_load_rejects_wrong_version(fixture_graph):
 def test_load_reports_schema_path():
     with pytest.raises(GraphError, match="graph"):
         load("{}")
-    doc = '{"rdg_version": 3, "decisions": [{"id": 5}], "rationales": [], "topics": [], "sources": [], "edges": []}'
+    doc = '{"rdg_version": 4, "decisions": [{"id": 5}], "rationales": [], "topics": [], "sources": [], "edges": [], "similar": []}'
     with pytest.raises(GraphError, match=r"decisions\[0\]"):
         load(doc)
 
@@ -359,6 +359,14 @@ def _drop(path):
     return mutate
 
 
+def _both(first, second):
+    def mutate(doc):
+        first(doc)
+        second(doc)
+
+    return mutate
+
+
 # One case per kind of field the decoders' exact type tests reject; "loads"
 # says whether ``_expect`` or the record's constructor then accepts it.
 @pytest.mark.parametrize(
@@ -379,12 +387,16 @@ def _drop(path):
         (_set(("sources", 0, "uri"), ""), False),
         (_set(("decisions", 0, "timestamp"), "yesterday"), False),
         (_set(("decisions", 0, "timestamp"), "9999-12-31T23:59:59-05:00"), False),
-        (_set(("edges", 4, "score"), 0.0), False),
+        (_set(("similar", 0, 2), 0.0), False),
         (_set(("topics", 0, "members"), "t"), False),
         (_set(("edges", 0, "score"), 10**400), False),
         (_set(("rdg_version",), True), False),
-        (_set(("edges", 4, "score"), 1), True),
-        (_set(("edges", 4, "evidence"), []), True),
+        (_set(("similar", 0, 2), 1), True),
+        (_set(("similar", 0), [1, 2, 0.5, []]), False),
+        (_set(("edges", 0, "kind"), SIMILAR), False),
+        (_set(("similar", 0, 0), True), False),
+        (_drop(("similar",)), False),
+        (_both(_drop(("similar",)), _set(("topics", 0, "members"), [])), False),
         (_drop(("edges",)), False),
         (_drop(("sources", 0, "artifact_kind")), False),
         (_drop(("decisions", 0, "timestamp")), False),
@@ -396,14 +408,16 @@ def _drop(path):
         "non-object-record", "non-object-evidence", "zero-weight",
         "negative-weight", "empty-uri", "bad-timestamp", "timestamp-overflow",
         "zero-similar-score", "members-not-a-list", "int-beyond-float",
-        "bool-version", "int-similar-score", "similar-evidence-ignored",
+        "bool-version", "int-similar-score", "similar-evidence-refused",
+        "similar-record-in-edges", "bool-similar-index", "missing-similar-array",
+        "missing-similar-array-and-broken-invariant",
         "missing-array", "missing-source-kind",
         "missing-timestamp", "missing-evidence-feature",
     ],
 )
 def test_load_matches_the_per_field_loader(fixture_graph, mutate, loads):
     doc = json.loads(save(fixture_graph))
-    assert doc["edges"][4]["kind"] == SIMILAR  # the edge the similar cases change
+    assert doc["similar"] == [[1, 2, fixture_graph.relation_edges[-1].score]]
     mutate(doc)
     _assert_loads_as_reference(doc)
     assert isinstance(_load_outcome(graph_module._graph_from_doc, doc), RdGraph) is loads
@@ -444,15 +458,16 @@ _MUTANT_VALUES = [
 
 
 def _record_slots(doc):
-    """(container, key) of every array entry and every edge's evidence entry."""
+    """(container, key) of every array entry, every edge's evidence entry and
+    every element of a similar triple."""
     slots = []
-    for name in ("decisions", "rationales", "topics", "sources", "edges"):
+    for name in ("decisions", "rationales", "topics", "sources", "edges", "similar"):
         entries = doc.get(name)
         if not isinstance(entries, list):
             continue
         for index, entry in enumerate(entries):
             slots.append((entries, index))
-            evidence = entry.get("evidence") if isinstance(entry, dict) else None
+            evidence = entry.get("evidence") if isinstance(entry, dict) else entry
             if isinstance(evidence, list):
                 slots.extend((evidence, m) for m in range(len(evidence)))
     return slots
@@ -460,15 +475,21 @@ def _record_slots(doc):
 
 @st.composite
 def mutated_graph_docs(draw):
-    """A saved ``valid_graph_parts()`` graph with up to three fields or records changed."""
+    """A saved ``valid_graph_parts()`` graph with up to three fields or records
+    changed, or its similar triples reordered with repeats."""
     doc = json.loads(save(build_graph(*draw(valid_graph_parts()))))
     for _ in range(draw(st.integers(0, 3))):
         slot = draw(st.sampled_from([None, *_record_slots(doc)]))
         record = doc if slot is None else slot[0][slot[1]]
-        ops = ["extra", "drop", "set"] if slot is None else ["extra", "drop", "set", "replace"]
+        ops = ["extra", "drop", "set", "reorder"] if slot is None else ["extra", "drop", "set", "replace"]
         op = draw(st.sampled_from(ops))
         value = copy.deepcopy(draw(st.sampled_from(_MUTANT_VALUES)))
-        if op == "replace" or not isinstance(record, dict):
+        if op == "reorder":
+            triples = doc.get("similar")
+            if isinstance(triples, list) and triples:
+                repeats = draw(st.lists(st.sampled_from(triples), max_size=2))
+                doc["similar"] = draw(st.permutations(triples + copy.deepcopy(repeats)))
+        elif op == "replace" or not isinstance(record, dict):
             slot[0][slot[1]] = draw(st.sampled_from([value, [record]]))
         elif op == "extra":
             record["extra"] = value
@@ -767,7 +788,7 @@ def test_graph_violations_equal_the_reference_pass_plus_the_similar_edge_check(g
 
 
 def _zero_first_similar_score(doc):
-    next(e for e in doc["edges"] if e["kind"] == SIMILAR)["score"] = 0.0
+    doc["similar"][0][2] = 0.0
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
@@ -776,8 +797,8 @@ def _zero_first_similar_score(doc):
     [
         (lambda text: text, None),
         (lambda text: text[: len(text) // 2], "not valid JSON"),
-        (lambda text: text.replace('"rdg_version": 3', '"rdg_version": 1'), "rdg_version 1"),
-        (lambda text: _edited(text, _zero_first_similar_score), "score: evidence weight"),
+        (lambda text: text.replace('"rdg_version": 4', '"rdg_version": 1'), "rdg_version 1"),
+        (lambda text: _edited(text, _zero_first_similar_score), r"similar\[0\]\.score"),
         (lambda text: _edited(text, _first_topic_lists_its_first_member_twice), "2 times"),
     ],
     ids=["good", "bad-json", "v1", "bad-similar-score", "broken-invariant"],
@@ -807,33 +828,28 @@ def test_load_leaves_the_collector_as_it_found_it(fixture_graph, corrupt, error,
 @example("2.2250738585072014e-308")
 def test_a_similar_score_decodes_as_similar_edge_builds_it(token):
     """Whatever the score token, the loader gives the similar edge of its
-    float, or, for a float no evidence record could weigh, that record's error
-    at ``edges[0].score``."""
+    float when the number is in (0, 1], and otherwise refuses
+    ``similar[0].score``; an integer is compared exactly, never overflowing."""
     d0, d1 = make_decision(0), make_decision(1)
     edge = derived_similar_edge(d0.id, d1.id, 0.5)
     graph = build_graph(
         [d0, d1], [], [topic_over(d0.id, d1.id)], [edge], git_sources([d0, d1])
     )
-    text = save(graph).replace('"score": 0.5', f'"score": {token}')
+    text = save(graph).replace("\n      0.5\n", f"\n      {token}\n")
+    assert f"\n      {token}\n" in text
     value = json.loads(token)
-    record = {"from": d0.id, "kind": SIMILAR, "score": value, "to": d1.id}
-    try:
-        expected = derived_similar_edge(d0.id, d1.id, float(value))
-    except ValueError as exc:
-        message = f"edges[0].score: {exc}"
-        for decode in (lambda: graph_module._edge(record, 0), lambda: load(text)):
+    ids = (d0.id, d1.id)
+    if not 0 < value <= 1:
+        for decode in (lambda: graph_module._similar_edges([[0, 1, value]], ids), lambda: load(text)):
             with pytest.raises(GraphError) as info:
                 decode()
-            assert str(info.value) == message
+            assert str(info.value) == "similar[0].score: must be in (0, 1]"
         return
-    decoded = graph_module._edge(record, 0)
+    expected = derived_similar_edge(d0.id, d1.id, float(value))
+    (decoded,) = graph_module._similar_edges([[0, 1, value]], ids)
     assert type(decoded) is RelationEdge
     assert repr(decoded) == repr(expected)
-    if expected.score <= 1.0:
-        assert load(text).relation_edges == (expected,)
-    else:
-        with pytest.raises(GraphError, match=r"outside \[0, 1\]"):
-            load(text)
+    assert load(text).relation_edges == (expected,)
 
 
 def _with_number(graph: RdGraph, where: str, value: float) -> RdGraph:
@@ -852,6 +868,17 @@ def test_save_refuses_a_non_finite_number(fixture_graph, where, value):
     with pytest.raises(GraphError) as info:
         save(graph)
     assert str(info.value) == f"cannot save the non-finite number {value!r}"
+
+
+def test_save_refuses_a_similar_edge_to_a_missing_decision(fixture_graph):
+    ghost = derived_similar_edge(D1, "ghost#0", 0.5)
+    graph = fixture_graph._replace(relation_edges=fixture_graph.relation_edges + (ghost,))
+    with pytest.raises(GraphError) as info:
+        save(graph)
+    assert str(info.value) == (
+        f"cannot save the similar edge {D1!r} -> 'ghost#0': "
+        "it references a missing decision"
+    )
 
 
 @pytest.mark.parametrize(

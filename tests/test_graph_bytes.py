@@ -63,8 +63,8 @@ def built(tmp_path_factory):
 @pytest.mark.parametrize(
     "workload, digest",
     [
-        ("history", "fd35785ea88c16060af26c7caf6cd8da375da6eb1b031ccdb1098ec770298eca"),
-        ("longbody", "ac4a4971d6d3f2202dc375f569cbd8f0c889ef13ff79d708a07d5cc8a680801f"),
+        ("history", "f2bba1d6210790879eda7c957b1785cf5b34ec7a1b8882a9311d99162916249a"),
+        ("longbody", "09b5f21a7f56d28800e4384d14f1ab8d4a93f5a5bb81490a138d6ceff06b415a"),
     ],
     ids=["history", "longbody"],
 )

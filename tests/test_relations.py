@@ -219,11 +219,13 @@ def test_identical_decision_texts_make_a_similar_edge_with_score_one(provider):
 )
 def test_similar_edge_refuses_a_score_its_evidence_could_not_weigh(score, message):
     """A similar edge's score stands for its one evidence record, so the graph
-    decoder refuses a score that record could not weigh, with its message."""
-    record = {"from": "a0#0", "kind": SIMILAR, "score": score, "to": "a1#0"}
+    decoder refuses a score that record could not weigh, as outside (0, 1]."""
+    with pytest.raises(ValueError) as weighed:
+        Evidence("cosine-score", "", score)
+    assert str(weighed.value) == message
     with pytest.raises(GraphError) as info:
-        graph_module._edge(record, 0)
-    assert str(info.value) == f"edges[0].score: {message}"
+        graph_module._similar_edges([[0, 1, score]], ("a0#0", "a1#0"))
+    assert str(info.value) == "similar[0].score: must be in (0, 1]"
 
 
 def test_fixture_has_the_one_similar_edge(fixture_graph):
