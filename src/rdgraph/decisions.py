@@ -10,8 +10,11 @@ The scorer is additive and clamped to [0, 1]:
 
 The verbs and cues are the ``Config``'s ``action_verbs``, ``cue_phrases``
 and ``negative_cues``, which ``config.from_dict`` has checked and lowered.
-Without a cue only the summary scores above 0.3: above that, an ASCII artifact
-scores only its cue sentences and summary (sentence 0), others every sentence.
+Without a cue only the summary scores above 0.3: above that, only the
+summary (sentence 0) and the sentences where a ``str.find`` over the joined
+lowered sentences meets a cue are scored.  Each sentence is lowered once, and
+its offsets in the join come from the lowered lengths, so this holds for any
+text, even where ``str.lower`` changes a length.
 """
 
 from __future__ import annotations
@@ -101,26 +104,29 @@ def extract_decisions(
     artifact: Artifact, sentences: list[Sentence], config: Config
 ) -> list[Decision]:
     """One decision per sentence whose score reaches the config's decision
-    threshold; above ``_NO_CUE_BOUND`` an ASCII artifact scores only its
-    summary and cue sentences, otherwise every sentence is scored."""
+    threshold; above ``_NO_CUE_BOUND`` only the summary and the cue
+    sentences are scored, otherwise every sentence is."""
     if any(s.artifact_id != artifact.id for s in sentences):
         raise ValueError("sentences do not belong to the given artifact")
     threshold = config.thresholds.decision
-    joined = " ".join(s.text for s in sentences).lower()
-    if sentences and joined.isascii() and threshold > _NO_CUE_BOUND:
-        # A sentence lowers to a slice of joined; its cues start inside it.
+    lowered = [s.text.lower() for s in sentences]
+    indexes = range(len(sentences))
+    if sentences and threshold > _NO_CUE_BOUND:
+        # Sentence i's lowered text is a slice of joined; its cues start inside it.
+        joined = " ".join(lowered)
         picked = {0} if is_summary_sentence(artifact, sentences[0]) else set()
         starts: list[int] = []
         for cue in config.cue_phrases:
             at = -1
             while (at := joined.find(cue, at + 1)) >= 0:
-                starts = starts or [0, *accumulate(len(s.text) + 1 for s in sentences)]
+                starts = starts or [0, *accumulate(len(text) + 1 for text in lowered)]
                 picked.add(bisect_right(starts, at) - 1)
-        sentences = [sentences[i] for i in sorted(picked)]
+        indexes = sorted(picked)
     decisions = []
-    for sentence in sentences:
+    for i in indexes:
+        sentence = sentences[i]
         is_summary = is_summary_sentence(artifact, sentence)
-        score = _score(sentence.text.lower(), is_summary, config)
+        score = _score(lowered[i], is_summary, config)
         if score >= threshold:
             decisions.append(
                 Decision(

@@ -245,27 +245,17 @@ def build_graph(
     sources: Iterable[SourceRef],
 ) -> RdGraph:
     """Assemble and fully check a graph, in which each decision's ``artifact_id``
-    names one of ``sources``; raises GraphError on any violation."""
-    decision_map: dict[str, Decision] = _by_id(decisions, "decision")
-    rationale_map: dict[str, RationaleSpan] = _by_id(rationales, "rationale")
-    topic_map: dict[str, Topic] = _by_id(topics, "topic")
+    names one of ``sources``; raises GraphError on any violation.
 
-    canonical = sorted(
-        (
-            edge._replace(from_id=edge.to_id, to_id=edge.from_id)
-            if edge.kind == SIMILAR and edge.from_id > edge.to_id
-            else edge
-            for edge in relation_edges
-        ),
-        key=_edge_sort_key,
-    )
-
+    Edges are sorted, never rewritten: a similar edge must already run from
+    the smaller id to the larger, as ``detect_similar`` and ``load`` give it,
+    and a reversed one is refused."""
     graph = RdGraph(
-        decisions=decision_map,
-        rationales=rationale_map,
-        topics=topic_map,
+        decisions=_by_id(decisions, "decision"),
+        rationales=_by_id(rationales, "rationale"),
+        topics=_by_id(topics, "topic"),
         sources=_by_id(sources, "source"),
-        relation_edges=tuple(canonical),
+        relation_edges=tuple(sorted(relation_edges, key=_edge_sort_key)),
     )
     for _, message in graph_violations(graph):
         raise GraphError(message)

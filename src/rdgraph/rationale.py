@@ -83,25 +83,23 @@ _Alternative = tuple[re.Pattern[str], str, str, bool]
 
 @functools.lru_cache(maxsize=64)
 def _any_marker(
-    markers: tuple[tuple[str, ...], ...], by_gerund: bool
+    markers: tuple[tuple[str, ...], ...],
 ) -> tuple[re.Pattern[str], re.Pattern[str] | None, tuple[_Alternative, ...]]:
     """One pattern that matches wherever any of ``markers`` (one tuple per
-    role) or, if ``by_gerund``, "by <gerund>" does; the same alternation
-    without ``IGNORECASE`` for lowered ASCII text, if every marker is ASCII;
-    and its alternatives as ``(pattern, role, marker, initial_only)`` in the
-    order that breaks ties.
+    role, as ``config.from_dict`` gives them) or "by <gerund>" does; the same
+    alternation without ``IGNORECASE`` for lowered ASCII text, if every marker
+    is ASCII; and its alternatives as ``(pattern, role, marker, initial_only)``
+    in the order that breaks ties.
 
-    ``initial_only`` marks "this way", which counts only sentence-initially,
-    in any case and spacing, since its pattern ignores both."""
+    ``initial_only`` marks "this way", which counts only sentence-initially;
+    ``from_dict`` gives it that one spelling."""
     alternatives = [
-        (_marker_pattern(m), role, m, " ".join(m.lower().split()) == "this way")
+        (_marker_pattern(m), role, m, m == "this way")
         for role, ms in zip(ROLES, markers)
         for m in ms
     ]
-    if by_gerund:
-        alternatives.append((_BY_GERUND_RE, MANNER, "by", False))
-    # With no alternative the pattern must match nowhere, not everywhere.
-    combined = "|".join(p.pattern for p, _, _, _ in alternatives) or "(?!)"
+    alternatives.append((_BY_GERUND_RE, MANNER, "by", False))
+    combined = "|".join(p.pattern for p, _, _, _ in alternatives)
     # For ASCII, matching lowered text is matching with IGNORECASE (which lets
     # "s" match "\u017f"), and several times faster.  re.escape leaves letters
     # alone, so lowering the source lowers only the markers.
@@ -133,11 +131,14 @@ def extract_rationale(
     next accepted marker, whichever comes first, so each marker keeps its
     role and the spans of a sentence are disjoint and in order.  Offsets are
     absolute (into the artifact's normalized text).
+
+    ``markers`` is taken as ``config.from_dict`` gives it: every role present,
+    each entry lowered, its inner whitespace collapsed, and none blank.
     """
     marker_map = markers if markers is not None else DEFAULT_MARKERS
     text = sentence.text
-    key = tuple(tuple(marker_map.get(role, ())) for role in ROLES)
-    any_marker, lowered_marker, alternatives = _any_marker(key, MANNER in marker_map)
+    key = tuple(marker_map[role] for role in ROLES)
+    any_marker, lowered_marker, alternatives = _any_marker(key)
     scanned = text
     if text.isascii():
         lowered, origin = text.lower(), None
@@ -166,16 +167,14 @@ def extract_rationale(
             cursors[n] = max(hit.end(), at + 1)
             if initial_only and at != 0:
                 continue
-            # Of equally long hits the first wins, but of empty ones the last:
-            # every empty hit is accepted, and only the last keeps a span.
-            if best is None or hit.end() > best[1] or hit.end() == best[1] == at:
+            # Of equally long hits the first wins.
+            if best is None or hit.end() > best[1]:
                 best = (at, hit.end(), role, marker)
         pos = at + 1
         if best is not None:
             accepted.append(best)
             pos = max(pos, best[1])
-        # search() clamps pos to len(text), where a blank marker matches again.
-        candidate = any_marker.search(scanned, pos) if pos <= len(text) else None
+        candidate = any_marker.search(scanned, pos)
     if not accepted:
         return []
     first = accepted[0][1]
@@ -249,7 +248,8 @@ def attach_rationale(
     The decision's own sentence is checked first; only when it has no marker
     are the other sentences scanned, nearest first, and at equal distance the
     following one before the preceding one.  Spans keep that order: own
-    sentence first, then by distance.
+    sentence first, then by distance.  ``markers`` is taken as
+    ``extract_rationale`` takes it.
     """
     if any(s.artifact_id != decision.artifact_id for s in sentences):
         raise ValueError("sentences do not belong to the decision's artifact")

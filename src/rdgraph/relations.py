@@ -258,11 +258,14 @@ def _sentence_features(
     """
     tokens = _RAW_WORD_RE.findall(text.lower())
     content = _content_tokens(tokens, stopwords)
+    # A token negates when it is a cue, or ends with a cue that holds an
+    # apostrophe: "n't" negates after "doesn't".
+    suffixes = tuple(cue for cue in negation_cues if "'" in cue)
     # Positions within two tokens after a negation cue.
     after_cue = {
         j
         for i, token in enumerate(tokens)
-        if token in negation_cues or token.endswith("n't")
+        if token in negation_cues or token.endswith(suffixes)
         for j in (i + 1, i + 2)
     }
     negated = content.intersection(tokens[j] for j in after_cue if j < len(tokens))

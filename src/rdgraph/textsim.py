@@ -20,15 +20,13 @@ _SEPARATORS = "".join(
     c if _TOKEN_RE.fullmatch(c) else " " for c in map(chr, range(128))
 )
 
-DEFAULT_STOPWORDS = frozenset()
-
 
 @functools.cache
 def _dropped(stopwords: frozenset[str]) -> frozenset[str]:
     return stopwords | frozenset(_SEPARATORS.replace(" ", ""))
 
 
-def token_counts(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> Counter[str]:
+def token_counts(text: str, stopwords: frozenset[str]) -> Counter[str]:
     """Counts of ``_TOKEN_RE.findall(text.lower())`` in first-occurrence order,
     less one-character tokens and stopwords (removed after counting); no
     stemming.  Every other character of the lowered text splits tokens."""
@@ -51,7 +49,7 @@ class TfIdfModel(NamedTuple):
     vocabulary: dict[str, int]
     idf: tuple[float, ...]
     doc_count: int
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
+    stopwords: frozenset[str]
 
 
 def _fit(entries: list[Iterable[str]], stopwords: frozenset[str]) -> TfIdfModel:
@@ -121,9 +119,7 @@ class TfIdfProvider:
         self._counts: dict[str, Counter[str]] = {}
 
     @classmethod
-    def fit(
-        cls, docs: Iterable[str], stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    ) -> TfIdfProvider:
+    def fit(cls, docs: Iterable[str], stopwords: frozenset[str]) -> TfIdfProvider:
         """A provider over the TF-IDF model of ``docs``, a non-empty corpus.
 
         Each distinct corpus text is counted once by ``token_counts``: the

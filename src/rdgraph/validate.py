@@ -8,7 +8,7 @@ and serialize to JSON lines for CI consumption.
 from __future__ import annotations
 
 from json.encoder import encode_basestring as _q
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .config import Config, default_config
 from .graph import RdGraph, neighbors, rationales_of
@@ -32,30 +32,14 @@ MISSING_RATIONALE = "missing-rationale"
 _SEVERITY_RANK = {"error": 0, "warning": 1, "info": 2}
 
 
-class _FindingFields(NamedTuple):
+class ValidationFinding(NamedTuple):
+    """One report entry with an explanation path of graph edges."""
+
     kind: str
     severity: str
     subject_ids: tuple[str, ...]
     path: tuple[RelationEdge, ...]
     message: str
-
-
-class ValidationFinding(_FindingFields):
-    """One report entry with an explanation path of graph edges: an immutable
-    named tuple whose message and severity are checked however it is built."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind, severity, subject_ids, path, message) -> ValidationFinding:
-        if not message:
-            raise ValueError("finding message must be non-empty")
-        if severity not in _SEVERITY_RANK:
-            raise ValueError(f"unknown severity {severity!r}")
-        return tuple.__new__(cls, (kind, severity, subject_ids, path, message))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> ValidationFinding:
-        return cls(*iterable)
 
 
 def _sorted_findings(findings: list[ValidationFinding]) -> list[ValidationFinding]:
@@ -95,42 +79,22 @@ def check_rationale_consistency(
     for edge in graph.relation_edges:
         if edge.kind != SIMILAR:
             continue
-        from_id, to_id = edge.from_id, edge.to_id
-        subjects = (from_id, to_id) if from_id <= to_id else (to_id, from_id)
-        text_a = rationales[from_id]
-        text_b = rationales[to_id]
-        if not text_a or not text_b:
-            missing = [d for d, t in ((from_id, text_a), (to_id, text_b)) if not t]
-            findings.append(
-                ValidationFinding(
-                    kind=MISSING_RATIONALE,
-                    severity="info",
-                    subject_ids=subjects,
-                    path=(edge,),
-                    message=(
-                        "similar pair skipped, no rationale recorded for "
-                        + ", ".join(missing)
-                    ),
-                )
+        # A graph's similar edges run from the smaller id (``build_graph``).
+        subjects = (edge.from_id, edge.to_id)
+        text_a, text_b = rationales[edge.from_id], rationales[edge.to_id]
+        a, b = features.get(text_a), features.get(text_b)
+        severity = "info"
+        if a is None or b is None:
+            missing = [d for d, t in zip(subjects, (text_a, text_b)) if not t]
+            kind, message = MISSING_RATIONALE, (
+                "similar pair skipped, no rationale recorded for " + ", ".join(missing)
             )
-            continue
-        a, b = features[text_a], features[text_b]
-        if _contradiction(a, b)[0] > 0.0 or _contradiction(b, a)[0] > 0.0:
-            findings.append(
-                ValidationFinding(
-                    kind=INCONSISTENT_REASONING,
-                    severity="warning",
-                    subject_ids=subjects,
-                    path=(edge,),
-                    message=(
-                        f"rationales of similar decisions {subjects[0]} and "
-                        f"{subjects[1]} contradict each other"
-                    ),
-                )
+        elif _contradiction(a, b)[0] > 0.0 or _contradiction(b, a)[0] > 0.0:
+            kind, severity, message = INCONSISTENT_REASONING, "warning", (
+                f"rationales of similar decisions {subjects[0]} and "
+                f"{subjects[1]} contradict each other"
             )
-            continue
-        score = provider.score(text_a, text_b)
-        if score >= cfg.thresholds.duplicate:
+        elif (score := provider.score(text_a, text_b)) >= cfg.thresholds.duplicate:
             kind, message = DUPLICATE_RATIONALE, (
                 f"decisions {subjects[0]} and {subjects[1]} share the same "
                 f"rationale (similarity {score:.2f})"
@@ -145,15 +109,7 @@ def check_rationale_consistency(
                 f"rationales of {subjects[0]} and {subjects[1]} share little "
                 f"vocabulary (similarity {score:.2f})"
             )
-        findings.append(
-            ValidationFinding(
-                kind=kind,
-                severity="info",
-                subject_ids=subjects,
-                path=(edge,),
-                message=message,
-            )
-        )
+        findings.append(ValidationFinding(kind, severity, subjects, (edge,), message))
     return _sorted_findings(findings)
 
 

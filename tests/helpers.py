@@ -7,9 +7,12 @@ without sharing code paths.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import pathlib
 import re
+import sys
 from bisect import bisect_right
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -53,6 +56,16 @@ from rdgraph.relations import (
 )
 from rdgraph.textsim import TfIdfModel
 from rdgraph.validate import ValidationFinding, _sorted_findings
+
+GEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+
+
+def perfbench_gen():
+    """The benchmark's corpus generator, ``perfbench/gen.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # dataclasses look their module up by name
+    return module
 
 
 def oracle_similarity(

@@ -281,16 +281,18 @@ def test_a_threshold_above_point_three_scores_only_the_summary_and_cue_sentences
     monkeypatch.setattr(
         decisions_module, "_score", lambda *args: calls.append(args) or real(*args)
     )
-    filler = " ".join(f"The weather on day {n} was nice." for n in range(60))
-    artifact = make_artifact("x: add a lock", filler + " Use it, as we decided to.")
-    sentences = segment_sentences(artifact, config.abbreviations)
-    assert len(sentences) == 62 and artifact.body.isascii()
 
-    def scored(threshold: float) -> int:
+    def scored(sentences, threshold: float) -> int:
         calls.clear()
         decisions = extract_decisions(artifact, sentences, at_decision_threshold(config, threshold))
         assert [decision_sentence_index(d.id) for d in decisions] == [0, 61]
         return len(calls)
 
-    assert scored(config.thresholds.decision) <= 2
-    assert scored(0.3) == 62
+    # "\u0130" lowers to two characters, so that body lowers to another length.
+    for weather in ["nice", "\u0130stanbul-grey"]:
+        filler = " ".join(f"The weather on day {n} was {weather}." for n in range(60))
+        artifact = make_artifact("x: add a lock", filler + " Use it, as we decided to.")
+        sentences = segment_sentences(artifact, config.abbreviations)
+        assert len(sentences) == 62 and artifact.body.isascii() == weather.isascii()
+        assert scored(sentences, config.thresholds.decision) <= 2
+        assert scored(sentences, 0.3) == 62

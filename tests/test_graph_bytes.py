@@ -17,27 +17,15 @@ from __future__ import annotations
 import collections
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-import pathlib
-import sys
 
 import pytest
 
-from helpers import assert_records_keep_their_types
+from helpers import assert_records_keep_their_types, perfbench_gen
 from rdgraph import build_pipeline, default_config, load, parse_jsonl, textsim
 from rdgraph.cli import main
 from rdgraph.validate import CONFLICT_WARNING
-
-GEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)  # dataclasses look their module up by name
-    return module
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +36,7 @@ def built(tmp_path_factory):
     def build(workload):
         if workload not in cache:
             tmp_path = tmp_path_factory.mktemp(workload)
-            generated = getattr(_gen(), workload)(101)
+            generated = getattr(perfbench_gen(), workload)(101)
             dump = tmp_path / "input.dump"
             dump.write_text(generated.dump, encoding="utf-8")
             artifacts, graph = tmp_path / "artifacts.jsonl", tmp_path / "graph.json"

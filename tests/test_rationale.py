@@ -20,6 +20,7 @@ from rdgraph import (
     pipeline,
     segment_sentences,
 )
+from rdgraph.config import DEFAULTS, from_dict
 from rdgraph.corpus import Sentence
 from rdgraph.decisions import Decision
 from rdgraph.rationale import (
@@ -94,18 +95,6 @@ def test_clause_ends_at_semicolon():
 
 def test_this_way_only_counts_sentence_initially():
     assert extract_rationale(sentence("We keep it this way for now.")) == []
-
-
-@pytest.mark.parametrize("spelling", ["this way", "This way", "this  way"])
-def test_a_passed_this_way_marker_counts_only_sentence_initially(spelling):
-    markers = {MANNER: (spelling,)}
-    inside = sentence("We keep it this way for the cache to stay warm.")
-    assert extract_rationale(inside, markers) == []
-    assert reference_extract_rationale(inside, markers) == []
-    opening = extract_rationale(sentence("This way the cache stays warm."), markers)
-    assert [(f.role, f.marker, f.text) for f in opening] == [
-        (MANNER, spelling, "the cache stays warm")
-    ]
 
 
 @pytest.mark.parametrize("spelling", ["This  way", "this\\tway"])
@@ -436,9 +425,9 @@ def test_spans_of_a_sentence_are_disjoint_and_in_order(text, offset):
 
 # Markers with regex metacharacters, one that is a word-prefix of another
 # ("so" of "so that"), "by" beside the "by <gerund>" pattern, non-ASCII ones,
-# ones that overlap their own next match ("so so", "a.a") and one in capitals,
-# which only a library call can pass (the config lowers markers); the same
-# marker may be drawn for two roles.
+# ones that overlap their own next match ("so so", "a.a") and ones in capitals
+# or odd spacing, which the config lowers and collapses; the same marker may
+# be drawn for two roles.
 MARKER_POOL = [
     "so that", "so", "because", "since", "this way", "by", "by means of",
     "c++", "a+b", "[x]", "e.g. (so)", r"\d", "so.that", "stra\u00dfe", "\u0130t",
@@ -453,43 +442,45 @@ PRESCAN_PIECES = [
     ", and it ", "; ", "(", ") ", ".", "it runs ", "so so so ", "a.a.a ",
     "this  way ", "becau\u017fe ",
 ]
-marker_maps = st.one_of(
+# Markers per role; a role left out has none.  None stands for the defaults.
+marker_lexicons = st.one_of(
     st.none(),
-    st.dictionaries(
-        st.sampled_from(ROLES),
-        st.one_of(
-            st.lists(st.sampled_from(MARKER_POOL), max_size=4).map(tuple),
-            st.lists(st.sampled_from(MARKER_POOL), max_size=4),
-        ),
-    ),
+    st.dictionaries(st.sampled_from(ROLES), st.lists(st.sampled_from(MARKER_POOL), max_size=4)),
 )
+
+
+def configured_markers(lexicon):
+    """The markers ``config.from_dict`` gives for ``lexicon``."""
+    if lexicon is None:
+        return None
+    markers = {role: list(lexicon.get(role, ())) for role in ROLES}
+    return from_dict(
+        {**DEFAULTS, "lexicons": {**DEFAULTS["lexicons"], "markers": markers}}
+    ).markers
 
 
 @given(
     text=st.lists(st.sampled_from(PRESCAN_PIECES), max_size=20).map("".join),
-    markers=marker_maps,
+    lexicon=marker_lexicons,
     offset=st.integers(0, 50),
 )
 @example(
     text="We add x so that it runs, This way by doing it BY MEANS OF c++ ",
-    markers={PURPOSE: ("so", "so that"), CAUSE: ("so that",), MANNER: ("by", "this way")},
+    lexicon={PURPOSE: ["so", "so that"], CAUSE: ["so that"], MANNER: ["by", "this way"]},
     offset=3,
 )
-@example(text="THIS WAY it runs", markers=None, offset=0)
-@example(text="it runs this way", markers=None, offset=0)
-@example(text="\u0130t runs e.g. (so) a+b", markers={CAUSE: ("e.g. (so)", "a+b", "\u0130t")}, offset=0)
-@example(text="it runs by doing it", markers={CAUSE: ("because",)}, offset=0)
+@example(text="THIS WAY it runs", lexicon=None, offset=0)
+@example(text="it runs this way", lexicon=None, offset=0)
+@example(text="\u0130t runs e.g. (so) a+b", lexicon={CAUSE: ["e.g. (so)", "a+b", "\u0130t"]}, offset=0)
 # Under IGNORECASE "s" matches the long s "\u017f", which lowering keeps.
-@example(text="it runs becau\u017fe x", markers=None, offset=0)
+@example(text="it runs becau\u017fe x", lexicon=None, offset=0)
 # "so so" matches at 2, inside the accepted "x so", so its own next match
 # starts at 8 and finds none: one purpose span, "so so" at 5-10.
-@example(text="x so so so", markers={PURPOSE: ("x so",), CAUSE: ("so so",)}, offset=0)
-# A blank marker matches, empty, at every word boundary, and the last of the
-# empty hits at one place keeps the span.
-@example(text="it runs, so we add x", markers={PURPOSE: ("",), CAUSE: ("", "so")}, offset=2)
+@example(text="x so so so", lexicon={PURPOSE: ["x so"], CAUSE: ["so so"]}, offset=0)
 @settings(max_examples=500)
-def test_extraction_equals_the_scan_without_a_prescan(text, markers, offset):
+def test_extraction_equals_the_scan_without_a_prescan(text, lexicon, offset):
     s = sentence(text, start=offset)
+    markers = configured_markers(lexicon)
     assert extract_rationale(s, markers) == reference_extract_rationale(s, markers)
 
 

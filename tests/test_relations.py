@@ -94,7 +94,7 @@ def provider():
         "tune the scheduler for latency",
         "rework the scheduler tick for latency",
     ]
-    return TfIdfProvider.fit(docs), docs
+    return TfIdfProvider.fit(docs, frozenset()), docs
 
 
 def test_all_pairs_below_threshold_gives_singletons(provider):
@@ -135,7 +135,7 @@ def test_topic_ids_are_invariant_under_input_permutation(fixture_artifacts, conf
 
 def test_singleton_topic_title_uses_only_member_tokens():
     decisions = [make_decision(0, "introduce oom reaper")]
-    model = TfIdfProvider.fit([d.text for d in decisions]).model
+    model = TfIdfProvider.fit([d.text for d in decisions], frozenset()).model
     topic = Topic(id="t1", title="", member_decision_ids=("a0#0",))
     title = title_topic(topic, model, {"a0#0": "introduce oom reaper"})
     assert set(title.split()) <= {"introduce", "oom", "reaper"}
@@ -148,7 +148,7 @@ def test_fixture_topic_title_is_pinned(fixture_graph):
 
 
 def test_empty_member_texts_give_empty_title():
-    model = TfIdfProvider.fit(["filler corpus text"]).model
+    model = TfIdfProvider.fit(["filler corpus text"], frozenset()).model
     topic = Topic(id="t1", title="", member_decision_ids=("a0#0",))
     assert title_topic(topic, model, {"a0#0": ""}) == ""
 
@@ -185,7 +185,7 @@ def test_titles_of_singleton_topics_take_linear_time():
     # singleton topics of unrelated commits; a title reads only its tokens.
     n = 6_000
     texts = {f"a{k}#0": f"w{k}a w{k}b" for k in range(n)}
-    model = TfIdfProvider.fit(texts.values()).model
+    model = TfIdfProvider.fit(texts.values(), frozenset()).model
     started = time.perf_counter()
     titles = [
         title_topic(Topic(id=f"t{k}", title="", member_decision_ids=(m,)), model, texts)
@@ -615,7 +615,8 @@ def _reference_contradiction_score(later_text, earlier_text, keywords, negation_
         out = {}
         for i, token in enumerate(tokens):
             negated = any(
-                tokens[j] in negation_cues or tokens[j].endswith("n't")
+                tokens[j] in negation_cues
+                or any("'" in cue and tokens[j].endswith(cue) for cue in negation_cues)
                 for j in (i - 1, i - 2)
                 if j >= 0
             )
@@ -663,11 +664,13 @@ def test_contradiction_score_is_independent_of_the_feature_cache(config, a, b):
 
 
 # The config's lexicons; a keyword that is also a stopword; negation cues
-# matched only by the "n't" suffix; and no keywords at all.
+# without "n't", so "don't" negates nothing; "n't" as the only cue; and no
+# keywords at all.
 _LEXICONS = st.sampled_from(
     [
         None,
         (frozenset({"the", "remove"}), frozenset({"no"}), frozenset({"the", "oom"})),
+        (frozenset({"remove"}), frozenset({"n't"}), frozenset({"the"})),
         (frozenset({"revert", "memory"}), frozenset(), frozenset({"the"})),
         (frozenset(), frozenset({"not", "never"}), frozenset()),
     ]
@@ -689,6 +692,17 @@ def test_feature_record_rule_equals_the_reference_both_ways(config, a, b, lexico
     score, evidence = _reference_contradiction_score(a, b, *args)
     expected = [RelationEdge(CONTRADICTS, later.id, earlier.id, score, evidence)] if score else []
     assert kind_edges(CONTRADICTS, later, earlier, artifacts, config=cfg) == expected
+
+
+def test_the_config_owns_the_nt_negation(config):
+    # "n't" negates as a suffix because the config lists it, not by default.
+    def negated(cues):
+        return relations._sentence_features(
+            "it doesn't cache pages", config.contradiction_keywords, cues, config.stopwords
+        ).negated
+
+    assert negated(config.negation_cues) == {"cache", "pages"}
+    assert negated(config.negation_cues - {"n't"}) == frozenset()
 
 
 def test_relation_stage_scores_only_candidate_pairs(monkeypatch, config):

@@ -15,7 +15,7 @@ from helpers import (
     reference_vectorize,
 )
 from rdgraph import default_config, textsim
-from rdgraph.textsim import TfIdfProvider, _with_norm, token_counts
+from rdgraph.textsim import TfIdfModel, TfIdfProvider, _with_norm, token_counts
 
 
 @pytest.fixture(scope="module")
@@ -30,22 +30,32 @@ def test_tokenize_drops_stopwords_and_lowercases(stopwords):
     ]
 
 
+def test_stopwords_are_always_given():
+    # Every command passes the config's list; frozenset() means none.
+    with pytest.raises(TypeError):
+        token_counts("reap the memory")
+    with pytest.raises(TypeError):
+        TfIdfProvider.fit(["reap the memory"])
+    with pytest.raises(TypeError):
+        TfIdfModel(vocabulary={}, idf=(), doc_count=0)
+
+
 def test_tokenize_empty():
-    assert token_counts("") == {}
+    assert token_counts("", frozenset()) == {}
 
 
 def test_tokenize_splits_on_punctuation():
-    assert token_counts("exit() soon") == {"exit": 1, "soon": 1}
+    assert token_counts("exit() soon", frozenset()) == {"exit": 1, "soon": 1}
 
 
 def test_tokenize_keeps_underscore_tokens():
-    assert list(token_counts("remove boost_dying_task_prio()")) == [
+    assert list(token_counts("remove boost_dying_task_prio()", frozenset())) == [
         "remove", "boost_dying_task_prio",
     ]
 
 
 def test_tokenize_drops_single_characters():
-    assert token_counts("a b cd a") == {"cd": 1}
+    assert token_counts("a b cd a", frozenset()) == {"cd": 1}
 
 
 _STOPWORD_SETS = st.sampled_from(
@@ -106,34 +116,34 @@ def test_vectorize_equals_the_per_token_count_loop(docs, texts, stopwords):
 
 
 def test_build_model_single_doc_idf_is_one():
-    model = TfIdfProvider.fit(["alpha beta"]).model
+    model = TfIdfProvider.fit(["alpha beta"], frozenset()).model
     assert model.doc_count == 1
     assert all(value == pytest.approx(1.0) for value in model.idf)
 
 
 def test_build_model_token_in_all_docs_idf_is_one():
-    model = TfIdfProvider.fit(["common alpha", "common beta", "common gamma"]).model
+    model = TfIdfProvider.fit(["common alpha", "common beta", "common gamma"], frozenset()).model
     assert model.idf[model.vocabulary["common"]] == pytest.approx(1.0)
 
 
 def test_build_model_token_in_one_of_three_docs():
-    model = TfIdfProvider.fit(["rare alpha", "beta beta", "gamma"]).model
+    model = TfIdfProvider.fit(["rare alpha", "beta beta", "gamma"], frozenset()).model
     expected = math.log(4 / 2) + 1  # 1.693...
     assert model.idf[model.vocabulary["rare"]] == pytest.approx(expected)
 
 
 def test_build_model_rejects_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
-        TfIdfProvider.fit(iter(()))  # an iterator that yields nothing
+        TfIdfProvider.fit(iter(()), frozenset())  # an iterator that yields nothing
 
 
 def test_similarity_identical_texts_is_exactly_one():
-    provider = TfIdfProvider.fit(["kernel thread reaps memory", "other words entirely"])
+    provider = TfIdfProvider.fit(["kernel thread reaps memory", "other words entirely"], frozenset())
     assert provider.score("kernel thread reaps memory", "kernel thread reaps memory") == 1.0
 
 
 def test_similarity_disjoint_vocabulary_is_zero():
-    provider = TfIdfProvider.fit(["alpha beta", "gamma delta"])
+    provider = TfIdfProvider.fit(["alpha beta", "gamma delta"], frozenset())
     assert provider.score("alpha beta", "gamma delta") == 0.0
 
 
@@ -177,7 +187,7 @@ def test_similarity_symmetry_is_exact():
     for seed in range(10):
         rng = random.Random(1000 + seed)
         docs = _random_corpus(rng)
-        provider = TfIdfProvider.fit(docs)
+        provider = TfIdfProvider.fit(docs, frozenset())
         for i in range(len(docs)):
             for j in range(len(docs)):
                 assert provider.score(docs[i], docs[j]) == provider.score(docs[j], docs[i])
@@ -188,7 +198,7 @@ def test_similarity_symmetry_is_exact():
 def test_similarity_range_property(data):
     words = st.sampled_from(["oom", "task", "memory", "priority", "exit", "reap"])
     docs = data.draw(st.lists(st.lists(words, max_size=10).map(" ".join), min_size=1, max_size=4))
-    provider = TfIdfProvider.fit(docs)
+    provider = TfIdfProvider.fit(docs, frozenset())
     a = data.draw(st.sampled_from(docs))
     b = data.draw(st.sampled_from(docs))
     score = provider.score(a, b)
@@ -197,14 +207,14 @@ def test_similarity_range_property(data):
 
 def test_duplicating_text_does_not_change_cosine():
     docs = ["reap the memory early", "raise the task priority", "memory priority tuning"]
-    provider = TfIdfProvider.fit(docs)
+    provider = TfIdfProvider.fit(docs, frozenset())
     base = provider.score(docs[0], docs[2])
     doubled = provider.score(docs[0] + " " + docs[0], docs[2])
     assert doubled == pytest.approx(base, abs=1e-12)
 
 
 def test_unseen_tokens_are_ignored():
-    provider = TfIdfProvider.fit(["alpha beta", "beta gamma"])
+    provider = TfIdfProvider.fit(["alpha beta", "beta gamma"], frozenset())
     assert provider._lookup("unseen words only") == ({}, 0.0)
     assert provider.score("alpha unseen", "alpha other") > 0.0
 
@@ -220,7 +230,7 @@ def test_memoised_provider_scores_equal_uncached_similarity(data):
     words = st.sampled_from(["oom", "task", "memory", "priority", "exit", "reap", "unseen"])
     text = st.lists(words, max_size=10).map(" ".join)
     docs = data.draw(st.lists(text, min_size=1, max_size=4))
-    model = TfIdfProvider.fit(docs).model
+    model = TfIdfProvider.fit(docs, frozenset()).model
     texts = docs + data.draw(st.lists(text, max_size=2))
     pairs = data.draw(
         st.lists(st.tuples(st.sampled_from(texts), st.sampled_from(texts)), min_size=1, max_size=12)
@@ -255,7 +265,7 @@ def test_fitted_provider_equals_a_provider_over_build_model(data):
 
 def test_fit_rejects_an_empty_corpus():
     with pytest.raises(ValueError, match="empty corpus"):
-        TfIdfProvider.fit([])
+        TfIdfProvider.fit([], frozenset())
 
 
 _PAIR_TEXTS = st.lists(
@@ -339,7 +349,7 @@ def test_matches_keeps_every_text_the_score_loop_finds(
 
 
 def test_matches_vectorizes_only_the_texts_the_bound_keeps(monkeypatch):
-    provider = TfIdfProvider.fit(["reap memory early", "tune the tick", "reap task"])
+    provider = TfIdfProvider.fit(["reap memory early", "tune the tick", "reap task"], frozenset())
     built, vector = [], textsim._vector
     monkeypatch.setattr(
         textsim, "_vector", lambda model, counts: built.append(sorted(counts)) or vector(model, counts)
